@@ -34,7 +34,6 @@ __all__ = [
     "landmark_embedding",
     "flatten_map",
     "unflatten_map",
-    "attention_head",
     "multi_head",
     "estimate_attributes",
     "transfer_attributes",
@@ -133,18 +132,6 @@ def _augment(features: Tensor, embedding) -> Tensor:
             f"embedding rows {emb.shape} do not match feature rows {features.shape}"
         )
     return concat([features, emb], axis=1)
-
-
-def attention_head(x_flat: Tensor, y_flat: Tensor, le_x, le_y, w_query: Tensor, w_ref: Tensor) -> Tensor:
-    """One head: softmax(q k^T / sqrt(dk)) over the reference axis.
-
-    The 1/sqrt(dk) temperature is folded into the query projection, saving
-    one full-logit-matrix pass.
-    """
-    dk = w_query.shape[1]
-    q = matmul(_augment(x_flat, le_x), w_query * (1.0 / math.sqrt(dk)))
-    k = matmul(_augment(y_flat, le_y), w_ref)
-    return softmax(matmul(q, transpose(k)), axis=1)
 
 
 def multi_head(x_flat: Tensor, y_flat: Tensor, le_x, le_y, params: FatParams) -> Tensor:

@@ -24,6 +24,10 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
+class _UsageError(Exception):
+    """A bad argument or argument combination found after parsing."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with the documented usage exit code."""
 
@@ -167,6 +171,8 @@ def _cmd_train(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="ascii") as fh:
             settings.update(parse_config_text(fh.read()))
+    if settings["steps"] < 1:
+        raise _UsageError(f"--steps must be at least 1, got {settings['steps']}")
     labels = parse_active_labels(settings["warp_labels"])
     config = GeneratorConfig(
         size=settings["size"],
@@ -206,6 +212,13 @@ def _cmd_transfer(args) -> int:
     from .gan import GeneratorConfig, generator_forward, load_generator, parse_config_text
     from .spatial import parse_active_labels
 
+    if args.highres:
+        try:
+            box = tuple(int(v) for v in (args.box or "").split(","))
+        except ValueError:
+            box = ()
+        if len(box) != 4:
+            raise _UsageError(f"--highres needs --box x,y,w,h as four integers, got {args.box!r}")
     with open(args.model + ".cfg", "r", encoding="ascii") as fh:
         stored = parse_config_text(fh.read())
     config = GeneratorConfig(
@@ -223,13 +236,8 @@ def _cmd_transfer(args) -> int:
         source.mask, gen, config,
     ).data
     if args.highres:
-        if not args.box:
-            raise ValueError("--highres requires --box x,y,w,h")
         from .pyramid import crop_and_resize, pyramid_reconstruct
 
-        box = tuple(int(v) for v in args.box.split(","))
-        if len(box) != 4:
-            raise ValueError("--box expects four integers x,y,w,h")
         frame = read_ppm(args.highres)
         pair = crop_and_resize(frame, box, low_size=config.size)
         z = pyramid_reconstruct(pair, z)
@@ -358,6 +366,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
+    except _UsageError as exc:
+        print(f"fatkit {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:  # classified lazily so numpy loads after env setup
         from .gan import NonFiniteLossError
         from .tensor import FormatError, ParameterError, ShapeError

@@ -42,6 +42,8 @@ __all__ = [
     "read_ppm",
     "write_pgm",
     "read_pgm",
+    "write_point_text",
+    "read_point_text",
     "write_landmarks",
     "read_landmarks",
     "save_sample",
@@ -423,36 +425,50 @@ def read_pgm(path) -> np.ndarray:
     return mask
 
 
+def write_point_text(path, magic: str, points: np.ndarray):
+    """Text point set: header '<magic> 1 <K>' then K 'x y' lines."""
+    pts = np.asarray(points, dtype=np.float64)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{magic} 1 {pts.shape[0]}\n")
+        for x, y in pts:
+            fh.write(f"{x:.9f} {y:.9f}\n")
+
+
+def read_point_text(path, magic: str, count, lo: float, hi: float) -> np.ndarray:
+    """Parse a '<magic> 1 <K>' point file into a (K,2) array.
+
+    `count` pins K (None accepts any K); every coordinate must be a finite
+    number in [lo, hi]. Any deviation raises FormatError.
+    """
+    expected = "<K>" if count is None else count
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().split()
+        if len(header) != 3 or header[0] != magic or header[1] != "1":
+            raise FormatError(f"{path}: expected '{magic} 1 {expected}' header, got {' '.join(header)!r}")
+        if count is not None and header[2] != str(count):
+            raise FormatError(f"{path}: schema requires {count} points, header says {header[2]}")
+        try:
+            k = int(header[2])
+            pts = np.array([[float(v) for v in fh.readline().split()] for _ in range(k)])
+        except ValueError as exc:
+            raise FormatError(f"{path}: malformed point line: {exc}") from exc
+    if pts.shape != (k, 2):
+        raise FormatError(f"{path}: expected {k} 'x y' lines, got shape {pts.shape}")
+    # written as a negated in-range test so that NaN fails it too
+    if not np.all((pts >= lo) & (pts <= hi)):
+        raise FormatError(f"{path}: coordinates must be finite and lie in [{lo:g},{hi:g}]")
+    return pts
+
+
 def write_landmarks(path, landmarks: np.ndarray):
     lm = np.asarray(landmarks, dtype=np.float64)
     if lm.shape != (LANDMARK_COUNT, 2):
         raise ParameterError(f"landmarks must be ({LANDMARK_COUNT},2), got {lm.shape}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"FATLM 1 {LANDMARK_COUNT}\n")
-        for x, y in lm:
-            fh.write(f"{x:.9f} {y:.9f}\n")
+    write_point_text(path, "FATLM", lm)
 
 
 def read_landmarks(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "FATLM" or header[1] != "1":
-            raise FormatError(f"{path}: expected 'FATLM 1 {LANDMARK_COUNT}' header")
-        if header[2] != str(LANDMARK_COUNT):
-            raise FormatError(
-                f"{path}: schema requires {LANDMARK_COUNT} landmarks, header says {header[2]}"
-            )
-        try:
-            pts = np.array(
-                [[float(v) for v in fh.readline().split()] for _ in range(LANDMARK_COUNT)]
-            )
-        except ValueError as exc:
-            raise FormatError(f"{path}: malformed landmark line: {exc}") from exc
-    if pts.shape != (LANDMARK_COUNT, 2):
-        raise FormatError(f"{path}: expected {LANDMARK_COUNT} 'x y' lines")
-    if np.any((pts < 0.0) | (pts > 1.0)):
-        raise FormatError(f"{path}: coordinates must lie in [0,1]")
-    return pts
+    return read_point_text(path, "FATLM", LANDMARK_COUNT, 0.0, 1.0)
 
 
 def save_sample(directory, stem: str, sample: FaceSample):

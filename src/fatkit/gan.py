@@ -55,8 +55,7 @@ __all__ = [
     "DiscriminatorParams",
     "PerceptualParams",
     "generator_forward",
-    "discriminator_forward",
-    "perceptual_forward",
+    "run_blocks",
     "bce_with_logits",
     "loss_discriminators",
     "loss_generator",
@@ -149,6 +148,16 @@ class ConvBlock:
         return {"w": self.w, "b": self.b}
 
 
+def _named(prefix: str, parts) -> dict:
+    """Checkpoint names '<prefix>.<part>.<tensor>' over (part, component)
+    pairs, in order; the order is the checkpoint layout."""
+    return {f"{prefix}.{part}.{k}": v for part, comp in parts for k, v in comp.tensors().items()}
+
+
+def _numbered(stem: str, blocks) -> list:
+    return [(f"{stem}{i}", block) for i, block in enumerate(blocks)]
+
+
 class GeneratorParams:
     """All learnable state of the generator.
 
@@ -191,19 +200,11 @@ class GeneratorParams:
             )
 
     def named(self, prefix="gen"):
-        out = {}
-        for i, block in enumerate(self.enc):
-            out.update({f"{prefix}.enc{i}.{k}": v for k, v in block.tensors().items()})
-        for i, block in enumerate(self.pre):
-            out.update({f"{prefix}.pre{i}.{k}": v for k, v in block.tensors().items()})
-        out.update({f"{prefix}.fat.{k}": v for k, v in self.fat.tensors().items()})
-        for i, block in enumerate(self.post):
-            out.update({f"{prefix}.post{i}.{k}": v for k, v in block.tensors().items()})
-        for i, block in enumerate(self.dec):
-            out.update({f"{prefix}.dec{i}.{k}": v for k, v in block.tensors().items()})
+        parts = _numbered("enc", self.enc) + _numbered("pre", self.pre) + [("fat", self.fat)]
+        parts += _numbered("post", self.post) + _numbered("dec", self.dec)
         if self.spatial is not None:
-            out.update({f"{prefix}.spatial.{k}": v for k, v in self.spatial.tensors().items()})
-        return out
+            parts.append(("spatial", self.spatial))
+        return _named(prefix, parts)
 
     def parameters(self):
         return list(self.named().values())
@@ -222,10 +223,7 @@ class DiscriminatorParams:
         ]
 
     def named(self, prefix="disc"):
-        out = {}
-        for i, block in enumerate(self.blocks):
-            out.update({f"{prefix}.b{i}.{k}": v for k, v in block.tensors().items()})
-        return out
+        return _named(prefix, _numbered("b", self.blocks))
 
     def parameters(self):
         return list(self.named().values())
@@ -246,13 +244,23 @@ class PerceptualParams:
             block.b.requires_grad = False
 
     def named(self, prefix="percep"):
-        out = {}
-        for i, block in enumerate(self.blocks):
-            out.update({f"{prefix}.b{i}.{k}": v for k, v in block.tensors().items()})
-        return out
+        return _named(prefix, _numbered("b", self.blocks))
 
 
 # -- forward passes ------------------------------------------------------------
+
+
+def run_blocks(blocks, x) -> Tensor:
+    """Feed an image or feature map through a stack of blocks in order.
+
+    The one forward of every stack: the generator's encoder and decoder,
+    the discriminators (`run_blocks(disc.blocks, img)` gives the logit
+    patch grid) and the frozen perceptual features.
+    """
+    t = x if isinstance(x, Tensor) else Tensor(x)
+    for block in blocks:
+        t = block(t)
+    return t
 
 
 def _embeddings(config: GeneratorConfig, landmarks) -> np.ndarray:
@@ -274,40 +282,16 @@ def generator_forward(x_img, y_img, lm_x, lm_y, mask_x, params: GeneratorParams,
     if x.shape != expected or y.shape != expected:
         raise ParameterError(f"images must be {expected}, got {x.shape} and {y.shape}")
 
-    def encode(t):
-        for block in params.enc:
-            t = block(t)
-        for block in params.pre:
-            t = block(t)
-        return t
-
-    xb = encode(x)
-    yb = encode(y)
+    xb = run_blocks(params.enc + params.pre, x)
+    yb = run_blocks(params.enc + params.pre, y)
     le_x = _embeddings(config, lm_x)
     le_y = _embeddings(config, lm_y)
     if params.spatial is not None:
         feat, _ = spatial_fat_forward(xb, yb, le_x, le_y, np.asarray(mask_x), params.spatial)
     else:
         feat = fat_forward(xb, yb, le_x, le_y, params.fat)
-    for block in params.post:
-        feat = block(feat)
-    for block in params.dec:
-        feat = block(feat)
+    feat = run_blocks(params.post + params.dec, feat)
     return (tanh(feat) + 1.0) * 0.5
-
-
-def discriminator_forward(img, params: DiscriminatorParams) -> Tensor:
-    t = img if isinstance(img, Tensor) else Tensor(img)
-    for block in params.blocks:
-        t = block(t)
-    return t
-
-
-def perceptual_forward(img, params: PerceptualParams) -> Tensor:
-    t = img if isinstance(img, Tensor) else Tensor(img)
-    for block in params.blocks:
-        t = block(t)
-    return t
 
 
 # -- losses ---------------------------------------------------------------------
@@ -326,10 +310,10 @@ def loss_discriminators(x, y, z_xy, z_yx, disc_x, disc_y) -> Tensor:
     the generated face that lives in its own domain.
     """
     return (
-        bce_with_logits(discriminator_forward(x, disc_x), 1.0)
-        + bce_with_logits(discriminator_forward(y, disc_y), 1.0)
-        + bce_with_logits(discriminator_forward(z_yx, disc_x), 0.0)
-        + bce_with_logits(discriminator_forward(z_xy, disc_y), 0.0)
+        bce_with_logits(run_blocks(disc_x.blocks, x), 1.0)
+        + bce_with_logits(run_blocks(disc_y.blocks, y), 1.0)
+        + bce_with_logits(run_blocks(disc_x.blocks, z_yx), 0.0)
+        + bce_with_logits(run_blocks(disc_y.blocks, z_xy), 0.0)
     )
 
 
@@ -358,8 +342,8 @@ def prepare_pair(x: FaceSample, y: FaceSample, percep: PerceptualParams,
         y=y,
         pgt_xy=gt_xy.image,
         pgt_yx=gt_yx.image,
-        feat_x=perceptual_forward(x.image, percep).data,
-        feat_y=perceptual_forward(y.image, percep).data,
+        feat_x=run_blocks(percep.blocks, x.image).data,
+        feat_y=run_blocks(percep.blocks, y.image).data,
     )
 
 
@@ -372,14 +356,14 @@ def loss_generator(pair: TrainPair, z_xy: Tensor, z_yx: Tensor, gen: GeneratorPa
     error against the pseudo ground truth.
     """
     x, y = pair.x, pair.y
-    adv = bce_with_logits(discriminator_forward(z_yx, disc_x), 1.0) + bce_with_logits(
-        discriminator_forward(z_xy, disc_y), 1.0
+    adv = bce_with_logits(run_blocks(disc_x.blocks, z_yx), 1.0) + bce_with_logits(
+        run_blocks(disc_y.blocks, z_xy), 1.0
     )
     back_x = generator_forward(z_xy, Tensor(x.image), x.landmarks, x.landmarks, x.mask, gen, config)
     back_y = generator_forward(z_yx, Tensor(y.image), y.landmarks, y.landmarks, y.mask, gen, config)
     cyc = l1_loss(back_x, Tensor(x.image)) + l1_loss(back_y, Tensor(y.image))
-    per = mse_loss(perceptual_forward(z_xy, percep), Tensor(pair.feat_x)) + mse_loss(
-        perceptual_forward(z_yx, percep), Tensor(pair.feat_y)
+    per = mse_loss(run_blocks(percep.blocks, z_xy), Tensor(pair.feat_x)) + mse_loss(
+        run_blocks(percep.blocks, z_yx), Tensor(pair.feat_y)
     )
     if weights.make > 0.0 and (pair.pgt_xy is None or pair.pgt_yx is None):
         raise ParameterError("makeup weight is positive but the pair carries no pseudo ground truth")

@@ -7,11 +7,12 @@ color-transformed features are warped through the resulting sampling grid.
 Grid entries outside the active part labels are pinned to the identity, so
 unselected regions pass through bit-exactly and receive no warp gradients.
 
-The TPS solve here runs on tensors end to end (kernel matrix, linear solve,
-basis projection), so gradients reach the control-point predictor through
-the sampling grid. Geometry where the predicted targets are duplicated or
-collinear makes the solve singular; the warp then falls back to the
-identity grid and reports it instead of failing.
+The TPS solve is the one in `fatkit.tps`, built from tensor operations
+(kernel matrix, linear solve, basis projection), so gradients reach the
+control-point predictor through the sampling grid. Geometry where the
+predicted targets are duplicated or collinear makes the solve singular;
+the warp then falls back to the identity grid and reports it instead of
+failing.
 """
 
 from __future__ import annotations
@@ -24,27 +25,27 @@ from .tensor import (
     ShapeError,
     Tensor,
     avg_pool2d,
-    concat,
     conv2d,
     grid_sample,
-    linear_solve,
     matmul,
-    pairwise_sqdist,
     reshape,
     tanh,
     transpose,
-    xlogx,
 )
-from .tps import CONDITION_LIMIT, identity_grid, pixel_lattice, _system_matrix
+from .tps import (
+    DegenerateGeometryError,
+    identity_grid,
+    pixel_lattice,
+    tps_basis,
+    tps_coefficients,
+)
 
 __all__ = [
     "ControlGrid",
     "SpatialFatParams",
-    "control_lattice",
     "predict_control_points",
     "tps_grid_from_targets",
     "masked_tps_warp",
-    "align_reference",
     "spatial_fat_forward",
     "parse_active_labels",
     "ACTIVE_LABEL_SETS",
@@ -66,11 +67,6 @@ def parse_active_labels(spec: str):
         raise ParameterError(
             f"unknown label set {spec!r}; choose from {sorted(ACTIVE_LABEL_SETS)}"
         ) from None
-
-
-def control_lattice(hs: int, ws: int) -> np.ndarray:
-    """Regular pixel-center lattice over the coarse grid, (hs*ws, 2) in [-1,1]."""
-    return pixel_lattice(hs, ws)
 
 
 class ControlGrid:
@@ -118,7 +114,7 @@ class SpatialFatParams:
         self.grid_size = grid_size
         self.active_labels = tuple(active_labels)
         lattice_map = (
-            control_lattice(grid_size, grid_size).reshape(grid_size, grid_size, 2).transpose(2, 0, 1)
+            pixel_lattice(grid_size, grid_size).reshape(grid_size, grid_size, 2).transpose(2, 0, 1)
         )
         if ctrl_init == "identity":
             self.ctrl_w = Tensor(np.zeros((2, d, 3, 3)), requires_grad=True)
@@ -139,15 +135,6 @@ class SpatialFatParams:
         return list(self.tensors().values())
 
 
-def align_reference(y_map: Tensor, x_map: Tensor, le_y, le_x, params: FatParams) -> Tensor:
-    """Reference features corresponded to the query layout.
-
-    The same transfer pass run with the roles swapped: the reference plays
-    the query and the query supplies the attributes.
-    """
-    return fat_forward(y_map, x_map, le_y, le_x, params)
-
-
 def predict_control_points(aligned: Tensor, params: SpatialFatParams) -> ControlGrid:
     """Predict tanh-bounded target control points over the coarse lattice.
 
@@ -163,45 +150,23 @@ def predict_control_points(aligned: Tensor, params: SpatialFatParams) -> Control
     pooled = aligned if h == hs and w == hs else avg_pool2d(aligned, h // hs)
     pre = conv2d(pooled, params.ctrl_w, params.ctrl_b, stride=1) + params.ctrl_pos
     targets = transpose(reshape(tanh(pre), (2, hs * hs)))
-    return ControlGrid(source=control_lattice(hs, hs), targets=targets)
+    return ControlGrid(source=pixel_lattice(hs, hs), targets=targets)
 
 
 def tps_grid_from_targets(control: ControlGrid, h: int, w: int):
     """Dense sampling grid carrying lattice content onto the targets.
 
     Solves the TPS that maps targets back to the lattice (the sampling
-    direction) with tensor operations throughout, so the grid is
+    direction) with the shared `fatkit.tps` solve, so the grid is
     differentiable in the targets. Returns (grid, solved); when the target
     geometry is degenerate the identity grid is returned with solved=False.
     """
-    targets = control.targets
-    k = targets.shape[0]
-    delta_np = _system_matrix(targets.data)
-    cond = np.linalg.cond(delta_np)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    try:
+        coefficients = tps_coefficients(control.targets, control.source)
+    except DegenerateGeometryError:
         return Tensor(identity_grid(h, w)), False
-
-    ones_row = Tensor(np.ones((1, k)))
-    coords = transpose(targets)  # (2, K)
-    top = concat([concat([ones_row, coords], axis=0), Tensor(np.zeros((3, 3)))], axis=1)
-    phi = xlogx(pairwise_sqdist(targets, targets)) * 0.5
-    right = concat([Tensor(np.ones((k, 1))), targets], axis=1)
-    delta = concat([top, concat([phi, right], axis=1)], axis=0)
-
-    rhs = Tensor(np.concatenate([control.source, np.zeros((3, 2))], axis=0))
-    t_transposed = linear_solve(transpose(delta), rhs)  # (K+3, 2)
-
-    pix = pixel_lattice(h, w)
-    basis = concat(
-        [
-            Tensor(np.ones((h * w, 1))),
-            Tensor(pix),
-            xlogx(pairwise_sqdist(Tensor(pix), targets)) * 0.5,
-        ],
-        axis=1,
-    )
-    grid = reshape(matmul(basis, t_transposed), (h, w, 2))
-    return grid, True
+    basis = tps_basis(Tensor(pixel_lattice(h, w)), control.targets)
+    return reshape(matmul(basis, coefficients), (h, w, 2)), True
 
 
 def _nearest_mask(mask: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -244,6 +209,8 @@ def spatial_fat_forward(
     fallback after a degenerate control-point prediction.
     """
     colored = fat_forward(x_map, y_map, le_x, le_y, params.fat)
-    aligned = align_reference(y_map, x_map, le_y, le_x, params.align)
+    # the reference corresponded to the query layout: the same transfer pass
+    # with the roles swapped, so the query supplies the attributes
+    aligned = fat_forward(y_map, x_map, le_y, le_x, params.align)
     control = predict_control_points(aligned, params)
     return masked_tps_warp(colored, control, mask, params.active_labels)

@@ -553,37 +553,41 @@ def avg_pool2d(x: Tensor, stride: int) -> Tensor:
     return _from_op(y, (x,), back, "avg_pool")
 
 
-def _sample_coords(grid: np.ndarray, h: int, w: int):
-    """Normalized [-1,1] grid coordinates -> fractional pixel indices."""
-    px = (grid[..., 0] + 1.0) * (w / 2.0) - 0.5
-    py = (grid[..., 1] + 1.0) * (h / 2.0) - 0.5
-    return px, py
+def _axis_taps(coord: np.ndarray, n: int):
+    """Normalized [-1,1] coordinates along an axis of n pixel centers ->
+    the two clamped neighbour indices and the fractional weight of the second."""
+    pos = (coord + 1.0) * (n / 2.0) - 0.5
+    lo = np.floor(pos)
+    i = lo.astype(np.int64)
+    return np.clip(i, 0, n - 1), np.clip(i + 1, 0, n - 1), pos - lo
+
+
+def _bilinear(image: np.ndarray, grid: np.ndarray):
+    """The one bilinear kernel behind `bilinear_sample` and `grid_sample`.
+
+    image: (C,H,W); grid: (h',w',2) with (x,y) in [-1,1] addressing pixel
+    centers. Returns the sampled (C,h',w') array together with the four
+    gathered corner values, their clamped (y0, y1, x0, x1) indices and the
+    fractional weights (fx, fy), which the backward of `grid_sample` reuses.
+    """
+    _, h, w = image.shape
+    x0i, x1i, fx = _axis_taps(grid[..., 0], w)
+    y0i, y1i, fy = _axis_taps(grid[..., 1], h)
+    corners = (image[:, y0i, x0i], image[:, y0i, x1i], image[:, y1i, x0i], image[:, y1i, x1i])
+    v00, v01, v10, v11 = corners
+    top = v00 * (1.0 - fx) + v01 * fx
+    bot = v10 * (1.0 - fx) + v11 * fx
+    return top * (1.0 - fy) + bot * fy, corners, (y0i, y1i, x0i, x1i), fx, fy
 
 
 def bilinear_sample(image: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Plain-array bilinear lookup with border clamping.
 
     image: (C,H,W); grid: (h',w',2) with (x,y) in [-1,1] addressing pixel
-    centers. The differentiable `grid_sample` routes through this kernel, so
-    both paths agree bit for bit.
+    centers. The differentiable `grid_sample` shares this kernel, so both
+    paths agree bit for bit.
     """
-    c, h, w = image.shape
-    px, py = _sample_coords(grid, h, w)
-    x0 = np.floor(px)
-    y0 = np.floor(py)
-    fx = px - x0
-    fy = py - y0
-    x0i = np.clip(x0.astype(np.int64), 0, w - 1)
-    x1i = np.clip(x0.astype(np.int64) + 1, 0, w - 1)
-    y0i = np.clip(y0.astype(np.int64), 0, h - 1)
-    y1i = np.clip(y0.astype(np.int64) + 1, 0, h - 1)
-    v00 = image[:, y0i, x0i]
-    v01 = image[:, y0i, x1i]
-    v10 = image[:, y1i, x0i]
-    v11 = image[:, y1i, x1i]
-    top = v00 * (1.0 - fx) + v01 * fx
-    bot = v10 * (1.0 - fx) + v11 * fx
-    return top * (1.0 - fy) + bot * fy
+    return _bilinear(image, grid)[0]
 
 
 def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
@@ -597,30 +601,14 @@ def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
     if x.ndim != 3 or grid.ndim != 3 or grid.shape[-1] != 2:
         raise ShapeError(f"grid_sample expects (C,H,W) and (h,w,2), got {x.shape}, {grid.shape}")
     c, h, w = x.shape
-    px, py = _sample_coords(grid.data, h, w)
-    x0 = np.floor(px)
-    y0 = np.floor(py)
-    fx = px - x0
-    fy = py - y0
-    x0i = np.clip(x0.astype(np.int64), 0, w - 1)
-    x1i = np.clip(x0.astype(np.int64) + 1, 0, w - 1)
-    y0i = np.clip(y0.astype(np.int64), 0, h - 1)
-    y1i = np.clip(y0.astype(np.int64) + 1, 0, h - 1)
-    img = x.data
-    v00 = img[:, y0i, x0i]
-    v01 = img[:, y0i, x1i]
-    v10 = img[:, y1i, x0i]
-    v11 = img[:, y1i, x1i]
-    top = v00 * (1.0 - fx) + v01 * fx
-    bot = v10 * (1.0 - fx) + v11 * fx
-    out = top * (1.0 - fy) + bot * fy
+    out, (v00, v01, v10, v11), (y0i, y1i, x0i, x1i), fx, fy = _bilinear(x.data, grid.data)
 
     def back(g):
         w00 = (1.0 - fy) * (1.0 - fx)
         w01 = (1.0 - fy) * fx
         w10 = fy * (1.0 - fx)
         w11 = fy * fx
-        gx = np.zeros_like(img)
+        gx = np.zeros_like(x.data)
         ch = np.arange(c)[:, None, None]
         np.add.at(gx, (ch, y0i[None], x0i[None]), g * w00[None])
         np.add.at(gx, (ch, y0i[None], x1i[None]), g * w01[None])

@@ -7,8 +7,10 @@ coordinates, then solve with partially pivoted LU. The solved transform
 interpolates its control points exactly and degenerates to the affine map
 whenever one explains the data, leaving the kernel weights at zero.
 
-Everything here is pure numpy and side-effect free; the differentiable TPS
-path used inside the generator lives in `fatkit.spatial`.
+The kernel, the system and the basis rows are built from tensor-engine
+operations. Here they run on gradient-free Tensors, so they cost no graph;
+`fatkit.spatial` calls the same functions on trainable targets to make its
+sampling grid differentiable.
 """
 
 from __future__ import annotations
@@ -17,12 +19,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ParameterError, ShapeError, Tensor, bilinear_sample, grid_sample
+from .data import read_point_text, write_point_text
+from .tensor import (
+    ParameterError,
+    ShapeError,
+    Tensor,
+    bilinear_sample,
+    concat,
+    grid_sample,
+    linear_solve,
+    pairwise_sqdist,
+    transpose,
+    xlogx,
+)
 
 __all__ = [
     "DegenerateGeometryError",
     "TpsTransform",
-    "radial_kernel",
+    "tps_system",
+    "tps_basis",
+    "tps_coefficients",
     "tps_solve",
     "tps_apply",
     "tps_grid",
@@ -42,19 +58,42 @@ class DegenerateGeometryError(ArithmeticError):
     """Control-point geometry leaves the TPS system (near-)singular."""
 
 
-def radial_kernel(r):
-    """phi(r) = r^2 * log(r), extended continuously with phi(0) = 0."""
-    arr = np.asarray(r, dtype=np.float64)
-    if np.any(arr < 0):
-        raise ParameterError("radial kernel argument must be nonnegative")
-    safe = np.where(arr > 0, arr, 1.0)
-    out = np.where(arr > 0, safe * safe * np.log(safe), 0.0)
-    return float(out) if np.isscalar(r) else out
+def _kernel(points: Tensor, centers: Tensor) -> Tensor:
+    """phi(|p - c|) = r^2 log r for every pair, as 0.5 * xlogx(r^2), so phi(0) = 0."""
+    return xlogx(pairwise_sqdist(points, centers)) * 0.5
 
 
-def _kernel_matrix(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d = np.sqrt(np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2))
-    return radial_kernel(d)
+def tps_basis(points: Tensor, control: Tensor) -> Tensor:
+    """Basis rows [1, x, y, phi(|p-c_1|), ..., phi(|p-c_K|)], one per point."""
+    ones = Tensor(np.ones((points.shape[0], 1)))
+    return concat([ones, points, _kernel(points, control)], axis=1)
+
+
+def tps_system(control: Tensor) -> Tensor:
+    """The (K+3)x(K+3) TPS system over K source control points.
+
+    The first K rows are the basis rows of the control points, one
+    interpolation condition each; the last three say the kernel weights are
+    orthogonal to 1, x and y. Raises DegenerateGeometryError when the system
+    is ill conditioned, e.g. for duplicated or collinear control points.
+    """
+    basis = tps_basis(control, control)
+    side = concat([Tensor(np.zeros((3, 3))), transpose(basis[:, :3])], axis=1)
+    system = concat([basis, side], axis=0)
+    cond = np.linalg.cond(system.data)
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise DegenerateGeometryError(
+            f"TPS system condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; source points "
+            f"are duplicated or collinear: {np.array2string(control.data, precision=4)}"
+        )
+    return system
+
+
+def tps_coefficients(src: Tensor, dst: np.ndarray) -> Tensor:
+    """(K+3, 2) coefficients, over the `tps_basis` columns, of the TPS taking
+    src to dst; differentiable in src. Solved by LU, never by inversion."""
+    rhs = np.concatenate([dst, np.zeros((3, 2))], axis=0)
+    return linear_solve(tps_system(src), Tensor(rhs))
 
 
 @dataclass(frozen=True)
@@ -77,27 +116,13 @@ class TpsTransform:
         return self.matrix[:, 3:]
 
 
-def _system_matrix(control: np.ndarray) -> np.ndarray:
-    k = control.shape[0]
-    delta = np.zeros((k + 3, k + 3))
-    delta[0, :k] = 1.0
-    delta[1, :k] = control[:, 0]
-    delta[2, :k] = control[:, 1]
-    delta[3:, :k] = _kernel_matrix(control, control)
-    delta[3:, k] = 1.0
-    delta[3:, k + 1] = control[:, 0]
-    delta[3:, k + 2] = control[:, 1]
-    return delta
-
-
 def tps_solve(src: np.ndarray, dst: np.ndarray) -> TpsTransform:
     """Closed-form TPS interpolating src -> dst.
 
-    Solves T * Delta = [dst, 0] by LU instead of forming the inverse; the
-    boundary conditions (kernel weights orthogonal to 1 and to the source
-    coordinates) are rows of the system, so they hold to solver precision.
-    Raises DegenerateGeometryError when the system is ill conditioned,
-    e.g. duplicate or collinear source points.
+    The boundary conditions (kernel weights orthogonal to 1 and to the
+    source coordinates) are rows of the system, so they hold to solver
+    precision. Raises DegenerateGeometryError when the system is ill
+    conditioned, e.g. duplicate or collinear source points.
     """
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
@@ -105,25 +130,14 @@ def tps_solve(src: np.ndarray, dst: np.ndarray) -> TpsTransform:
         raise ShapeError(f"control points must be matching (K,2) arrays, got {src.shape} and {dst.shape}")
     if src.shape[0] < 4:
         raise ParameterError(f"need at least 4 control points, got {src.shape[0]}")
-    delta = _system_matrix(src)
-    cond = np.linalg.cond(delta)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise DegenerateGeometryError(
-            f"TPS system condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
-            f"source points are duplicated or collinear: {np.array2string(src, precision=4)}"
-        )
-    rhs = np.concatenate([dst, np.zeros((3, 2))], axis=0)  # (K+3) x 2
-    matrix = np.linalg.solve(delta.T, rhs).T
-    return TpsTransform(matrix=matrix, control=src.copy())
+    coefficients = tps_coefficients(Tensor(src), dst)
+    return TpsTransform(matrix=coefficients.data.T, control=src.copy())
 
 
 def tps_apply(transform: TpsTransform, points: np.ndarray) -> np.ndarray:
     """Map points through the transform; results clamp into [-1,1]^2."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    basis = np.concatenate(
-        [np.ones((pts.shape[0], 1)), pts, _kernel_matrix(pts, transform.control)], axis=1
-    )
-    mapped = basis @ transform.matrix.T
+    mapped = tps_basis(Tensor(pts), Tensor(transform.control)).data @ transform.matrix.T
     mapped = np.clip(mapped, -1.0, 1.0)
     return mapped[0] if np.asarray(points).ndim == 1 else mapped
 
@@ -178,33 +192,12 @@ def min_shift(src_points: np.ndarray, ref_points: np.ndarray) -> np.ndarray:
 
 # -- point-set file format ------------------------------------------------------
 
-_POINTS_MAGIC = "FATPTS"
-_POINTS_VERSION = 1
-
 
 def write_points(path, points: np.ndarray):
     """Write a control-point set: header 'FATPTS 1 <K>' then K 'x y' lines."""
-    pts = np.asarray(points, dtype=np.float64)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{_POINTS_MAGIC} {_POINTS_VERSION} {pts.shape[0]}\n")
-        for x, y in pts:
-            fh.write(f"{x:.9f} {y:.9f}\n")
+    write_point_text(path, "FATPTS", points)
 
 
 def read_points(path) -> np.ndarray:
-    from .tensor import FormatError
-
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != _POINTS_MAGIC or header[1] != str(_POINTS_VERSION):
-            raise FormatError(f"{path}: expected 'FATPTS 1 <K>' header, got {' '.join(header)!r}")
-        try:
-            count = int(header[2])
-            pts = np.array([[float(v) for v in fh.readline().split()] for _ in range(count)])
-        except ValueError as exc:
-            raise FormatError(f"{path}: malformed point line: {exc}") from exc
-    if pts.shape != (count, 2):
-        raise FormatError(f"{path}: expected {count} 'x y' lines, got shape {pts.shape}")
-    if np.any(np.abs(pts) > 1.0):
-        raise FormatError(f"{path}: coordinates must lie in [-1,1]")
-    return pts
+    """Read a FATPTS control-point set of any size; coordinates lie in [-1,1]."""
+    return read_point_text(path, "FATPTS", None, -1.0, 1.0)

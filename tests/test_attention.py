@@ -6,7 +6,6 @@ import pytest
 from conftest import check_grads
 from fatkit.attention import (
     FatParams,
-    attention_head,
     color_transform,
     estimate_attributes,
     fat_forward,
@@ -80,10 +79,21 @@ def test_embedding_empty_landmarks():
 # -- attention heads ---------------------------------------------------------------
 
 
+def reference_attention(x, y, le_x, le_y, w_query, w_ref):
+    """One head in plain numpy: softmax((X Wq / sqrt(dk)) (Y Wr)^T) over the reference axis."""
+    q = np.concatenate([flatten_map(x).data, le_x], axis=1) @ w_query / np.sqrt(w_query.shape[1])
+    k = np.concatenate([flatten_map(y).data, le_y], axis=1) @ w_ref
+    logits = q @ k.T
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def test_zero_projections_give_uniform_attention(rng):
     x, y, le_x, le_y = random_case(rng)
-    w0 = Tensor(np.zeros((6 + 8, 4)))
-    attn = attention_head(flatten_map(x), flatten_map(y), le_x, le_y, w0, w0)
+    params = make_params(rng, heads=1)
+    params.w_query.data[...] = 0.0
+    params.w_ref.data[...] = 0.0
+    attn = multi_head(flatten_map(x), flatten_map(y), le_x, le_y, params)
     np.testing.assert_allclose(attn.data, 1.0 / 9.0)
 
 
@@ -91,24 +101,19 @@ def test_single_reference_position(rng):
     x, _, le_x, _ = random_case(rng)
     y1 = Tensor(rng.normal(size=(6, 1, 1)))
     le_y1 = landmark_embedding(1, 1, rng.uniform(size=(4, 2)))
-    params = make_params(rng)
-    attn = attention_head(
-        flatten_map(x), flatten_map(y1), le_x, le_y1,
-        Tensor(rng.normal(size=(14, 3))), Tensor(rng.normal(size=(14, 3))),
-    )
-    np.testing.assert_allclose(attn.data, 1.0)
-    mixed = multi_head(flatten_map(x), flatten_map(y1), le_x, le_y1, params)
+    single = multi_head(flatten_map(x), flatten_map(y1), le_x, le_y1, make_params(rng, heads=1))
+    np.testing.assert_allclose(single.data, 1.0)
+    mixed = multi_head(flatten_map(x), flatten_map(y1), le_x, le_y1, make_params(rng))
     np.testing.assert_allclose(mixed.data, 1.0)
 
 
 def test_permuting_reference_permutes_columns(rng):
     x, y, le_x, le_y = random_case(rng)
-    wq = Tensor(rng.normal(size=(14, 4)))
-    wr = Tensor(rng.normal(size=(14, 4)))
-    base = attention_head(flatten_map(x), flatten_map(y), le_x, le_y, wq, wr).data
+    params = make_params(rng, heads=1)
+    base = multi_head(flatten_map(x), flatten_map(y), le_x, le_y, params).data
     perm = rng.permutation(9)
     yp = Tensor(flatten_map(y).data[perm])
-    attn = attention_head(flatten_map(x), yp, le_x, Tensor(le_y[perm]), wq, wr).data
+    attn = multi_head(flatten_map(x), yp, le_x, Tensor(le_y[perm]), params).data
     np.testing.assert_allclose(attn, base[:, perm], atol=1e-12)
 
 
@@ -116,10 +121,8 @@ def test_multi_head_reduces_to_single(rng):
     x, y, le_x, le_y = random_case(rng)
     params = make_params(rng, heads=1)
     merged = multi_head(flatten_map(x), flatten_map(y), le_x, le_y, params)
-    single = attention_head(
-        flatten_map(x), flatten_map(y), le_x, le_y, params.w_query, params.w_ref
-    )
-    np.testing.assert_allclose(merged.data, single.data, atol=1e-12)
+    single = reference_attention(x, y, le_x, le_y, params.w_query.data, params.w_ref.data)
+    np.testing.assert_allclose(merged.data, single, atol=1e-12)
 
 
 def test_multi_head_identical_heads_collapse(rng):
@@ -129,11 +132,8 @@ def test_multi_head_identical_heads_collapse(rng):
     params.w_query.data[:, params.dk :] = half
     params.w_ref.data[:, params.dk :] = params.w_ref.data[:, : params.dk]
     merged = multi_head(flatten_map(x), flatten_map(y), le_x, le_y, params)
-    single = attention_head(
-        flatten_map(x), flatten_map(y), le_x, le_y,
-        Tensor(half), Tensor(params.w_ref.data[:, : params.dk]),
-    )
-    np.testing.assert_allclose(merged.data, single.data, atol=1e-12)
+    single = reference_attention(x, y, le_x, le_y, half, params.w_ref.data[:, : params.dk])
+    np.testing.assert_allclose(merged.data, single, atol=1e-12)
 
 
 def test_rows_stochastic_random_params(rng):

@@ -136,6 +136,17 @@ def test_train_config_file_overrides_and_rejects_unknown(corpus, tmp_path):
     assert result.returncode == 2
 
 
+def test_train_nonpositive_steps_is_usage_error(corpus, tmp_path):
+    for steps in (0, -3):
+        result = run_cli("train", "--data", corpus, "--steps", steps, "--size", 48, "--width", 4,
+                         "--out", tmp_path / "m.fatw", "--log", tmp_path / "l.csv")
+        assert result.returncode == 1
+        assert result.stderr.strip().splitlines() == [
+            f"fatkit train: error: --steps must be at least 1, got {steps}"
+        ]
+    assert not (tmp_path / "m.fatw").exists()
+
+
 def test_transfer_output_size_and_determinism(corpus, model, tmp_path):
     args = ("transfer", "--model", model / "m.fatw", "--source", corpus / "0000.ppm",
             "--ref", corpus / "0001.ppm")
@@ -166,6 +177,34 @@ def test_transfer_highres_writes_box_size(corpus, model, tmp_path):
                      "--highres", tmp_path / "frame.ppm", "--box", "16,8,64,64")
     assert result.returncode == 0, result.stderr
     assert read_ppm(tmp_path / "hi.ppm").shape == (3, 64, 64)
+
+
+def run_highres(corpus, model, tmp_path, *box):
+    from fatkit.data import write_ppm
+
+    write_ppm(tmp_path / "frame.ppm", np.zeros((3, 96, 96)))
+    return run_cli("transfer", "--model", model / "m.fatw", "--source", corpus / "0000.ppm",
+                   "--ref", corpus / "0001.ppm", "--out", tmp_path / "hi.ppm",
+                   "--highres", tmp_path / "frame.ppm", *box)
+
+
+def test_transfer_highres_without_box_is_usage_error(corpus, model, tmp_path):
+    result = run_highres(corpus, model, tmp_path)
+    assert result.returncode == 1
+    assert result.stderr.strip().splitlines() == [
+        "fatkit transfer: error: --highres needs --box x,y,w,h as four integers, got None"
+    ]
+    assert not (tmp_path / "hi.ppm").exists()
+
+
+def test_transfer_highres_malformed_box_is_usage_error(corpus, model, tmp_path):
+    for box in ("1,2,3", "1,2,3,x"):
+        result = run_highres(corpus, model, tmp_path, "--box", box)
+        assert result.returncode == 1, box
+        assert result.stderr.strip().splitlines() == [
+            f"fatkit transfer: error: --highres needs --box x,y,w,h as four integers, got '{box}'"
+        ]
+    assert not (tmp_path / "hi.ppm").exists()
 
 
 # -- warp ---------------------------------------------------------------------------

@@ -149,6 +149,14 @@ def test_landmarks_wrong_count_is_schema_error(tmp_path):
         read_landmarks(path)
 
 
+def test_landmarks_out_of_range_or_non_finite(tmp_path):
+    path = tmp_path / "f.lm"
+    for bad in ("1.5 0.5", "nan 0.5", "0.5 nan", "0.5 inf"):
+        path.write_text(f"FATLM 1 {LANDMARK_COUNT}\n" + "0.5 0.5\n" * (LANDMARK_COUNT - 1) + bad + "\n")
+        with pytest.raises(FormatError, match="finite and lie in"):
+            read_landmarks(path)
+
+
 def test_load_sample_requires_matching_mask(tmp_path, rng):
     write_ppm(tmp_path / "s.ppm", rng.uniform(size=(3, 8, 8)))
     write_landmarks(tmp_path / "s.lm", rng.uniform(size=(LANDMARK_COUNT, 2)))

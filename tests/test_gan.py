@@ -11,7 +11,6 @@ from fatkit.gan import (
     NonFiniteLossError,
     bce_with_logits,
     config_text,
-    discriminator_forward,
     fit,
     generator_forward,
     history_csv,
@@ -21,7 +20,9 @@ from fatkit.gan import (
     loss_generator,
     parse_config_text,
     prepare_pair,
+    run_blocks,
     save_state,
+    state_tensors,
     train_step,
 )
 from fatkit.tensor import FormatError, ParameterError, Tensor
@@ -120,10 +121,10 @@ def test_spatial_identity_init_matches_plain(setup):
 
 def test_discriminator_patch_extent(setup):
     cfg, state, pair = setup
-    logits = discriminator_forward(pair.x.image, state.disc_x)
+    logits = run_blocks(state.disc_x.blocks, pair.x.image)
     assert logits.shape == (1, SIZE // 16, SIZE // 16)
     assert np.all(np.isfinite(logits.data))
-    again = discriminator_forward(pair.x.image, state.disc_x)
+    again = run_blocks(state.disc_x.blocks, pair.x.image)
     assert np.array_equal(logits.data, again.data)
 
 
@@ -202,8 +203,8 @@ def test_loss_components_match_numpy_recomputation(setup):
     def np_bce_real(logits):
         return float(np.mean(np.logaddexp(0.0, logits) - logits))
 
-    adv = np_bce_real(discriminator_forward(z_yx.detach(), state.disc_x).data) + np_bce_real(
-        discriminator_forward(z_xy.detach(), state.disc_y).data
+    adv = np_bce_real(run_blocks(state.disc_x.blocks, z_yx.detach()).data) + np_bce_real(
+        run_blocks(state.disc_y.blocks, z_xy.detach()).data
     )
     back_x = generator_forward(
         z_xy.detach(), pair.x.image, pair.x.landmarks, pair.x.landmarks, pair.x.mask,
@@ -214,11 +215,9 @@ def test_loss_components_match_numpy_recomputation(setup):
         state.gen, cfg,
     )
     cyc = float(np.mean(np.abs(back_x.data - pair.x.image)) + np.mean(np.abs(back_y.data - pair.y.image)))
-    from fatkit.gan import perceptual_forward
-
     per = float(
-        np.mean((perceptual_forward(z_xy.detach(), state.percep).data - pair.feat_x) ** 2)
-        + np.mean((perceptual_forward(z_yx.detach(), state.percep).data - pair.feat_y) ** 2)
+        np.mean((run_blocks(state.percep.blocks, z_xy.detach()).data - pair.feat_x) ** 2)
+        + np.mean((run_blocks(state.percep.blocks, z_yx.detach()).data - pair.feat_y) ** 2)
     )
     make = float(np.mean((z_xy.data - pair.pgt_xy) ** 2) + np.mean((z_yx.data - pair.pgt_yx) ** 2))
     assert abs(parts["adv"] - adv) < 1e-10
@@ -324,6 +323,24 @@ def test_checkpoint_missing_tensor(tmp_path):
     save_tensors(tmp_path / "bad.fatw", {"gen.enc0.w": np.zeros((4, 3, 3, 3), dtype=np.float32)})
     with pytest.raises(FormatError, match="missing"):
         load_generator(tmp_path / "bad.fatw", cfg)
+
+
+def test_state_tensor_names_and_order():
+    # the checkpoint layout is this name list, in this order
+    def blocks(prefix, count):
+        return [f"{prefix}{i}.{t}" for i in range(count) for t in ("w", "b")]
+
+    def fat(prefix):
+        return [f"{prefix}.{t}" for t in ("w_query", "w_ref", "w_mix", "est1_w", "est1_b", "est2_w", "est2_b")]
+
+    expected = (
+        blocks("gen.enc", 3) + blocks("gen.pre", 3) + fat("gen.fat") + blocks("gen.post", 2)
+        + blocks("gen.dec", 3) + fat("gen.spatial.align")
+        + ["gen.spatial.ctrl_w", "gen.spatial.ctrl_b", "gen.spatial.ctrl_pos"]
+        + blocks("disc_x.b", 4) + blocks("disc_y.b", 4) + blocks("percep.b", 3)
+    )
+    state = init_train_state(tiny_config(spatial=True), seed=0)
+    assert list(state_tensors(state)) == expected
 
 
 def test_prepare_pair_spatial_labels_change_pgt():

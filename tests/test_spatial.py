@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import check_grads
-from fatkit.attention import FatParams, fat_forward, landmark_embedding
+from fatkit.attention import fat_forward, landmark_embedding
 from fatkit.spatial import (
     ControlGrid,
     SpatialFatParams,
-    align_reference,
-    control_lattice,
     masked_tps_warp,
     parse_active_labels,
     predict_control_points,
@@ -17,7 +15,7 @@ from fatkit.spatial import (
     tps_grid_from_targets,
 )
 from fatkit.tensor import ParameterError, Tensor
-from fatkit.tps import identity_grid
+from fatkit.tps import identity_grid, pixel_lattice
 
 
 def make_case(rng, d=4, n=3, h=8, w=8):
@@ -57,7 +55,7 @@ def test_zero_head_collapses_targets_to_center(rng):
 def test_identity_init_reproduces_lattice(rng):
     params = make_params(rng)
     ctrl = predict_control_points(Tensor(rng.normal(size=(4, 8, 8))), params)
-    np.testing.assert_allclose(ctrl.targets.data, control_lattice(4, 4), atol=1e-12)
+    np.testing.assert_allclose(ctrl.targets.data, pixel_lattice(4, 4), atol=1e-12)
 
 
 def test_targets_strictly_inside_unit_box(rng):
@@ -71,14 +69,14 @@ def test_targets_strictly_inside_unit_box(rng):
 
 
 def test_identity_targets_identity_grid(rng):
-    lattice = control_lattice(4, 4)
+    lattice = pixel_lattice(4, 4)
     grid, solved = tps_grid_from_targets(ControlGrid(lattice, lattice.copy()), 8, 8)
     assert solved
     np.testing.assert_allclose(grid.data, identity_grid(8, 8), atol=1e-9)
 
 
 def test_translated_targets_shift_grid(rng):
-    lattice = control_lattice(4, 4)
+    lattice = pixel_lattice(4, 4)
     offset = np.array([0.125, -0.0625])
     # content at the lattice should land at lattice+offset: sampling pulls from -offset
     grid, solved = tps_grid_from_targets(ControlGrid(lattice, lattice + offset), 8, 8)
@@ -87,7 +85,7 @@ def test_translated_targets_shift_grid(rng):
 
 
 def test_collinear_targets_fall_back(rng):
-    lattice = control_lattice(4, 4)
+    lattice = pixel_lattice(4, 4)
     collinear = np.stack([np.linspace(-0.8, 0.8, 16), np.linspace(-0.8, 0.8, 16)], axis=1)
     grid, solved = tps_grid_from_targets(ControlGrid(lattice, collinear), 8, 8)
     assert not solved
@@ -97,7 +95,7 @@ def test_collinear_targets_fall_back(rng):
 def test_grid_matches_plain_solver(rng):
     from fatkit.tps import tps_grid, tps_solve
 
-    lattice = control_lattice(3, 3)
+    lattice = pixel_lattice(3, 3)
     targets = lattice + rng.uniform(-0.08, 0.08, size=lattice.shape)
     grid, solved = tps_grid_from_targets(ControlGrid(lattice, targets), 10, 10)
     assert solved
@@ -106,7 +104,7 @@ def test_grid_matches_plain_solver(rng):
 
 
 def test_grid_differentiable_in_targets(rng):
-    lattice = control_lattice(3, 3)
+    lattice = pixel_lattice(3, 3)
     targets = Tensor(lattice + rng.uniform(-0.1, 0.1, size=lattice.shape), requires_grad=True)
     probe = Tensor(rng.normal(size=(6, 6, 2)))
 
@@ -122,7 +120,7 @@ def test_grid_differentiable_in_targets(rng):
 
 
 def warp_setup(rng, h=8):
-    lattice = control_lattice(4, 4)
+    lattice = pixel_lattice(4, 4)
     targets = lattice + rng.uniform(-0.1, 0.1, size=lattice.shape)
     img = Tensor(rng.uniform(size=(3, h, h)))
     mask = np.zeros((h, h), dtype=np.uint8)
@@ -178,12 +176,20 @@ def test_identity_init_matches_plain_fat(rng):
     np.testing.assert_allclose(spatial.data, plain.data, atol=1e-6)
 
 
-def test_align_reference_shape_and_self_identity(rng):
-    x, _, le_x, _ = make_case(rng)
-    params = FatParams(d=4, heads=2, n_landmarks=3, rng=rng, estimator="identity")
-    out = align_reference(x, x, le_x, le_x, params)
-    np.testing.assert_allclose(out.data, x.data, atol=1e-12)
-    assert out.shape == x.shape
+def test_spatial_forward_aligns_with_swapped_pass(rng):
+    # the control points come from the reference aligned to the query layout:
+    # the transfer pass with the roles swapped, run by the alignment block
+    x, y, le_x, le_y = make_case(rng)
+    params = make_params(rng, estimator="random", ctrl_init="random")
+    mask = np.full((8, 8), 2, dtype=np.uint8)
+    out, solved = spatial_fat_forward(x, y, le_x, le_y, mask, params)
+    aligned = fat_forward(y, x, le_y, le_x, params.align)
+    assert aligned.shape == y.shape
+    colored = fat_forward(x, y, le_x, le_y, params.fat)
+    control = predict_control_points(aligned, params)
+    expected, expected_solved = masked_tps_warp(colored, control, mask, params.active_labels)
+    assert solved and expected_solved
+    np.testing.assert_array_equal(out.data, expected.data)
 
 
 def test_spatial_forward_output_shape_and_fallback(rng):

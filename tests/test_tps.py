@@ -8,11 +8,11 @@ from fatkit.tps import (
     DegenerateGeometryError,
     identity_grid,
     min_shift,
-    radial_kernel,
     read_points,
     tps_apply,
     tps_grid,
     tps_solve,
+    tps_system,
     warp_image,
     write_points,
 )
@@ -32,12 +32,18 @@ def random_control(rng, k, spread=0.9):
 # -- kernel ----------------------------------------------------------------------
 
 
-def test_radial_kernel_values():
-    assert radial_kernel(0.0) == 0.0
-    assert radial_kernel(1.0) == 0.0
-    np.testing.assert_allclose(radial_kernel(np.e), np.e**2)
-    with pytest.raises(ParameterError):
-        radial_kernel(-0.5)
+def test_system_kernel_values():
+    # phi(r) = r^2 log r, read off the assembled system at distances 0, 1 and e
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, np.e], [1.0, 1.0]])
+    system = tps_system(Tensor(pts)).data
+    assert system.shape == (7, 7)
+    phi = system[:4, 3:]
+    assert phi[0, 0] == 0.0
+    assert phi[0, 1] == 0.0
+    np.testing.assert_allclose(phi[0, 2], np.e**2)
+    np.testing.assert_array_equal(phi, phi.T)
+    np.testing.assert_array_equal(system[:4, :3], np.column_stack([np.ones(4), pts]))
+    np.testing.assert_array_equal(system[4:], np.column_stack([np.zeros((3, 3)), system[:4, :3].T]))
 
 
 # -- solve -----------------------------------------------------------------------
@@ -183,6 +189,13 @@ def test_warp_accepts_tensor(rng):
     out = warp_image(Tensor(img, requires_grad=True), identity_grid(6, 6))
     assert isinstance(out, Tensor)
     np.testing.assert_allclose(out.data, img, atol=1e-6)
+    # a fractional TPS grid reaching past the border: both paths share one kernel
+    img = rng.uniform(size=(3, 7, 9))
+    c = random_control(rng, 6)
+    grid = 1.3 * tps_grid(tps_solve(c, c + rng.uniform(-0.2, 0.2, size=c.shape)), 5, 8)
+    assert np.abs(grid).max() > 1.0
+    tensor_out = warp_image(Tensor(img, requires_grad=True), Tensor(grid, requires_grad=True))
+    np.testing.assert_array_equal(tensor_out.data, warp_image(img, grid))
 
 
 # -- min-distance shift -----------------------------------------------------------
@@ -241,6 +254,7 @@ def test_points_bad_header(tmp_path):
 
 def test_points_out_of_range(tmp_path):
     path = tmp_path / "pts.txt"
-    path.write_text("FATPTS 1 1\n2.0 0.0\n")
-    with pytest.raises(FormatError):
-        read_points(path)
+    for bad in ("2.0 0.0", "nan 0.0", "0.0 nan", "-inf 0.0"):
+        path.write_text(f"FATPTS 1 1\n{bad}\n")
+        with pytest.raises(FormatError, match="finite and lie in"):
+            read_points(path)
