@@ -36,8 +36,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("FAT_THREADS")
+def _apply_thread_cap(command):
+    # bench runs on one BLAS thread by default: pool wakeups dominate its small
+    # kernels and swamp the comparison; FAT_THREADS (or explicit env) overrides
+    cap = os.environ.get("FAT_THREADS", "1" if command == "bench" else "")
     if cap:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, cap)
@@ -61,17 +63,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.8, help="blend weight for --mode blend")
     p.add_argument("--out", required=True, help="output image (.ppm; sidecar .meta)")
 
+    # the setting flags carry no defaults (unset ones stay None): every
+    # setting's default lives in fatkit.gan.SETTINGS
     p = sub.add_parser("train", help="adversarial training on a corpus")
     p.add_argument("--data", required=True, help="corpus directory with manifest.txt")
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--lr", type=float, default=2e-4)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--width", type=int, default=16)
-    p.add_argument("--spatial", action="store_true", help="enable the predicted spatial warp")
-    p.add_argument("--warp-labels", default="eyebrows", help="label set the warp may move")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None, help="key = value file overriding the flags")
+    p.add_argument("--steps", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--heads", type=int)
+    p.add_argument("--size", type=int)
+    p.add_argument("--width", type=int, dest="base_width", metavar="WIDTH")
+    p.add_argument("--spatial", action="store_const", const=True,
+                   help="enable the predicted spatial warp")
+    p.add_argument("--warp-labels", help="label set the warp may move")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--config", help="key = value file overriding the flags")
     p.add_argument("--out", required=True, help="checkpoint path (.fatw; sidecar .cfg)")
     p.add_argument("--log", required=True, help="loss CSV path")
 
@@ -146,9 +151,10 @@ def _load_corpus_pairs(data_dir):
 
 def _cmd_train(args) -> int:
     from .gan import (
-        GeneratorConfig,
-        LossWeights,
+        MODEL_KEYS,
+        SETTINGS,
         config_text,
+        configs_from_settings,
         fit,
         history_csv,
         init_train_state,
@@ -156,61 +162,40 @@ def _cmd_train(args) -> int:
         prepare_pair,
         save_state,
     )
-    from .spatial import parse_active_labels
 
-    settings = {
-        "size": args.size,
-        "base_width": args.width,
-        "heads": args.heads,
-        "spatial": args.spatial,
-        "warp_labels": args.warp_labels,
-        "steps": args.steps,
-        "lr": args.lr,
-        "seed": args.seed,
-    }
+    settings = dict(SETTINGS)
+    settings.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
     if args.config:
         with open(args.config, "r", encoding="ascii") as fh:
             settings.update(parse_config_text(fh.read()))
     if settings["steps"] < 1:
         raise _UsageError(f"--steps must be at least 1, got {settings['steps']}")
-    labels = parse_active_labels(settings["warp_labels"])
-    config = GeneratorConfig(
-        size=settings["size"],
-        base_width=settings["base_width"],
-        heads=settings["heads"],
-        spatial=settings["spatial"],
-        warp_labels=labels,
-    )
-    weights = LossWeights(
-        adv=settings.get("lambda_adv", 1.0),
-        cyc=settings.get("lambda_cyc", 10.0),
-        per=settings.get("lambda_per", 0.05),
-        make=settings.get("lambda_make", 1.0),
-    )
+    config, weights = configs_from_settings(settings)
     state = init_train_state(config, seed=settings["seed"])
     couples = _load_corpus_pairs(args.data)
-    spatial_labels = labels if settings["spatial"] else ()
+    spatial_labels = config.warp_labels if config.spatial else ()
     pairs = [prepare_pair(x, y, state.percep, spatial_labels=spatial_labels) for x, y in couples]
     fit(state, pairs, weights, lr=settings["lr"], steps=settings["steps"])
     with open(args.log, "w", encoding="ascii") as fh:
         fh.write(history_csv(state.history))
     save_state(args.out, state)
     with open(args.out + ".cfg", "w", encoding="ascii") as fh:
-        fh.write(config_text({
-            "size": config.size,
-            "base_width": config.base_width,
-            "heads": config.heads,
-            "spatial": config.spatial,
-            "warp_labels": settings["warp_labels"],
-        }))
+        fh.write(config_text({key: settings[key] for key in MODEL_KEYS}))
     print(f"{args.out} steps={state.iteration} final_J_G={state.history[-1]['J_G']:.6f}")
     return EXIT_OK
 
 
 def _cmd_transfer(args) -> int:
     from .data import load_sample, read_ppm, write_ppm
-    from .gan import GeneratorConfig, generator_forward, load_generator, parse_config_text
-    from .spatial import parse_active_labels
+    from .gan import (
+        MODEL_KEYS,
+        SETTINGS,
+        configs_from_settings,
+        generator_forward,
+        load_generator,
+        parse_config_text,
+    )
+    from .tensor import FormatError
 
     if args.highres:
         try:
@@ -219,15 +204,14 @@ def _cmd_transfer(args) -> int:
             box = ()
         if len(box) != 4:
             raise _UsageError(f"--highres needs --box x,y,w,h as four integers, got {args.box!r}")
-    with open(args.model + ".cfg", "r", encoding="ascii") as fh:
+    sidecar = args.model + ".cfg"
+    with open(sidecar, "r", encoding="ascii") as fh:
         stored = parse_config_text(fh.read())
-    config = GeneratorConfig(
-        size=stored["size"],
-        base_width=stored["base_width"],
-        heads=stored["heads"],
-        spatial=stored["spatial"],
-        warp_labels=parse_active_labels(stored.get("warp_labels", "eyebrows")),
-    )
+    # control_grid joined the sidecar later; older models were all trained with the default
+    for key in MODEL_KEYS:
+        if key not in stored and key != "control_grid":
+            raise FormatError(f"{sidecar}: missing model setting {key!r}")
+    config, _ = configs_from_settings({**SETTINGS, **stored})
     gen = load_generator(args.model, config)
     source = load_sample(args.source)
     reference = load_sample(args.ref)
@@ -268,11 +252,8 @@ def _cmd_warp(args) -> int:
 def _cmd_bench(args) -> int:
     import time
 
-    # one BLAS thread by default: pool wakeups dominate these small kernels
-    # and swamp the comparison; FAT_THREADS (or explicit env) overrides
-    cap = os.environ.get("FAT_THREADS", "1")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
+    if args.iters < 1:
+        raise _UsageError(f"--iters must be at least 1, got {args.iters}")
 
     import numpy as np
 
@@ -362,8 +343,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(argv)  # argparse loads no numpy
+    _apply_thread_cap(args.command)
     try:
         return _HANDLERS[args.command](args)
     except _UsageError as exc:

@@ -136,6 +136,7 @@ _BROW_SAG = 0.12  # peak offset at |kappa| = 0.5 is 0.06
 _LIP_C = np.array([0.5, 0.74])
 _LIP_R = np.array([0.105, 0.048])
 _INSET = 0.88  # landmark inset inside part boundaries
+_SUPERSAMPLE = 4  # image samples per pixel along each axis
 
 
 def _pose(params: SynthFaceParams):
@@ -209,11 +210,11 @@ def _paint(points: np.ndarray, params: SynthFaceParams, aux: dict):
     for side, label in (("left", LABELS["left_brow"]), ("right", LABELS["right_brow"])):
         cx = _EYE_C[side][0]
         t = (pc[:, 0] - (cx - _BROW_HALF)) / (2.0 * _BROW_HALF)
-        on_span = (t >= 0.0) & (t <= 1.0)
-        tt = np.clip(t, 0.0, 1.0)
-        center_y = _BROW_Y - params.brow_curvature * _BROW_SAG * 4.0 * tt * (1.0 - tt)
-        band = np.abs(pc[:, 1] - center_y) <= params.brow_thickness / 2.0
-        brow = on_span & band & face
+        span = np.flatnonzero((t >= 0.0) & (t <= 1.0))
+        center_y = _brow_centerline(side, params.brow_curvature, t[span])[:, 1]
+        brow = np.zeros(n, dtype=bool)
+        brow[span] = np.abs(pc[span, 1] - center_y) <= params.brow_thickness / 2.0
+        brow &= face
         labels[brow] = label
         colors[brow] = aux["brow_color"]
 
@@ -236,10 +237,10 @@ def _paint(points: np.ndarray, params: SynthFaceParams, aux: dict):
     return labels, np.clip(colors, 0.0, 1.0)
 
 
-def synth_face(params: SynthFaceParams, size: int, supersample: int = 4) -> FaceSample:
+def synth_face(params: SynthFaceParams, size: int) -> FaceSample:
     """Render one anti-aliased face; landmarks come from the same curves.
 
-    The image averages `supersample`^2 evaluations per pixel; the categorical
+    The image averages `_SUPERSAMPLE`^2 evaluations per pixel; the categorical
     mask is evaluated once at pixel centers.
     """
     params.validate()
@@ -253,7 +254,7 @@ def synth_face(params: SynthFaceParams, size: int, supersample: int = 4) -> Face
         "shade_dir": np.array([math.cos(theta), math.sin(theta)]),
     }
 
-    ss = supersample
+    ss = _SUPERSAMPLE
     sub = (np.arange(size * ss) + 0.5) / (size * ss)
     yy, xx = np.meshgrid(sub, sub, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1)

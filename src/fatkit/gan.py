@@ -18,14 +18,14 @@ parameter draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .attention import FatParams, fat_forward, landmark_embedding
-from .data import FaceSample
+from .data import LANDMARK_COUNT, FaceSample
 from .pseudo_gt import color_pgt, spatial_pgt
-from .spatial import SpatialFatParams, spatial_fat_forward
+from .spatial import ACTIVE_LABEL_SETS, SpatialFatParams, parse_active_labels, spatial_fat_forward
 from .tensor import (
     AdamState,
     FormatError,
@@ -46,7 +46,10 @@ from .tensor import (
 )
 
 __all__ = [
+    "SETTINGS",
+    "MODEL_KEYS",
     "GeneratorConfig",
+    "configs_from_settings",
     "LossWeights",
     "TrainPair",
     "TrainState",
@@ -84,7 +87,6 @@ class GeneratorConfig:
     heads: int = 2
     spatial: bool = False
     warp_labels: tuple = (2, 3)
-    n_landmarks: int = 30
     control_grid: int = 8
 
     def __post_init__(self):
@@ -92,6 +94,12 @@ class GeneratorConfig:
             raise ParameterError(f"image size must be divisible by 4, got {self.size}")
         if self.base_width < 1 or self.heads < 1:
             raise ParameterError("base width and head count must be positive")
+        grid = min(self.control_grid, self.bottleneck)
+        if self.spatial and (grid < 2 or self.bottleneck % grid):
+            raise ParameterError(
+                f"control grid {grid} must be at least 2 and divide the "
+                f"{self.bottleneck}x{self.bottleneck} bottleneck"
+            )
 
     @property
     def bottleneck(self) -> int:
@@ -117,20 +125,44 @@ class LossWeights:
             raise ParameterError("at least one loss weight must be positive")
 
 
-class ConvBlock:
-    """Convolution (or transposed convolution) + optional norm + activation."""
+# Every run setting and its default, read by the `train` flags, config files
+# and the `.cfg` sidecar; a config value's type is its default's type. The
+# model settings and loss weights take their defaults from the dataclasses.
+SETTINGS = {
+    **{f.name: f.default for f in fields(GeneratorConfig)},
+    # config files and sidecars store the label set by name
+    "warp_labels": {v: k for k, v in ACTIVE_LABEL_SETS.items()}[GeneratorConfig.warp_labels],
+    "steps": 300,
+    "lr": 2e-4,
+    "seed": 0,
+    **{f"lambda_{f.name}": f.default for f in fields(LossWeights)},
+}
+# the settings that rebuild a trained generator, in `.cfg` sidecar order
+MODEL_KEYS = tuple(f.name for f in fields(GeneratorConfig))
 
-    def __init__(self, rng, c_in, c_out, stride=1, k=3, norm=True, act="relu", transposed=False):
-        scale = 1.0 / np.sqrt(c_in * k * k)
+
+def configs_from_settings(settings: dict):
+    """The (GeneratorConfig, LossWeights) of a dict holding every SETTINGS key."""
+    model = {key: settings[key] for key in MODEL_KEYS}
+    model["warp_labels"] = parse_active_labels(model["warp_labels"])
+    weights = {f.name: settings[f"lambda_{f.name}"] for f in fields(LossWeights)}
+    return GeneratorConfig(**model), LossWeights(**weights)
+
+
+class ConvBlock:
+    """3x3 convolution (or transposed convolution) + optional norm + ReLU."""
+
+    def __init__(self, rng, c_in, c_out, stride=1, norm=True, relu=True, transposed=False):
+        scale = 1.0 / np.sqrt(c_in * 3 * 3)
         if transposed:
-            shape = (c_in, c_out, k, k)
+            shape = (c_in, c_out, 3, 3)
         else:
-            shape = (c_out, c_in, k, k)
+            shape = (c_out, c_in, 3, 3)
         self.w = Tensor(rng.normal(0.0, scale, size=shape), requires_grad=True)
         self.b = Tensor(np.zeros(c_out), requires_grad=True)
         self.stride = stride
         self.norm = norm
-        self.act = act
+        self.relu = relu
         self.transposed = transposed
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -138,10 +170,8 @@ class ConvBlock:
         y = op(x, self.w, self.b, stride=self.stride)
         if self.norm:
             y = instance_norm(y)
-        if self.act == "relu":
+        if self.relu:
             y = relu(y)
-        elif self.act == "tanh":
-            y = tanh(y)
         return y
 
     def tensors(self):
@@ -176,14 +206,14 @@ class GeneratorParams:
             ConvBlock(rng, 2 * w, d, stride=2),
         ]
         self.pre = [ConvBlock(rng, d, d) for _ in range(3)]
-        self.fat = FatParams(d, config.heads, config.n_landmarks, rng, estimator="random")
+        self.fat = FatParams(d, config.heads, LANDMARK_COUNT, rng, estimator="random")
         self.post = [ConvBlock(rng, d, d) for _ in range(2)]
         # the transposed-conv stages run without instance norm: normalizing
         # here strips the channel means that carry the transferred colors
         self.dec = [
             ConvBlock(rng, d, 2 * w, stride=2, transposed=True, norm=False),
             ConvBlock(rng, 2 * w, w, stride=2, transposed=True, norm=False),
-            ConvBlock(rng, w, 3, stride=1, norm=False, act="none"),
+            ConvBlock(rng, w, 3, stride=1, norm=False, relu=False),
         ]
         self.spatial = None
         if config.spatial:
@@ -192,7 +222,7 @@ class GeneratorParams:
             self.spatial = SpatialFatParams(
                 d,
                 config.heads,
-                config.n_landmarks,
+                LANDMARK_COUNT,
                 rng_spatial,
                 grid_size=min(config.control_grid, config.bottleneck),
                 active_labels=config.warp_labels,
@@ -219,7 +249,7 @@ class DiscriminatorParams:
             ConvBlock(rng, 3, w, stride=2, norm=False),
             ConvBlock(rng, w, 2 * w, stride=2),
             ConvBlock(rng, 2 * w, 4 * w, stride=2),
-            ConvBlock(rng, 4 * w, 1, stride=2, norm=False, act="none"),
+            ConvBlock(rng, 4 * w, 1, stride=2, norm=False, relu=False),
         ]
 
     def named(self, prefix="disc"):
@@ -237,7 +267,7 @@ class PerceptualParams:
         self.blocks = [
             ConvBlock(rng, 3, 8, stride=2, norm=False),
             ConvBlock(rng, 8, 16, stride=2, norm=False),
-            ConvBlock(rng, 16, 16, stride=1, norm=False, act="none"),
+            ConvBlock(rng, 16, 16, stride=1, norm=False, relu=False),
         ]
         for block in self.blocks:
             block.w.requires_grad = False
@@ -393,7 +423,7 @@ class TrainState:
     history: list = field(default_factory=list)
 
 
-def init_train_state(config: GeneratorConfig, seed: int, beta1=0.5, beta2=0.999) -> TrainState:
+def init_train_state(config: GeneratorConfig, seed: int) -> TrainState:
     """Deterministic fresh state; every component gets its own child stream."""
     children = np.random.SeedSequence(seed).spawn(5)
     rngs = [np.random.default_rng(c) for c in children]
@@ -401,8 +431,8 @@ def init_train_state(config: GeneratorConfig, seed: int, beta1=0.5, beta2=0.999)
     disc_x = DiscriminatorParams(config, rngs[2])
     disc_y = DiscriminatorParams(config, rngs[3])
     percep = PerceptualParams(rngs[4])
-    adam_g = AdamState(gen.parameters(), beta1=beta1, beta2=beta2)
-    adam_d = AdamState(disc_x.parameters() + disc_y.parameters(), beta1=beta1, beta2=beta2)
+    adam_g = AdamState(gen.parameters())
+    adam_d = AdamState(disc_x.parameters() + disc_y.parameters())
     return TrainState(config, gen, disc_x, disc_y, percep, adam_g, adam_d, seed=seed)
 
 
@@ -443,7 +473,7 @@ def train_step(state: TrainState, pair: TrainPair, weights: LossWeights, lr: flo
 
     state.iteration += 1
     row = {"iter": state.iteration, "J_D": j_d.item(), "J_G": j_g.item(), **parts}
-    for name in ("J_D", "J_G", "adv", "cyc", "per", "make"):
+    for name in LOG_COLUMNS[1:]:
         if not np.isfinite(row[name]):
             raise NonFiniteLossError(f"loss component {name} became non-finite at iteration {row['iter']}")
     state.history.append(row)
@@ -513,23 +543,6 @@ def load_generator(path, config: GeneratorConfig) -> GeneratorParams:
 # -- configuration file ------------------------------------------------------------------
 
 
-_CONFIG_KEYS = {
-    "size": int,
-    "base_width": int,
-    "heads": int,
-    "spatial": None,  # bool, parsed below
-    "warp_labels": str,
-    "control_grid": int,
-    "steps": int,
-    "lr": float,
-    "seed": int,
-    "lambda_adv": float,
-    "lambda_cyc": float,
-    "lambda_per": float,
-    "lambda_make": float,
-}
-
-
 def parse_config_text(text: str) -> dict:
     """Parse `key = value` lines; unknown keys are errors, not warnings."""
     out = {}
@@ -540,16 +553,16 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise FormatError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in _CONFIG_KEYS:
+        if key not in SETTINGS:
             raise FormatError(f"line {lineno}: unknown configuration key {key!r}")
-        if key == "spatial":
+        default = SETTINGS[key]
+        if isinstance(default, bool):
             if value not in ("true", "false"):
-                raise FormatError(f"line {lineno}: spatial must be true or false, got {value!r}")
+                raise FormatError(f"line {lineno}: {key} must be true or false, got {value!r}")
             out[key] = value == "true"
         else:
-            caster = _CONFIG_KEYS[key]
             try:
-                out[key] = caster(value)
+                out[key] = type(default)(value)
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: bad value for {key}: {exc}") from exc
     return out
@@ -558,9 +571,9 @@ def parse_config_text(text: str) -> dict:
 def config_text(values: dict) -> str:
     lines = []
     for key, value in values.items():
-        if key not in _CONFIG_KEYS:
+        if key not in SETTINGS:
             raise ParameterError(f"unknown configuration key {key!r}")
-        if key == "spatial":
+        if isinstance(SETTINGS[key], bool):
             value = "true" if value else "false"
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

@@ -627,14 +627,16 @@ def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
 # -- optimizer ----------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.5
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """First/second moment buffers plus step counter for a parameter list."""
 
-    def __init__(self, params, beta1: float = 0.5, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params):
         self.params = list(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -645,19 +647,19 @@ def adam_step(state: AdamState, lr: float):
     if lr <= 0:
         raise ParameterError(f"learning rate must be positive, got {lr}")
     state.t += 1
-    c1 = 1.0 - state.beta1**state.t
-    c2 = 1.0 - state.beta2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     for p, m, v in zip(state.params, state.m, state.v):
         g = p.grad
         if g is None:
             g = 0.0
         elif g.shape != p.data.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def zero_grads(params):
@@ -676,7 +678,8 @@ def save_tensors(path, named: dict):
 
     Layout: magic "FATW", version u16, count u32, then per tensor
     name-length u16 + UTF-8 name, rank u8, dims u32 little-endian,
-    data as float32 little-endian. Round trips bit-exactly.
+    data as float32 little-endian. float32 values round-trip bit-exactly;
+    float64 parameters are rounded to float32.
     """
     with open(path, "wb") as fh:
         fh.write(_MAGIC)

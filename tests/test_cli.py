@@ -147,6 +147,25 @@ def test_train_nonpositive_steps_is_usage_error(corpus, tmp_path):
     assert not (tmp_path / "m.fatw").exists()
 
 
+def test_train_spatial_control_grid_from_config(corpus, tmp_path):
+    # a 48 px model has a 12x12 bottleneck, which the default 8x8 lattice does not divide
+    args = ("train", "--data", corpus, "--steps", 1, "--size", 48, "--width", 4, "--spatial",
+            "--out", tmp_path / "m.fatw", "--log", tmp_path / "l.csv")
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stderr.strip().splitlines() == [
+        "fatkit train: control grid 8 must be at least 2 and divide the 12x12 bottleneck"
+    ]
+    assert not (tmp_path / "m.fatw").exists()
+    (tmp_path / "train.cfg").write_text("control_grid = 4\n")
+    result = run_cli(*args, "--config", tmp_path / "train.cfg")
+    assert result.returncode == 0, result.stderr
+    assert "control_grid = 4" in (tmp_path / "m.fatw.cfg").read_text().splitlines()
+    result = run_cli("transfer", "--model", tmp_path / "m.fatw", "--source", corpus / "0000.ppm",
+                     "--ref", corpus / "0001.ppm", "--out", tmp_path / "t.ppm")
+    assert result.returncode == 0, result.stderr
+
+
 def test_transfer_output_size_and_determinism(corpus, model, tmp_path):
     args = ("transfer", "--model", model / "m.fatw", "--source", corpus / "0000.ppm",
             "--ref", corpus / "0001.ppm")
@@ -154,6 +173,27 @@ def test_transfer_output_size_and_determinism(corpus, model, tmp_path):
     assert run_cli(*args, "--out", tmp_path / "t2.ppm").returncode == 0
     assert (tmp_path / "t1.ppm").read_bytes() == (tmp_path / "t2.ppm").read_bytes()
     assert read_ppm(tmp_path / "t1.ppm").shape == (3, 48, 48)
+
+
+def test_transfer_sidecar_missing_key(corpus, model, tmp_path):
+    import shutil
+
+    shutil.copy(model / "m.fatw", tmp_path / "m.fatw")
+    sidecar = (model / "m.fatw.cfg").read_text().splitlines()
+    args = ("transfer", "--model", tmp_path / "m.fatw", "--source", corpus / "0000.ppm",
+            "--ref", corpus / "0001.ppm", "--out", tmp_path / "t.ppm")
+    # sidecars written before control_grid was stored load with the default
+    kept = [line for line in sidecar if not line.startswith("control_grid")]
+    (tmp_path / "m.fatw.cfg").write_text("\n".join(kept) + "\n")
+    result = run_cli(*args)
+    assert result.returncode == 0, result.stderr
+    kept = [line for line in sidecar if not line.startswith("size")]
+    (tmp_path / "m.fatw.cfg").write_text("\n".join(kept) + "\n")
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stderr.strip().splitlines() == [
+        f"fatkit transfer: {tmp_path / 'm.fatw'}.cfg: missing model setting 'size'"
+    ]
 
 
 def test_transfer_size_mismatch_is_data_error(model, tmp_path):
@@ -263,6 +303,15 @@ def test_bench_output_format_and_csv(tmp_path):
     csv = (tmp_path / "b.csv").read_text().strip().splitlines()
     assert csv[0] == "kind,mean_ms"
     assert csv[1].startswith("fat,") and csv[2].startswith("sequential,")
+
+
+def test_bench_nonpositive_iters_is_usage_error():
+    for iters in (0, -2):
+        result = run_cli("bench", "--size", 32, "--iters", iters)
+        assert result.returncode == 1
+        assert result.stderr.strip().splitlines() == [
+            f"fatkit bench: error: --iters must be at least 1, got {iters}"
+        ]
 
 
 def test_thread_cap_env_does_not_change_results(tmp_path):

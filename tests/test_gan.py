@@ -6,11 +6,13 @@ import pytest
 import fatkit.gan as gan
 from fatkit.data import synth_face, random_face_params
 from fatkit.gan import (
+    SETTINGS,
     GeneratorConfig,
     LossWeights,
     NonFiniteLossError,
     bce_with_logits,
     config_text,
+    configs_from_settings,
     fit,
     generator_forward,
     history_csv,
@@ -63,6 +65,22 @@ def test_config_size_must_divide():
         GeneratorConfig(size=30)
 
 
+def test_spatial_config_control_grid_must_fit_bottleneck():
+    # 48 px gives a 12x12 bottleneck: the default 8x8 lattice does not divide it
+    with pytest.raises(ParameterError, match="control grid 8"):
+        GeneratorConfig(size=48, spatial=True)
+    GeneratorConfig(size=48, spatial=True, control_grid=4)
+    GeneratorConfig(size=48, spatial=False)
+    with pytest.raises(ParameterError, match="at least 2"):
+        GeneratorConfig(size=4, spatial=True)
+
+
+def test_settings_table_defaults_are_the_dataclass_defaults():
+    config, weights = configs_from_settings(SETTINGS)
+    assert config == GeneratorConfig()
+    assert weights == LossWeights()
+
+
 def test_weights_validation():
     with pytest.raises(ParameterError):
         LossWeights(adv=-1.0)
@@ -81,6 +99,8 @@ def test_parse_config_unknown_key_is_error():
         parse_config_text("sizee = 32\n")
     with pytest.raises(FormatError):
         parse_config_text("spatial = maybe\n")
+    with pytest.raises(FormatError, match="bad value for steps"):
+        parse_config_text("steps = 2.5\n")
 
 
 # -- forward passes -----------------------------------------------------------------
