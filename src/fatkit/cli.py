@@ -13,6 +13,7 @@ the command handlers.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -137,14 +138,20 @@ def _cmd_pgt(args) -> int:
     return EXIT_OK
 
 
-def _load_corpus_pairs(data_dir):
+def _load_corpus_pairs(data_dir, size):
+    """(plain, makeup) sample pairs of a corpus whose images are all size x size."""
     from .data import load_sample, read_manifest
+    from .tensor import FormatError
 
     manifest = os.path.join(data_dir, "manifest.txt")
     rows = read_manifest(manifest)
     plain, makeup = [], []
     for _, group, image, _, _ in rows:
-        sample = load_sample(os.path.join(data_dir, image))
+        path = os.path.join(data_dir, image)
+        sample = load_sample(path)
+        h, w = sample.image.shape[1:]
+        if (h, w) != (size, size):
+            raise FormatError(f"{path}: image is {h}x{w}, but the model size is {size}x{size}")
         (plain if group == "plain" else makeup).append(sample)
     return list(zip(plain, makeup))
 
@@ -170,9 +177,11 @@ def _cmd_train(args) -> int:
             settings.update(parse_config_text(fh.read()))
     if settings["steps"] < 1:
         raise _UsageError(f"--steps must be at least 1, got {settings['steps']}")
+    if not (math.isfinite(settings["lr"]) and settings["lr"] > 0):
+        raise _UsageError(f"--lr must be a finite positive number, got {settings['lr']}")
     config, weights = configs_from_settings(settings)
     state = init_train_state(config, seed=settings["seed"])
-    couples = _load_corpus_pairs(args.data)
+    couples = _load_corpus_pairs(args.data, config.size)
     spatial_labels = config.warp_labels if config.spatial else ()
     pairs = [prepare_pair(x, y, state.percep, spatial_labels=spatial_labels) for x, y in couples]
     fit(state, pairs, weights, lr=settings["lr"], steps=settings["steps"])

@@ -10,10 +10,12 @@ Two patch discriminators tell real from generated in each domain.
 Training follows the unpaired two-generator-pass scheme: one discriminator
 update on detached fakes, then one generator update whose loss sums the
 adversarial, cycle-consistency, perceptual and pseudo-ground-truth terms of
-both transfer directions before a single backward. All randomness flows
-from one seed through per-component child streams, so runs replay
-bit-identically and enabling the spatial branch never perturbs the shared
-parameter draws.
+both transfer directions before a single backward. Each real image is
+encoded once per step: its code feeds both transfers and serves as the
+reference of its cycle pass, so only the two generated faces are encoded
+again. All randomness flows from one seed through per-component child
+streams, so runs replay bit-identically and enabling the spatial branch
+never perturbs the shared parameter draws.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ __all__ = [
     "DiscriminatorParams",
     "PerceptualParams",
     "generator_forward",
+    "encode",
+    "transfer_decode",
     "run_blocks",
     "bce_with_logits",
     "loss_discriminators",
@@ -90,8 +94,8 @@ class GeneratorConfig:
     control_grid: int = 8
 
     def __post_init__(self):
-        if self.size % 4 != 0:
-            raise ParameterError(f"image size must be divisible by 4, got {self.size}")
+        if self.size < 4 or self.size % 4 != 0:
+            raise ParameterError(f"image size must be a positive multiple of 4, got {self.size}")
         if self.base_width < 1 or self.heads < 1:
             raise ParameterError("base width and head count must be positive")
         grid = min(self.control_grid, self.bottleneck)
@@ -298,30 +302,46 @@ def _embeddings(config: GeneratorConfig, landmarks) -> np.ndarray:
     return landmark_embedding(hb, hb, landmarks)
 
 
+def encode(img, gen: GeneratorParams) -> Tensor:
+    """The shared encoder (`enc` + `pre` blocks): image -> bottleneck code.
+
+    Rejects an image whose shape is not (3, size, size) of the generator's
+    config, so every path into the generator checks its input extent.
+    """
+    img = img if isinstance(img, Tensor) else Tensor(img)
+    expected = (3, gen.config.size, gen.config.size)
+    if img.shape != expected:
+        raise ParameterError(f"images must be {expected}, got {img.shape}")
+    return run_blocks(gen.enc + gen.pre, img)
+
+
+def transfer_decode(xb: Tensor, yb: Tensor, lm_x, lm_y, mask_x, gen: GeneratorParams,
+                    config: GeneratorConfig) -> Tensor:
+    """Transfer the reference code's attributes onto the source code and decode.
+
+    xb and yb are `encode` outputs of the source and the reference; landmarks
+    feed the positional embeddings and mask_x gates the spatial warp. Returns
+    an image tensor in [0,1] of the configured size.
+    """
+    le_x = _embeddings(config, lm_x)
+    le_y = _embeddings(config, lm_y)
+    if gen.spatial is not None:
+        feat, _ = spatial_fat_forward(xb, yb, le_x, le_y, np.asarray(mask_x), gen.spatial)
+    else:
+        feat = fat_forward(xb, yb, le_x, le_y, gen.fat)
+    feat = run_blocks(gen.post + gen.dec, feat)
+    return (tanh(feat) + 1.0) * 0.5
+
+
 def generator_forward(x_img, y_img, lm_x, lm_y, mask_x, params: GeneratorParams,
                       config: GeneratorConfig) -> Tensor:
     """Transfer the reference's attributes onto the source image.
 
-    x_img supplies identity, y_img supplies attributes; landmarks feed the
-    positional embeddings and mask_x gates the spatial warp. Returns an
-    image tensor in [0,1] of the configured size.
+    x_img supplies identity, y_img supplies attributes: the one-shot
+    `transfer_decode(encode(x_img), encode(y_img), ...)`.
     """
-    x = x_img if isinstance(x_img, Tensor) else Tensor(x_img)
-    y = y_img if isinstance(y_img, Tensor) else Tensor(y_img)
-    expected = (3, config.size, config.size)
-    if x.shape != expected or y.shape != expected:
-        raise ParameterError(f"images must be {expected}, got {x.shape} and {y.shape}")
-
-    xb = run_blocks(params.enc + params.pre, x)
-    yb = run_blocks(params.enc + params.pre, y)
-    le_x = _embeddings(config, lm_x)
-    le_y = _embeddings(config, lm_y)
-    if params.spatial is not None:
-        feat, _ = spatial_fat_forward(xb, yb, le_x, le_y, np.asarray(mask_x), params.spatial)
-    else:
-        feat = fat_forward(xb, yb, le_x, le_y, params.fat)
-    feat = run_blocks(params.post + params.dec, feat)
-    return (tanh(feat) + 1.0) * 0.5
+    return transfer_decode(encode(x_img, params), encode(y_img, params), lm_x, lm_y, mask_x,
+                           params, config)
 
 
 # -- losses ---------------------------------------------------------------------
@@ -377,20 +397,23 @@ def prepare_pair(x: FaceSample, y: FaceSample, percep: PerceptualParams,
     )
 
 
-def loss_generator(pair: TrainPair, z_xy: Tensor, z_yx: Tensor, gen: GeneratorParams,
-                   disc_x, disc_y, percep, weights: LossWeights, config: GeneratorConfig):
+def loss_generator(pair: TrainPair, z_xy: Tensor, z_yx: Tensor, ex: Tensor, ey: Tensor,
+                   gen: GeneratorParams, disc_x, disc_y, percep, weights: LossWeights,
+                   config: GeneratorConfig):
     """Weighted sum of both transfer directions' generator losses.
 
-    Components: adversarial patch BCE toward "real", L1 cycle consistency of
-    the double transfer, squared error between frozen features, and squared
-    error against the pseudo ground truth.
+    ex and ey are the `encode` codes of the real faces, reused as the
+    references of the two cycle passes. Components: adversarial patch BCE
+    toward "real", L1 cycle consistency of the double transfer, squared
+    error between frozen features, and squared error against the pseudo
+    ground truth.
     """
     x, y = pair.x, pair.y
     adv = bce_with_logits(run_blocks(disc_x.blocks, z_yx), 1.0) + bce_with_logits(
         run_blocks(disc_y.blocks, z_xy), 1.0
     )
-    back_x = generator_forward(z_xy, Tensor(x.image), x.landmarks, x.landmarks, x.mask, gen, config)
-    back_y = generator_forward(z_yx, Tensor(y.image), y.landmarks, y.landmarks, y.mask, gen, config)
+    back_x = transfer_decode(encode(z_xy, gen), ex, x.landmarks, x.landmarks, x.mask, gen, config)
+    back_y = transfer_decode(encode(z_yx, gen), ey, y.landmarks, y.landmarks, y.mask, gen, config)
     cyc = l1_loss(back_x, Tensor(x.image)) + l1_loss(back_y, Tensor(y.image))
     per = mse_loss(run_blocks(percep.blocks, z_xy), Tensor(pair.feat_x)) + mse_loss(
         run_blocks(percep.blocks, z_yx), Tensor(pair.feat_y)
@@ -453,8 +476,9 @@ def train_step(state: TrainState, pair: TrainPair, weights: LossWeights, lr: flo
     """
     cfg = state.config
     x, y = pair.x, pair.y
-    z_xy = generator_forward(x.image, y.image, x.landmarks, y.landmarks, x.mask, state.gen, cfg)
-    z_yx = generator_forward(y.image, x.image, y.landmarks, x.landmarks, y.mask, state.gen, cfg)
+    ex, ey = encode(x.image, state.gen), encode(y.image, state.gen)
+    z_xy = transfer_decode(ex, ey, x.landmarks, y.landmarks, x.mask, state.gen, cfg)
+    z_yx = transfer_decode(ey, ex, y.landmarks, x.landmarks, y.mask, state.gen, cfg)
 
     zero_grads(_all_params(state))
     j_d = loss_discriminators(
@@ -465,7 +489,7 @@ def train_step(state: TrainState, pair: TrainPair, weights: LossWeights, lr: flo
 
     zero_grads(_all_params(state))
     j_g, parts = loss_generator(
-        pair, z_xy, z_yx, state.gen, state.disc_x, state.disc_y, state.percep, weights, cfg
+        pair, z_xy, z_yx, ex, ey, state.gen, state.disc_x, state.disc_y, state.percep, weights, cfg
     )
     j_g.backward()
     adam_step(state.adam_g, lr)

@@ -424,30 +424,32 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def _im2col(x: np.ndarray, k: int, stride: int):
-    """(C,H,W) -> rows of receptive fields, one row per output position."""
+    """(C,H,W) -> channel-major receptive-field matrix (C*k*k, Ho*Wo).
+
+    Row c*k*k + di*k + dj holds input channel c at kernel tap (di, dj) for
+    every output position, so `w.reshape(C_out, C*k*k) @ cols` is the
+    convolution with no transposed copy (Chellapilla et al., 2006).
+    """
     c, h, w = x.shape
     pad = (k - 1) // 2
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
     win = win[:, ::stride, ::stride]
     _, ho, wo, _, _ = win.shape
-    cols = win.transpose(1, 2, 0, 3, 4).reshape(ho * wo, c * k * k)
-    return np.ascontiguousarray(cols), ho, wo
+    return win.transpose(0, 3, 4, 1, 2).reshape(c * k * k, ho * wo), ho, wo
 
 
 def _col2im(cols: np.ndarray, xshape, k: int, stride: int) -> np.ndarray:
-    """Adjoint of `_im2col`: scatter receptive-field rows back onto the image."""
+    """Adjoint of `_im2col`: scatter a (C*k*k, Ho*Wo) matrix back onto the image."""
     c, h, w = xshape
     pad = (k - 1) // 2
     ho = -(-h // stride)
     wo = -(-w // stride)
-    blocks = cols.reshape(ho, wo, c, k, k)
+    blocks = cols.reshape(c, k, k, ho, wo)
     xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
     for di in range(k):
         for dj in range(k):
-            xp[:, di : di + stride * ho : stride, dj : dj + stride * wo : stride] += (
-                blocks[:, :, :, di, dj].transpose(2, 0, 1)
-            )
+            xp[:, di : di + stride * ho : stride, dj : dj + stride * wo : stride] += blocks[:, di, dj]
     return xp[:, pad : pad + h, pad : pad + w]
 
 
@@ -474,14 +476,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError(f"input {x.shape[1:]} smaller than kernel {k}")
     cols, ho, wo = _im2col(x.data, k, stride)
     wmat = w.data.reshape(co, ci * k * k)
-    out = (wmat @ cols.T + b.data[:, None]).reshape(co, ho, wo)
+    out = (wmat @ cols + b.data[:, None]).reshape(co, ho, wo)
     xshape = x.shape
 
     def back(g):
         gmat = g.reshape(co, ho * wo)
-        gw = (gmat @ cols).reshape(w.shape)
+        gw = (gmat @ cols.T).reshape(w.shape)
         gb = gmat.sum(axis=1)
-        gx = _col2im(gmat.T @ wmat, xshape, k, stride)
+        gx = _col2im(wmat.T @ gmat, xshape, k, stride)
         return (gx, gw, gb)
 
     return _from_op(out, (x, w, b), back, "conv2d")
@@ -503,13 +505,13 @@ def deconv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     h, wid = x.shape[1], x.shape[2]
     oshape = (cb, stride * h, stride * wid)
     wmat = w.data.reshape(ca, cb * k * k)
-    xmat = x.data.reshape(ca, h * wid).T
-    out = _col2im(xmat @ wmat, oshape, k, stride) + b.data[:, None, None]
+    xmat = x.data.reshape(ca, h * wid)
+    out = _col2im(wmat.T @ xmat, oshape, k, stride) + b.data[:, None, None]
 
     def back(g):
         gcols, _, _ = _im2col(g, k, stride)
-        gx = (wmat @ gcols.T).reshape(x.shape)
-        gw = (xmat.T @ gcols).reshape(w.shape)
+        gx = (wmat @ gcols).reshape(x.shape)
+        gw = (xmat @ gcols.T).reshape(w.shape)
         gb = g.sum(axis=(1, 2))
         return (gx, gw, gb)
 
@@ -644,8 +646,8 @@ class AdamState:
 
 def adam_step(state: AdamState, lr: float):
     """One bias-corrected Adam update; parameters without grads stay put."""
-    if lr <= 0:
-        raise ParameterError(f"learning rate must be positive, got {lr}")
+    if not np.isfinite(lr) or lr <= 0:
+        raise ParameterError(f"learning rate must be a finite positive number, got {lr}")
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t
     c2 = 1.0 - ADAM_BETA2**state.t

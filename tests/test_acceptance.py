@@ -26,6 +26,7 @@ from fatkit.data import make_corpus, load_sample, random_face_params, read_manif
 from fatkit.gan import (
     GeneratorConfig,
     LossWeights,
+    encode,
     fit,
     generator_forward,
     history_csv,
@@ -391,8 +392,9 @@ def test_criterion_10_identity_init_equivalence():
                 Tensor(x.image), Tensor(y.image), z.detach(), z_yx.detach(),
                 state.disc_x, state.disc_y,
             ).item()
+            ex, ey = encode(x.image, state.gen), encode(y.image, state.gen)
             j_g, parts = loss_generator(
-                pair, z, z_yx, state.gen, state.disc_x, state.disc_y, state.percep,
+                pair, z, z_yx, ex, ey, state.gen, state.disc_x, state.disc_y, state.percep,
                 LossWeights(), cfg,
             )
             losses.append((j_d, j_g.item(), parts))

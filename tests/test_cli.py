@@ -147,6 +147,38 @@ def test_train_nonpositive_steps_is_usage_error(corpus, tmp_path):
     assert not (tmp_path / "m.fatw").exists()
 
 
+def test_train_nonfinite_lr_is_usage_error(corpus, tmp_path):
+    args = ("train", "--data", corpus, "--steps", 1, "--size", 48, "--width", 4,
+            "--out", tmp_path / "m.fatw", "--log", tmp_path / "l.csv")
+    (tmp_path / "train.cfg").write_text("lr = nan\n")
+    for extra, shown in ((("--lr", "nan"), "nan"), (("--lr", "inf"), "inf"),
+                         (("--config", tmp_path / "train.cfg"), "nan")):
+        result = run_cli(*args, *extra)
+        assert result.returncode == 1
+        assert result.stderr.strip().splitlines() == [
+            f"fatkit train: error: --lr must be a finite positive number, got {shown}"
+        ]
+    assert not (tmp_path / "m.fatw").exists()
+
+
+def test_train_image_size_mismatch_is_data_error(corpus, tmp_path):
+    # the 48 px corpus under the default 64 px model, and an impossible size
+    args = ("train", "--data", corpus, "--steps", 1, "--width", 4,
+            "--out", tmp_path / "m.fatw", "--log", tmp_path / "l.csv")
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stderr.strip().splitlines() == [
+        f"fatkit train: {corpus / '0000.ppm'}: image is 48x48, but the model size is 64x64"
+    ]
+    for size in (0, -8):
+        result = run_cli(*args, "--size", size)
+        assert result.returncode == 2
+        assert result.stderr.strip().splitlines() == [
+            f"fatkit train: image size must be a positive multiple of 4, got {size}"
+        ]
+    assert not (tmp_path / "m.fatw").exists()
+
+
 def test_train_spatial_control_grid_from_config(corpus, tmp_path):
     # a 48 px model has a 12x12 bottleneck, which the default 8x8 lattice does not divide
     args = ("train", "--data", corpus, "--steps", 1, "--size", 48, "--width", 4, "--spatial",

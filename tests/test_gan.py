@@ -13,6 +13,7 @@ from fatkit.gan import (
     bce_with_logits,
     config_text,
     configs_from_settings,
+    encode,
     fit,
     generator_forward,
     history_csv,
@@ -27,7 +28,15 @@ from fatkit.gan import (
     state_tensors,
     train_step,
 )
-from fatkit.tensor import FormatError, ParameterError, Tensor
+from fatkit.tensor import (
+    FormatError,
+    ParameterError,
+    Tensor,
+    adam_step,
+    l1_loss,
+    mse_loss,
+    zero_grads,
+)
 
 
 # smallest extent that keeps every stride-2 stack above the 3x3 kernel minimum
@@ -61,8 +70,10 @@ def setup():
 
 
 def test_config_size_must_divide():
-    with pytest.raises(ParameterError):
-        GeneratorConfig(size=30)
+    for size in (30, 0, -8):
+        with pytest.raises(ParameterError, match="positive multiple of 4"):
+            GeneratorConfig(size=size)
+    assert GeneratorConfig(size=4).bottleneck == 1
 
 
 def test_spatial_config_control_grid_must_fit_bottleneck():
@@ -183,13 +194,17 @@ def test_discriminator_loss_symmetry(setup):
 
 
 def test_perfect_cycle_with_identity_stub(setup, monkeypatch):
+    # identity encoder, and a decoder that returns the source code: every
+    # cycle pass gives back its input
     cfg, state, pair = setup
-    monkeypatch.setattr(gan, "generator_forward", lambda x, *a, **k: x if isinstance(x, Tensor) else Tensor(x))
+    monkeypatch.setattr(gan, "encode", lambda img, gen: img if isinstance(img, Tensor) else Tensor(img))
+    monkeypatch.setattr(gan, "transfer_decode", lambda xb, *a, **k: xb)
     z_xy = Tensor(pair.x.image)
     z_yx = Tensor(pair.y.image)
+    ex, ey = Tensor(pair.x.image), Tensor(pair.y.image)
     weights = LossWeights(adv=0.0, cyc=1.0, per=0.0, make=0.0)
     total, parts = loss_generator(
-        pair, z_xy, z_yx, state.gen, state.disc_x, state.disc_y, state.percep, weights, cfg
+        pair, z_xy, z_yx, ex, ey, state.gen, state.disc_x, state.disc_y, state.percep, weights, cfg
     )
     assert parts["cyc"] == 0.0
     assert total.item() == 0.0
@@ -197,8 +212,9 @@ def test_perfect_cycle_with_identity_stub(setup, monkeypatch):
 
 def test_make_term_zero_when_output_equals_pgt(setup):
     cfg, state, pair = setup
+    ex, ey = encode(pair.x.image, state.gen), encode(pair.y.image, state.gen)
     total, parts = loss_generator(
-        pair, Tensor(pair.pgt_xy), Tensor(pair.pgt_yx), state.gen,
+        pair, Tensor(pair.pgt_xy), Tensor(pair.pgt_yx), ex, ey, state.gen,
         state.disc_x, state.disc_y, state.percep, LossWeights(), cfg,
     )
     assert parts["make"] == 0.0
@@ -216,8 +232,9 @@ def test_loss_components_match_numpy_recomputation(setup):
         state.gen, cfg,
     )
     weights = LossWeights(adv=0.5, cyc=3.0, per=0.25, make=2.0)
+    ex, ey = encode(pair.x.image, state.gen), encode(pair.y.image, state.gen)
     total, parts = loss_generator(
-        pair, z_xy, z_yx, state.gen, state.disc_x, state.disc_y, state.percep, weights, cfg
+        pair, z_xy, z_yx, ex, ey, state.gen, state.disc_x, state.disc_y, state.percep, weights, cfg
     )
 
     def np_bce_real(logits):
@@ -253,8 +270,9 @@ def test_missing_pgt_with_positive_weight(setup):
     bare = gan.TrainPair(x=pair.x, y=pair.y, feat_x=pair.feat_x, feat_y=pair.feat_y)
     with pytest.raises(ParameterError, match="pseudo ground truth"):
         loss_generator(
-            bare, Tensor(pair.x.image), Tensor(pair.y.image), state.gen,
-            state.disc_x, state.disc_y, state.percep, LossWeights(), cfg,
+            bare, Tensor(pair.x.image), Tensor(pair.y.image), encode(pair.x.image, state.gen),
+            encode(pair.y.image, state.gen), state.gen, state.disc_x, state.disc_y, state.percep,
+            LossWeights(), cfg,
         )
 
 
@@ -308,6 +326,97 @@ def test_non_finite_loss_aborts_with_component_name():
     state.gen.dec[-1].b.data[0] = np.nan  # final layer: no relu to mask the NaN
     with pytest.raises(NonFiniteLossError, match="J_D|J_G|adv|cyc|per|make"):
         train_step(state, pair, LossWeights(), lr=2e-4)
+
+
+def _four_pass_step(state, pair, weights, lr):
+    """Reference training step: four full `generator_forward` passes, each
+    encoding both of its images, and the loss stack written out inline."""
+    cfg, gen = state.config, state.gen
+    x, y = pair.x, pair.y
+    z_xy = generator_forward(x.image, y.image, x.landmarks, y.landmarks, x.mask, gen, cfg)
+    z_yx = generator_forward(y.image, x.image, y.landmarks, x.landmarks, y.mask, gen, cfg)
+    params = gan._all_params(state)
+    zero_grads(params)
+    j_d = loss_discriminators(
+        Tensor(x.image), Tensor(y.image), z_xy.detach(), z_yx.detach(), state.disc_x, state.disc_y
+    )
+    j_d.backward()
+    adam_step(state.adam_d, lr)
+    zero_grads(params)
+    adv = bce_with_logits(run_blocks(state.disc_x.blocks, z_yx), 1.0) + bce_with_logits(
+        run_blocks(state.disc_y.blocks, z_xy), 1.0
+    )
+    back_x = generator_forward(z_xy, x.image, x.landmarks, x.landmarks, x.mask, gen, cfg)
+    back_y = generator_forward(z_yx, y.image, y.landmarks, y.landmarks, y.mask, gen, cfg)
+    cyc = l1_loss(back_x, Tensor(x.image)) + l1_loss(back_y, Tensor(y.image))
+    per = mse_loss(run_blocks(state.percep.blocks, z_xy), Tensor(pair.feat_x)) + mse_loss(
+        run_blocks(state.percep.blocks, z_yx), Tensor(pair.feat_y)
+    )
+    make = mse_loss(z_xy, Tensor(pair.pgt_xy)) + mse_loss(z_yx, Tensor(pair.pgt_yx))
+    j_g = weights.adv * adv + weights.cyc * cyc + weights.per * per + weights.make * make
+    j_g.backward()
+    adam_step(state.adam_g, lr)
+    zero_grads(params)
+    parts = {"adv": adv, "cyc": cyc, "per": per, "make": make}
+    return {"J_D": j_d.item(), "J_G": j_g.item(), **{k: v.item() for k, v in parts.items()}}
+
+
+@pytest.mark.parametrize("spatial", [False, True])
+def test_encode_once_step_matches_four_pass_reference(spatial):
+    # encode-once only reorders floating-point sums: the loss rows and the
+    # parameters track the four-pass step to rounding over several steps
+    cfg = GeneratorConfig(size=32, base_width=4, heads=2, spatial=spatial)
+    fast = init_train_state(cfg, seed=17)
+    ref = init_train_state(cfg, seed=17)
+    x, y = faces(19, 20, size=32)
+    pair = prepare_pair(x, y, fast.percep, spatial_labels=cfg.warp_labels if spatial else ())
+    weights = LossWeights()
+    for _ in range(3):
+        row = train_step(fast, pair, weights, lr=1e-3)
+        expected = _four_pass_step(ref, pair, weights, lr=1e-3)
+        for name, value in expected.items():
+            np.testing.assert_allclose(row[name], value, rtol=1e-12, atol=0, err_msg=name)
+    # A conv bias in front of instance norm has an exact gradient of zero, so
+    # its gradient is round-off and Adam (step lr * g / (|g| + eps)) moves it
+    # by noise in either version: both must keep it at that size. Every other
+    # parameter must agree; the 1e-12 floor covers entries near zero, where
+    # Adam's per-entry scaling enlarges the relative rounding differences.
+    noise_only = {
+        id(block.b)
+        for blocks in (fast.gen.enc, fast.gen.pre, fast.gen.post, fast.disc_x.blocks, fast.disc_y.blocks,
+                       ref.gen.enc, ref.gen.pre, ref.gen.post, ref.disc_x.blocks, ref.disc_y.blocks)
+        for block in blocks
+        if block.norm
+    }
+    want = state_tensors(ref)
+    for name, tensor in state_tensors(fast).items():
+        if id(tensor) in noise_only:
+            assert np.abs(tensor.data).max() < 1e-8 and np.abs(want[name].data).max() < 1e-8, name
+        else:
+            np.testing.assert_allclose(tensor.data, want[name].data, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def test_train_step_convolution_count(monkeypatch):
+    # one default color step runs the four passes' encoders only for the two
+    # real faces and the two generated ones: 66 conv blocks (4 encodes x 6,
+    # 4 decodes x 3, 24 discriminator and 6 perceptual layers) plus the two
+    # attribute-estimator convolutions of each of the 4 attention passes
+    import fatkit.attention
+
+    cfg = GeneratorConfig()
+    state = init_train_state(cfg, seed=3)
+    x, y = faces(21, 22, size=cfg.size)
+    pair = prepare_pair(x, y, state.percep)
+    calls = {}
+    for module in (gan, fatkit.attention):
+        def counted(*args, _name=module.__name__, _conv=module.conv2d, **kw):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _conv(*args, **kw)
+
+        monkeypatch.setattr(module, "conv2d", counted)
+    train_step(state, pair, LossWeights(), lr=2e-4)
+    assert calls == {"fatkit.gan": 66, "fatkit.attention": 8}
+    assert sum(calls.values()) == 74
 
 
 def test_empty_dataset_rejected():

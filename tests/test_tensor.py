@@ -156,6 +156,35 @@ def test_conv_deconv_adjoint_identity(rng, stride):
         assert abs(lhs - rhs) < 1e-10
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("shape", [(2, 5, 7), (3, 8, 8)])
+def test_im2col_channel_major_layout_and_adjoint(rng, k, stride, shape):
+    from fatkit.tensor import _col2im, _im2col
+
+    x = rng.normal(size=shape)
+    cols, ho, wo = _im2col(x, k, stride)
+    c, h, w = shape
+    assert (ho, wo) == (-(-h // stride), -(-w // stride))
+    assert cols.shape == (c * k * k, ho * wo)
+    # row c*k*k + di*k + dj, column i*wo + j: channel c at tap (di, dj) of output (i, j)
+    pad = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    taps = cols.reshape(c, k, k, ho, wo)
+    for di in range(k):
+        for dj in range(k):
+            np.testing.assert_array_equal(
+                taps[:, di, dj], xp[:, di : di + stride * ho : stride, dj : dj + stride * wo : stride]
+            )
+    # _col2im is the adjoint: <im2col(x), C> == <x, col2im(C)>
+    for _ in range(3):
+        u = rng.normal(size=shape)
+        m = rng.normal(size=cols.shape)
+        lhs = float(np.sum(_im2col(u, k, stride)[0] * m))
+        rhs = float(np.sum(u * _col2im(m, shape, k, stride)))
+        assert abs(lhs - rhs) < 1e-12
+
+
 # -- normalization, activations, softmax ---------------------------------------
 
 
@@ -388,6 +417,17 @@ def test_adam_bit_identical_across_runs(rng):
     p1, m1, v1 = run()
     p2, m2, v2 = run()
     assert np.array_equal(p1, p2) and np.array_equal(m1, m2) and np.array_equal(v1, v2)
+
+
+@pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf"), float("-inf")])
+def test_adam_rejects_non_positive_or_non_finite_lr(lr):
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    p.grad = np.ones(2)
+    state = AdamState([p])
+    with pytest.raises(ParameterError, match="finite positive"):
+        adam_step(state, lr=lr)
+    np.testing.assert_array_equal(p.data, [1.0, -2.0])
+    assert state.t == 0
 
 
 def test_adam_shape_mismatch():
