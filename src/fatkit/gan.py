@@ -408,6 +408,8 @@ def loss_generator(pair: TrainPair, z_xy: Tensor, z_yx: Tensor, ex: Tensor, ey: 
     error between frozen features, and squared error against the pseudo
     ground truth.
     """
+    if weights.make > 0.0 and (pair.pgt_xy is None or pair.pgt_yx is None):
+        raise ParameterError("makeup weight is positive but the pair carries no pseudo ground truth")
     x, y = pair.x, pair.y
     adv = bce_with_logits(run_blocks(disc_x.blocks, z_yx), 1.0) + bce_with_logits(
         run_blocks(disc_y.blocks, z_xy), 1.0
@@ -418,8 +420,6 @@ def loss_generator(pair: TrainPair, z_xy: Tensor, z_yx: Tensor, ex: Tensor, ey: 
     per = mse_loss(run_blocks(percep.blocks, z_xy), Tensor(pair.feat_x)) + mse_loss(
         run_blocks(percep.blocks, z_yx), Tensor(pair.feat_y)
     )
-    if weights.make > 0.0 and (pair.pgt_xy is None or pair.pgt_yx is None):
-        raise ParameterError("makeup weight is positive but the pair carries no pseudo ground truth")
     if pair.pgt_xy is not None and pair.pgt_yx is not None:
         make = mse_loss(z_xy, Tensor(pair.pgt_xy)) + mse_loss(z_yx, Tensor(pair.pgt_yx))
     else:
@@ -546,13 +546,24 @@ def save_state(path, state: TrainState):
     save_tensors(path, state_tensors(state))
 
 
+class _Unfilled:
+    """Parameter stream of `load_generator`: its draws are left uninitialised,
+    because the checkpoint overwrites every tensor or the load fails."""
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.empty(size)
+
+
 def load_generator(path, config: GeneratorConfig) -> GeneratorParams:
-    """Rebuild a generator and load its weights from a checkpoint."""
+    """Rebuild a generator and load its weights from a checkpoint.
+
+    The loaded tensors require no gradient: a forward pass through the
+    generator builds no graph and frees each intermediate as it goes.
+    """
     from .tensor import load_tensors
 
-    children = np.random.SeedSequence(0).spawn(2)
-    gen = GeneratorParams(config, np.random.default_rng(children[0]),
-                          rng_spatial=np.random.default_rng(children[1]))
+    gen = GeneratorParams(config, _Unfilled, rng_spatial=_Unfilled)
     stored = load_tensors(path)
     for name, tensor in gen.named("gen").items():
         if name not in stored:
@@ -560,7 +571,8 @@ def load_generator(path, config: GeneratorConfig) -> GeneratorParams:
         arr = stored[name]
         if tuple(arr.shape) != tensor.shape:
             raise FormatError(f"checkpoint tensor {name!r} has shape {arr.shape}, expected {tensor.shape}")
-        tensor.data[...] = arr.astype(np.float64)
+        tensor.data[...] = arr
+        tensor.requires_grad = False
     return gen
 
 

@@ -251,8 +251,11 @@ def _mul(a: Tensor, other) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0  # subgradient at 0 is 0
-    return _from_op(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,), "relu")
+    # fmax maps NaN to 0; adding +0.0 turns the -0.0 that fmax keeps in its
+    # non-vector tail into +0.0, so the output equals where(x > 0, x, 0)
+    y = np.fmax(x.data, 0.0)
+    y += 0.0
+    return _from_op(y, (x,), lambda g: (g * (y > 0),), "relu")  # subgradient at 0 is 0
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -428,15 +431,23 @@ def _im2col(x: np.ndarray, k: int, stride: int):
 
     Row c*k*k + di*k + dj holds input channel c at kernel tap (di, dj) for
     every output position, so `w.reshape(C_out, C*k*k) @ cols` is the
-    convolution with no transposed copy (Chellapilla et al., 2006).
+    convolution with no transposed copy (Chellapilla et al., 2006). Each of
+    the k*k strided taps of the zero-padded input is copied once; a 1x1
+    stride-1 matrix is the input itself, reshaped.
     """
     c, h, w = x.shape
+    if k == 1 and stride == 1:
+        return x.reshape(c, h * w), h, w
     pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    win = win[:, ::stride, ::stride]
-    _, ho, wo, _, _ = win.shape
-    return win.transpose(0, 3, 4, 1, 2).reshape(c * k * k, ho * wo), ho, wo
+    ho = -(-h // stride)
+    wo = -(-w // stride)
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
+    xp[:, pad : pad + h, pad : pad + w] = x
+    cols = np.empty((c, k, k, ho, wo))
+    for di in range(k):
+        for dj in range(k):
+            cols[:, di, dj] = xp[:, di : di + stride * ho : stride, dj : dj + stride * wo : stride]
+    return cols.reshape(c * k * k, ho * wo), ho, wo
 
 
 def _col2im(cols: np.ndarray, xshape, k: int, stride: int) -> np.ndarray:
@@ -465,7 +476,10 @@ def _check_conv_args(x, w, b, stride):
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     """Cross-correlation with same padding; output is ceil(H/stride) per side.
 
-    x: (C_in,H,W), w: (C_out,C_in,k,k), b: (C_out,).
+    x: (C_in,H,W), w: (C_out,C_in,k,k), b: (C_out,). The backward builds
+    only the gradients of operands that require one. At stride 1 the input
+    gradient is a gather, the same-padded correlation of the output gradient
+    with the rotated, channel-swapped kernel; at larger strides it is `_col2im`.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     _check_conv_args(x.data, w.data, b.data, stride)
@@ -474,19 +488,27 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError(f"conv channels disagree: x {x.shape}, w {w.shape}, b {b.shape}")
     if x.shape[1] < k or x.shape[2] < k:
         raise ShapeError(f"input {x.shape[1:]} smaller than kernel {k}")
+    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
     cols, ho, wo = _im2col(x.data, k, stride)
     wmat = w.data.reshape(co, ci * k * k)
-    out = (wmat @ cols + b.data[:, None]).reshape(co, ho, wo)
+    out = wmat @ cols
+    out += b.data[:, None]
+    if not need_w:
+        cols = None  # only the weight gradient reads the columns
     xshape = x.shape
 
     def back(g):
         gmat = g.reshape(co, ho * wo)
-        gw = (gmat @ cols.T).reshape(w.shape)
-        gb = gmat.sum(axis=1)
-        gx = _col2im(wmat.T @ gmat, xshape, k, stride)
-        return (gx, gw, gb)
+        gx = None
+        if need_x and stride == 1:
+            rot = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * k * k)
+            gx = (rot @ _im2col(g, k, 1)[0]).reshape(xshape)
+        elif need_x:
+            gx = _col2im(wmat.T @ gmat, xshape, k, stride)
+        gw = (gmat @ cols.T).reshape(w.shape) if need_w else None
+        return (gx, gw, gmat.sum(axis=1) if need_b else None)
 
-    return _from_op(out, (x, w, b), back, "conv2d")
+    return _from_op(out.reshape(co, ho, wo), (x, w, b), back, "conv2d")
 
 
 def deconv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
@@ -494,6 +516,7 @@ def deconv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
 
     x: (C_a,h,w), w: (C_a,C_b,k,k), b: (C_b,); output (C_b, stride*h, stride*w),
     so <conv2d(u; w), x> == <u, deconv2d(x; w)> holds exactly (bias aside).
+    The backward builds only the gradients of operands that require one.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     _check_conv_args(x.data, w.data, b.data, stride)
@@ -502,6 +525,7 @@ def deconv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     ca, cb, k, _ = w.shape
     if x.shape[0] != ca or b.shape[0] != cb:
         raise ShapeError(f"deconv channels disagree: x {x.shape}, w {w.shape}, b {b.shape}")
+    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
     h, wid = x.shape[1], x.shape[2]
     oshape = (cb, stride * h, stride * wid)
     wmat = w.data.reshape(ca, cb * k * k)
@@ -509,11 +533,10 @@ def deconv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     out = _col2im(wmat.T @ xmat, oshape, k, stride) + b.data[:, None, None]
 
     def back(g):
-        gcols, _, _ = _im2col(g, k, stride)
-        gx = (wmat @ gcols).reshape(x.shape)
-        gw = (xmat @ gcols.T).reshape(w.shape)
-        gb = g.sum(axis=(1, 2))
-        return (gx, gw, gb)
+        gcols = _im2col(g, k, stride)[0] if need_x or need_w else None
+        gx = (wmat @ gcols).reshape(x.shape) if need_x else None
+        gw = (xmat @ gcols.T).reshape(w.shape) if need_w else None
+        return (gx, gw, g.sum(axis=(1, 2)) if need_b else None)
 
     return _from_op(out, (x, w, b), back, "deconv2d")
 
@@ -524,15 +547,19 @@ def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
         raise ParameterError(f"eps must be positive, got {eps}")
     if x.ndim != 3:
         raise ShapeError(f"instance_norm expects (C,H,W), got {x.shape}")
-    mu = x.data.mean(axis=(1, 2), keepdims=True)
-    var = x.data.var(axis=(1, 2), keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (x.data - mu) * inv
+    n = x.shape[1] * x.shape[2]
+    y = x.data - x.data.mean(axis=(1, 2), keepdims=True)
+    var = np.einsum("ijk,ijk->i", y, y) / n
+    inv = (1.0 / np.sqrt(var + eps))[:, None, None]
+    y *= inv
 
     def back(g):
         gm = g.mean(axis=(1, 2), keepdims=True)
-        gym = (g * y).mean(axis=(1, 2), keepdims=True)
-        return (inv * (g - gm - y * gym),)
+        gym = (np.einsum("ijk,ijk->i", g, y) / n)[:, None, None]
+        gx = g - gm
+        gx -= y * gym
+        gx *= inv
+        return (gx,)
 
     return _from_op(y, (x,), back, "instance_norm")
 

@@ -34,7 +34,9 @@ from fatkit.tensor import (
     Tensor,
     adam_step,
     l1_loss,
+    load_tensors,
     mse_loss,
+    save_tensors,
     zero_grads,
 )
 
@@ -268,12 +270,14 @@ def test_loss_components_match_numpy_recomputation(setup):
 def test_missing_pgt_with_positive_weight(setup):
     cfg, state, pair = setup
     bare = gan.TrainPair(x=pair.x, y=pair.y, feat_x=pair.feat_x, feat_y=pair.feat_y)
-    with pytest.raises(ParameterError, match="pseudo ground truth"):
-        loss_generator(
-            bare, Tensor(pair.x.image), Tensor(pair.y.image), encode(pair.x.image, state.gen),
-            encode(pair.y.image, state.gen), state.gen, state.disc_x, state.disc_y, state.percep,
-            LossWeights(), cfg,
-        )
+    codes = (encode(pair.x.image, state.gen), encode(pair.y.image, state.gen))
+    # image-shaped codes fail every forward pass, so the check must come first
+    for ex, ey in (codes, (Tensor(pair.x.image), Tensor(pair.y.image))):
+        with pytest.raises(ParameterError, match="pseudo ground truth"):
+            loss_generator(
+                bare, Tensor(pair.x.image), Tensor(pair.y.image), ex, ey, state.gen, state.disc_x,
+                state.disc_y, state.percep, LossWeights(), cfg,
+            )
 
 
 # -- training loop -------------------------------------------------------------------
@@ -444,11 +448,27 @@ def test_checkpoint_round_trip_reproduces_outputs(tmp_path):
     np.testing.assert_allclose(a, b, atol=1e-7)  # float32 storage rounding
 
 
+@pytest.mark.parametrize("spatial", [False, True])
+def test_load_generator_restores_every_stored_tensor(tmp_path, spatial):
+    cfg = tiny_config(spatial=spatial)
+    state = init_train_state(cfg, seed=67)
+    path = tmp_path / "model.fatw"
+    save_state(path, state)
+    stored = load_tensors(path)
+    restored = load_generator(path, cfg).named("gen")
+    assert list(restored) == [name for name in stored if name.startswith("gen.")]
+    for name, tensor in restored.items():
+        assert tensor.data.dtype == np.float64 and not tensor.requires_grad
+        np.testing.assert_array_equal(tensor.data, stored[name], err_msg=name)
+    stored["gen.dec1.w"] = stored["gen.dec1.w"][:, :-1]
+    save_tensors(tmp_path / "bad.fatw", stored)
+    with pytest.raises(FormatError, match="gen.dec1.w.*shape"):
+        load_generator(tmp_path / "bad.fatw", cfg)
+
+
 def test_checkpoint_missing_tensor(tmp_path):
     cfg = tiny_config()
     state = init_train_state(cfg, seed=71)
-    from fatkit.tensor import save_tensors
-
     save_tensors(tmp_path / "bad.fatw", {"gen.enc0.w": np.zeros((4, 3, 3, 3), dtype=np.float32)})
     with pytest.raises(FormatError, match="missing"):
         load_generator(tmp_path / "bad.fatw", cfg)

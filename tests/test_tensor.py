@@ -185,6 +185,49 @@ def test_im2col_channel_major_layout_and_adjoint(rng, k, stride, shape):
         assert abs(lhs - rhs) < 1e-12
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("channels", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("shape", [(5, 7), (8, 8)])
+def test_conv2d_stride1_input_gradient_gather_matches_col2im(rng, k, channels, shape):
+    from fatkit.tensor import _col2im
+
+    ci, co = channels
+    x = Tensor(rng.normal(size=(ci,) + shape), requires_grad=True)
+    w = Tensor(rng.normal(size=(co, ci, k, k)))
+    g = rng.normal(size=(co,) + shape)
+    (conv2d(x, w, Tensor(np.zeros(co)), stride=1) * Tensor(g)).sum().backward()
+    scatter = _col2im(w.data.reshape(co, ci * k * k).T @ g.reshape(co, -1), x.shape, k, 1)
+    assert x.grad.flags.c_contiguous
+    np.testing.assert_allclose(x.grad, scatter, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "op, wshape, xshape", [(conv2d, (3, 2, 3, 3), (2, 6, 6)), (deconv2d, (2, 3, 3, 3), (2, 4, 4))]
+)
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_builds_only_required_gradients(rng, op, wshape, xshape, stride):
+    def operands(x_grad, w_grad):
+        x = Tensor(np.full(xshape, 0.7) if not x_grad else rng.normal(size=xshape), requires_grad=x_grad)
+        w = Tensor(rng.normal(size=wshape), requires_grad=w_grad)
+        b = Tensor(rng.normal(size=wshape[0] if op is conv2d else wshape[1]), requires_grad=w_grad)
+        return x, w, b
+
+    # constant input: only the weight and bias gradients are built
+    x, w, b = operands(False, True)
+    out = op(x, w, b, stride=stride)
+    gx, gw, gb = out._backward(np.ones(out.shape))
+    assert gx is None and gw.shape == w.shape and gb.shape == b.shape
+    out.sum().backward()
+    assert x.grad is None and w.grad is not None and b.grad is not None
+    # frozen weights: only the input gradient is built
+    x, w, b = operands(True, False)
+    out = op(x, w, b, stride=stride)
+    gx, gw, gb = out._backward(np.ones(out.shape))
+    assert gw is None and gb is None and gx.shape == x.shape
+    out.sum().backward()
+    assert w.grad is None and b.grad is None and x.grad is not None
+
+
 # -- normalization, activations, softmax ---------------------------------------
 
 
@@ -217,6 +260,18 @@ def test_softmax_rows_sum_to_one_at_large_magnitude(rng):
     assert np.all((out.data >= 0.0) & (out.data <= 1.0))
     moderate = softmax(Tensor(rng.uniform(-5, 5, size=(20, 7))), axis=1)
     assert np.all((moderate.data > 0.0) & (moderate.data < 1.0))
+
+
+@pytest.mark.parametrize("n", [1, 3, 9, 70])
+def test_relu_special_values(n):
+    # the lengths cover both the vector body and the scalar tail of the kernel
+    specials = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, -1.5, 2.5])
+    x = np.resize(specials, n)
+    out = relu(Tensor(x)).data
+    expected = np.resize(np.array([0.0, 0.0, 0.0, np.inf, 0.0, 0.0, 2.5]), n)
+    np.testing.assert_array_equal(out, expected)
+    assert not np.signbit(out).any()  # -0.0 and NaN map to +0.0
+    assert out.tobytes() == np.where(x > 0, x, 0.0).tobytes()
 
 
 def test_tanh_bounded(rng):
@@ -339,6 +394,10 @@ def test_gradient_suite_per_op(rng, trial):
     check_grads(lambda a, b: (matmul(a, b) * p).sum(), [t(2, 3, 4), t(2, 4, 3)])
     p = probe(2, 3, 3)
     check_grads(lambda x, w, b: (conv2d(x, w, b, stride=2) * p).sum(), [t(1, 5, 5), t(2, 1, 3, 3), t(2)])
+    p = probe(3, 5, 7)
+    for k in (1, 3, 5):
+        # stride 1, two channels in and three out: the input gradient is the gather
+        check_grads(lambda x, w, b: (conv2d(x, w, b, stride=1) * p).sum(), [t(2, 5, 7), t(3, 2, k, k), t(3)])
     p = probe(1, 8, 8)
     check_grads(lambda x, w, b: (deconv2d(x, w, b, stride=2) * p).sum(), [t(2, 4, 4), t(2, 1, 3, 3), t(1)])
     p = probe(2, 4, 4)
