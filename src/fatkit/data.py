@@ -28,10 +28,8 @@ from .tensor import FormatError, ParameterError
 
 __all__ = [
     "LABELS",
-    "LABEL_NAMES",
     "LANDMARK_COUNT",
     "PART_LANDMARKS",
-    "OVAL_LANDMARKS",
     "FaceSample",
     "SynthFaceParams",
     "synth_face",
@@ -60,11 +58,9 @@ LABELS = {
     "lips": 6,
     "hair": 7,
 }
-LABEL_NAMES = {v: k for k, v in LABELS.items()}
 MAX_LABEL = 7
 
 LANDMARK_COUNT = 30
-OVAL_LANDMARKS = tuple(range(0, 8))
 PART_LANDMARKS = {
     2: tuple(range(8, 12)),
     3: tuple(range(12, 16)),

@@ -4,8 +4,11 @@ The generator is an encoder-decoder: three encoder convolutions (strides
 1, 2, 2), bottleneck blocks on each branch, the cross-face attribute
 transfer at the bottleneck (optionally with the predicted spatial warp),
 two more bottleneck blocks and a mirrored decoder, with a tanh output
-rescaled to [0,1]. Every conv block is convolution + instance norm + ReLU.
-Two patch discriminators tell real from generated in each domain.
+rescaled to [0,1]. Two patch discriminators tell real from generated in
+each domain. The encoder, bottleneck and inner discriminator blocks are
+convolution + instance norm + ReLU, with no bias, since the norm cancels
+one. The decoder and the first discriminator block skip the norm, the last
+decoder and discriminator blocks the ReLU too; these carry a bias.
 
 Training follows the unpaired two-generator-pass scheme: one discriminator
 update on detached fakes, then one generator update whose loss sums the
@@ -39,6 +42,7 @@ from .tensor import (
     instance_norm,
     l1_loss,
     mse_loss,
+    named_tensors,
     relu,
     softplus,
     tanh,
@@ -123,8 +127,8 @@ class LossWeights:
 
     def __post_init__(self):
         vals = (self.adv, self.cyc, self.per, self.make)
-        if min(vals) < 0.0:
-            raise ParameterError(f"loss weights must be nonnegative, got {vals}")
+        if not all(np.isfinite(v) and v >= 0.0 for v in vals):
+            raise ParameterError(f"loss weights must be finite and nonnegative, got {vals}")
         if max(vals) == 0.0:
             raise ParameterError("at least one loss weight must be positive")
 
@@ -154,7 +158,8 @@ def configs_from_settings(settings: dict):
 
 
 class ConvBlock:
-    """3x3 convolution (or transposed convolution) + optional norm + ReLU."""
+    """3x3 convolution (or transposed convolution) + optional norm + ReLU; a
+    block with instance norm, which cancels any per-channel constant, has no bias."""
 
     def __init__(self, rng, c_in, c_out, stride=1, norm=True, relu=True, transposed=False):
         scale = 1.0 / np.sqrt(c_in * 3 * 3)
@@ -163,7 +168,7 @@ class ConvBlock:
         else:
             shape = (c_out, c_in, 3, 3)
         self.w = Tensor(rng.normal(0.0, scale, size=shape), requires_grad=True)
-        self.b = Tensor(np.zeros(c_out), requires_grad=True)
+        self.b = None if norm else Tensor(np.zeros(c_out), requires_grad=True)
         self.stride = stride
         self.norm = norm
         self.relu = relu
@@ -179,13 +184,7 @@ class ConvBlock:
         return y
 
     def tensors(self):
-        return {"w": self.w, "b": self.b}
-
-
-def _named(prefix: str, parts) -> dict:
-    """Checkpoint names '<prefix>.<part>.<tensor>' over (part, component)
-    pairs, in order; the order is the checkpoint layout."""
-    return {f"{prefix}.{part}.{k}": v for part, comp in parts for k, v in comp.tensors().items()}
+        return {"w": self.w} if self.b is None else {"w": self.w, "b": self.b}
 
 
 def _numbered(stem: str, blocks) -> list:
@@ -238,7 +237,7 @@ class GeneratorParams:
         parts += _numbered("post", self.post) + _numbered("dec", self.dec)
         if self.spatial is not None:
             parts.append(("spatial", self.spatial))
-        return _named(prefix, parts)
+        return named_tensors(parts, prefix)
 
     def parameters(self):
         return list(self.named().values())
@@ -257,7 +256,7 @@ class DiscriminatorParams:
         ]
 
     def named(self, prefix="disc"):
-        return _named(prefix, _numbered("b", self.blocks))
+        return named_tensors(_numbered("b", self.blocks), prefix)
 
     def parameters(self):
         return list(self.named().values())
@@ -275,10 +274,10 @@ class PerceptualParams:
         ]
         for block in self.blocks:
             block.w.requires_grad = False
-            block.b.requires_grad = False
+            block.b = None  # a frozen zero bias adds nothing
 
     def named(self, prefix="percep"):
-        return _named(prefix, _numbered("b", self.blocks))
+        return named_tensors(_numbered("b", self.blocks), prefix)
 
 
 # -- forward passes ------------------------------------------------------------
@@ -558,7 +557,10 @@ class _Unfilled:
 def load_generator(path, config: GeneratorConfig) -> GeneratorParams:
     """Rebuild a generator and load its weights from a checkpoint.
 
-    The loaded tensors require no gradient: a forward pass through the
+    Stored tensors the generator does not use are ignored, such as the
+    discriminators' and the normed-block biases older checkpoints hold. A
+    missing, misshapen or non-finite tensor is a FormatError naming it. The
+    loaded tensors require no gradient: a forward pass through the
     generator builds no graph and frees each intermediate as it goes.
     """
     from .tensor import load_tensors
@@ -571,6 +573,8 @@ def load_generator(path, config: GeneratorConfig) -> GeneratorParams:
         arr = stored[name]
         if tuple(arr.shape) != tensor.shape:
             raise FormatError(f"checkpoint tensor {name!r} has shape {arr.shape}, expected {tensor.shape}")
+        if not np.isfinite(arr).all():
+            raise FormatError(f"checkpoint tensor {name!r} holds a non-finite value")
         tensor.data[...] = arr
         tensor.requires_grad = False
     return gen

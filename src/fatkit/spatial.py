@@ -28,6 +28,7 @@ from .tensor import (
     conv2d,
     grid_sample,
     matmul,
+    named_tensors,
     reshape,
     tanh,
     transpose,
@@ -124,10 +125,8 @@ class SpatialFatParams:
         self.ctrl_pos = Tensor(np.arctanh(lattice_map), requires_grad=True)
 
     def tensors(self) -> dict:
-        named = {}
-        if self.owns_color:
-            named.update({f"fat.{k}": v for k, v in self.fat.tensors().items()})
-        named.update({f"align.{k}": v for k, v in self.align.tensors().items()})
+        parts = [("fat", self.fat)] if self.owns_color else []
+        named = named_tensors(parts + [("align", self.align)])
         named.update({"ctrl_w": self.ctrl_w, "ctrl_b": self.ctrl_b, "ctrl_pos": self.ctrl_pos})
         return named
 

@@ -45,6 +45,7 @@ __all__ = [
     "AdamState",
     "adam_step",
     "zero_grads",
+    "named_tensors",
     "save_tensors",
     "load_tensors",
 ]
@@ -464,35 +465,41 @@ def _col2im(cols: np.ndarray, xshape, k: int, stride: int) -> np.ndarray:
     return xp[:, pad : pad + h, pad : pad + w]
 
 
-def _check_conv_args(x, w, b, stride):
+def _check_conv_args(x, w, b, stride, transposed=False):
+    """Checks shared by conv2d and deconv2d; b is None or one entry per output channel."""
     if stride < 1:
         raise ParameterError(f"stride must be >= 1, got {stride}")
-    if x.ndim != 3 or w.ndim != 4 or b.ndim != 1:
-        raise ShapeError(f"conv expects (C,H,W), (O,I,k,k), (O,), got {x.shape}, {w.shape}, {b.shape}")
+    if x.ndim != 3 or w.ndim != 4:
+        raise ShapeError(f"conv expects (C,H,W) and (O,I,k,k), got {x.shape}, {w.shape}")
     if w.shape[2] != w.shape[3] or w.shape[2] % 2 == 0:
         raise ParameterError(f"kernel must be square with odd extent, got {w.shape[2:]}")
+    c_in, c_out = (w.shape[0], w.shape[1]) if transposed else (w.shape[1], w.shape[0])
+    if x.shape[0] != c_in or (b is not None and b.shape != (c_out,)):
+        raise ShapeError(f"conv channels disagree: x {x.shape}, w {w.shape}, b {getattr(b, 'shape', None)}")
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
     """Cross-correlation with same padding; output is ceil(H/stride) per side.
 
-    x: (C_in,H,W), w: (C_out,C_in,k,k), b: (C_out,). The backward builds
-    only the gradients of operands that require one. At stride 1 the input
-    gradient is a gather, the same-padded correlation of the output gradient
-    with the rotated, channel-swapped kernel; at larger strides it is `_col2im`.
+    x: (C_in,H,W), w: (C_out,C_in,k,k), b: (C_out,) or None for no bias. The
+    backward returns (gx, gw, gb) and builds only the gradients of operands
+    that require one; the others, and gb with no bias, are None. At stride 1
+    the input gradient is a gather, the same-padded correlation of the output
+    gradient with the rotated, channel-swapped kernel; at larger strides it
+    is `_col2im`.
     """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    _check_conv_args(x.data, w.data, b.data, stride)
+    x, w = _as_tensor(x), _as_tensor(w)
+    b = None if b is None else _as_tensor(b)
+    _check_conv_args(x.data, w.data, b, stride)
     co, ci, k, _ = w.shape
-    if x.shape[0] != ci or b.shape[0] != co:
-        raise ShapeError(f"conv channels disagree: x {x.shape}, w {w.shape}, b {b.shape}")
     if x.shape[1] < k or x.shape[2] < k:
         raise ShapeError(f"input {x.shape[1:]} smaller than kernel {k}")
-    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
+    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b is not None and b.requires_grad
     cols, ho, wo = _im2col(x.data, k, stride)
     wmat = w.data.reshape(co, ci * k * k)
     out = wmat @ cols
-    out += b.data[:, None]
+    if b is not None:
+        out += b.data[:, None]
     if not need_w:
         cols = None  # only the weight gradient reads the columns
     xshape = x.shape
@@ -508,29 +515,30 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         gw = (gmat @ cols.T).reshape(w.shape) if need_w else None
         return (gx, gw, gmat.sum(axis=1) if need_b else None)
 
-    return _from_op(out.reshape(co, ho, wo), (x, w, b), back, "conv2d")
+    return _from_op(out.reshape(co, ho, wo), (x, w) if b is None else (x, w, b), back, "conv2d")
 
 
-def deconv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
+def deconv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
     """Transposed convolution: the adjoint of `conv2d` under the shared kernel.
 
-    x: (C_a,h,w), w: (C_a,C_b,k,k), b: (C_b,); output (C_b, stride*h, stride*w),
-    so <conv2d(u; w), x> == <u, deconv2d(x; w)> holds exactly (bias aside).
-    The backward builds only the gradients of operands that require one.
+    x: (C_a,h,w), w: (C_a,C_b,k,k), b: (C_b,) or None for no bias; output
+    (C_b, stride*h, stride*w), so <conv2d(u; w), x> == <u, deconv2d(x; w)>
+    holds exactly without biases. The backward is built as conv2d's.
     """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    _check_conv_args(x.data, w.data, b.data, stride)
+    x, w = _as_tensor(x), _as_tensor(w)
+    b = None if b is None else _as_tensor(b)
+    _check_conv_args(x.data, w.data, b, stride, transposed=True)
     if stride not in (1, 2):
         raise ParameterError(f"deconv stride must be 1 or 2, got {stride}")
     ca, cb, k, _ = w.shape
-    if x.shape[0] != ca or b.shape[0] != cb:
-        raise ShapeError(f"deconv channels disagree: x {x.shape}, w {w.shape}, b {b.shape}")
-    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
+    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b is not None and b.requires_grad
     h, wid = x.shape[1], x.shape[2]
     oshape = (cb, stride * h, stride * wid)
     wmat = w.data.reshape(ca, cb * k * k)
     xmat = x.data.reshape(ca, h * wid)
-    out = _col2im(wmat.T @ xmat, oshape, k, stride) + b.data[:, None, None]
+    out = _col2im(wmat.T @ xmat, oshape, k, stride)
+    if b is not None:
+        out += b.data[:, None, None]
 
     def back(g):
         gcols = _im2col(g, k, stride)[0] if need_x or need_w else None
@@ -538,7 +546,7 @@ def deconv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         gw = (xmat @ gcols.T).reshape(w.shape) if need_w else None
         return (gx, gw, g.sum(axis=(1, 2)) if need_b else None)
 
-    return _from_op(out, (x, w, b), back, "deconv2d")
+    return _from_op(out, (x, w) if b is None else (x, w, b), back, "deconv2d")
 
 
 def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
@@ -700,6 +708,14 @@ def zero_grads(params):
 
 _MAGIC = b"FATW"
 _VERSION = 1
+
+
+def named_tensors(parts, prefix: str = "") -> dict:
+    """Checkpoint names '<prefix>.<part>.<tensor>' ('<part>.<tensor>' with no
+    prefix) over (part, component) pairs, where `component.tensors()` maps
+    names to tensors; the order of the pairs is the checkpoint layout."""
+    head = f"{prefix}." if prefix else ""
+    return {f"{head}{part}.{k}": v for part, comp in parts for k, v in comp.tensors().items()}
 
 
 def save_tensors(path, named: dict):

@@ -161,6 +161,26 @@ def test_train_nonfinite_lr_is_usage_error(corpus, tmp_path):
     assert not (tmp_path / "m.fatw").exists()
 
 
+def test_train_non_finite_loss_weight_is_data_error(corpus, tmp_path, capsys, monkeypatch):
+    # rejected with the exit code of a negative weight, before any pair is prepared
+    import fatkit.gan
+    from fatkit.cli import main
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("prepare_pair ran")
+
+    monkeypatch.setattr(fatkit.gan, "prepare_pair", unexpected)
+    for value in ("nan", "inf", "-5"):
+        (tmp_path / "train.cfg").write_text(f"lambda_cyc = {value}\n")
+        code = main(["train", "--data", str(corpus), "--steps", "1", "--size", "48", "--width", "4",
+                     "--config", str(tmp_path / "train.cfg"), "--out", str(tmp_path / "m.fatw"),
+                     "--log", str(tmp_path / "l.csv")])
+        assert code == 2, value
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fatkit train: loss weights must be finite and nonnegative")
+    assert not (tmp_path / "m.fatw").exists()
+
+
 def test_train_image_size_mismatch_is_data_error(corpus, tmp_path):
     # the 48 px corpus under the default 64 px model, and an impossible size
     args = ("train", "--data", corpus, "--steps", 1, "--width", 4,
@@ -277,6 +297,61 @@ def test_transfer_highres_malformed_box_is_usage_error(corpus, model, tmp_path):
             f"fatkit transfer: error: --highres needs --box x,y,w,h as four integers, got '{box}'"
         ]
     assert not (tmp_path / "hi.ppm").exists()
+
+
+def saved_model(path, seed=0):
+    """A fresh 48 px, width-4 generator checkpoint plus its `.cfg` sidecar."""
+    from fatkit.gan import MODEL_KEYS, SETTINGS, config_text, configs_from_settings, init_train_state, save_state
+
+    settings = {**SETTINGS, "size": 48, "base_width": 4}
+    save_state(path, init_train_state(configs_from_settings(settings)[0], seed=seed))
+    path.with_name(path.name + ".cfg").write_text(config_text({k: settings[k] for k in MODEL_KEYS}))
+
+
+def transfer_in_process(corpus, model_path, out, capsys):
+    from fatkit.cli import main
+
+    code = main(["transfer", "--model", str(model_path), "--source", str(corpus / "0000.ppm"),
+                 "--ref", str(corpus / "0001.ppm"), "--out", str(out)])
+    return code, capsys.readouterr().err
+
+
+def test_transfer_reads_checkpoints_that_store_normed_block_biases(corpus, tmp_path, capsys):
+    # older checkpoints also store a bias for every instance-normed and every
+    # perceptual block; load_generator ignores them, so the output is the same
+    import shutil
+
+    from fatkit.tensor import load_tensors, save_tensors
+
+    saved_model(tmp_path / "new.fatw")
+    stored = load_tensors(tmp_path / "new.fatw")
+    rng = np.random.default_rng(3)
+    old = {}
+    for name, arr in stored.items():
+        old[name] = arr
+        bias = name[:-1] + "b"
+        if name.endswith(".w") and bias not in stored:
+            old[bias] = rng.normal(0.0, 1e-3, size=arr.shape[0]).astype(np.float32)
+    assert len(old) - len(stored) == 15
+    save_tensors(tmp_path / "old.fatw", old)
+    shutil.copy(tmp_path / "new.fatw.cfg", tmp_path / "old.fatw.cfg")
+    for stem in ("new", "old"):
+        code, err = transfer_in_process(corpus, tmp_path / f"{stem}.fatw", tmp_path / f"{stem}.ppm", capsys)
+        assert code == 0, err
+    assert (tmp_path / "new.ppm").read_bytes() == (tmp_path / "old.ppm").read_bytes()
+
+
+def test_transfer_rejects_non_finite_checkpoint_tensor(corpus, tmp_path, capsys):
+    from fatkit.tensor import load_tensors, save_tensors
+
+    saved_model(tmp_path / "m.fatw")
+    stored = load_tensors(tmp_path / "m.fatw")
+    stored["gen.dec2.w"][0, 0, 1, 1] = np.nan
+    save_tensors(tmp_path / "m.fatw", stored)
+    code, err = transfer_in_process(corpus, tmp_path / "m.fatw", tmp_path / "t.ppm", capsys)
+    assert code == 2
+    assert err.splitlines() == ["fatkit transfer: checkpoint tensor 'gen.dec2.w' holds a non-finite value"]
+    assert not (tmp_path / "t.ppm").exists()
 
 
 # -- warp ---------------------------------------------------------------------------

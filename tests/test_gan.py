@@ -97,6 +97,9 @@ def test_settings_table_defaults_are_the_dataclass_defaults():
 def test_weights_validation():
     with pytest.raises(ParameterError):
         LossWeights(adv=-1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError, match="finite and nonnegative"):
+            LossWeights(cyc=bad)
     with pytest.raises(ParameterError):
         LossWeights(adv=0.0, cyc=0.0, per=0.0, make=0.0)
 
@@ -177,7 +180,8 @@ def test_chance_discriminator_anchor(setup):
     for disc in (state.disc_x, state.disc_y):
         for block in disc.blocks:
             block.w.data[...] = 0.0
-            block.b.data[...] = 0.0
+            if block.b is not None:
+                block.b.data[...] = 0.0
     j_d = loss_discriminators(
         Tensor(pair.x.image), Tensor(pair.y.image),
         Tensor(pair.y.image), Tensor(pair.x.image),
@@ -380,24 +384,12 @@ def test_encode_once_step_matches_four_pass_reference(spatial):
         expected = _four_pass_step(ref, pair, weights, lr=1e-3)
         for name, value in expected.items():
             np.testing.assert_allclose(row[name], value, rtol=1e-12, atol=0, err_msg=name)
-    # A conv bias in front of instance norm has an exact gradient of zero, so
-    # its gradient is round-off and Adam (step lr * g / (|g| + eps)) moves it
-    # by noise in either version: both must keep it at that size. Every other
-    # parameter must agree; the 1e-12 floor covers entries near zero, where
-    # Adam's per-entry scaling enlarges the relative rounding differences.
-    noise_only = {
-        id(block.b)
-        for blocks in (fast.gen.enc, fast.gen.pre, fast.gen.post, fast.disc_x.blocks, fast.disc_y.blocks,
-                       ref.gen.enc, ref.gen.pre, ref.gen.post, ref.disc_x.blocks, ref.disc_y.blocks)
-        for block in blocks
-        if block.norm
-    }
+    # every parameter agrees; the 1e-12 floor covers entries near zero, where
+    # Adam's per-entry scaling enlarges the relative rounding differences
     want = state_tensors(ref)
+    assert list(want) == list(state_tensors(fast))
     for name, tensor in state_tensors(fast).items():
-        if id(tensor) in noise_only:
-            assert np.abs(tensor.data).max() < 1e-8 and np.abs(want[name].data).max() < 1e-8, name
-        else:
-            np.testing.assert_allclose(tensor.data, want[name].data, rtol=1e-12, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(tensor.data, want[name].data, rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 def test_train_step_convolution_count(monkeypatch):
@@ -475,21 +467,28 @@ def test_checkpoint_missing_tensor(tmp_path):
 
 
 def test_state_tensor_names_and_order():
-    # the checkpoint layout is this name list, in this order
-    def blocks(prefix, count):
-        return [f"{prefix}{i}.{t}" for i in range(count) for t in ("w", "b")]
+    # the checkpoint layout is this name list, in this order; blocks with
+    # instance norm and the frozen perceptual blocks store no bias
+    def blocks(prefix, count, bias=True):
+        return [f"{prefix}{i}.{t}" for i in range(count) for t in (("w", "b") if bias else ("w",))]
 
     def fat(prefix):
         return [f"{prefix}.{t}" for t in ("w_query", "w_ref", "w_mix", "est1_w", "est1_b", "est2_w", "est2_b")]
 
+    def disc(prefix):
+        # only the first and the last block skip instance norm
+        return [f"{prefix}.{t}" for t in ("b0.w", "b0.b", "b1.w", "b2.w", "b3.w", "b3.b")]
+
     expected = (
-        blocks("gen.enc", 3) + blocks("gen.pre", 3) + fat("gen.fat") + blocks("gen.post", 2)
-        + blocks("gen.dec", 3) + fat("gen.spatial.align")
+        blocks("gen.enc", 3, bias=False) + blocks("gen.pre", 3, bias=False) + fat("gen.fat")
+        + blocks("gen.post", 2, bias=False) + blocks("gen.dec", 3) + fat("gen.spatial.align")
         + ["gen.spatial.ctrl_w", "gen.spatial.ctrl_b", "gen.spatial.ctrl_pos"]
-        + blocks("disc_x.b", 4) + blocks("disc_y.b", 4) + blocks("percep.b", 3)
+        + disc("disc_x") + disc("disc_y") + blocks("percep.b", 3, bias=False)
     )
     state = init_train_state(tiny_config(spatial=True), seed=0)
     assert list(state_tensors(state)) == expected
+    assert len(expected) == 46
+    assert len(state_tensors(init_train_state(tiny_config(), seed=0))) == 36
 
 
 def test_prepare_pair_spatial_labels_change_pgt():

@@ -204,6 +204,21 @@ def test_conv2d_stride1_input_gradient_gather_matches_col2im(rng, k, channels, s
 @pytest.mark.parametrize(
     "op, wshape, xshape", [(conv2d, (3, 2, 3, 3), (2, 6, 6)), (deconv2d, (2, 3, 3, 3), (2, 4, 4))]
 )
+def test_conv_without_bias(rng, op, wshape, xshape):
+    x = Tensor(rng.normal(size=xshape), requires_grad=True)
+    w = Tensor(rng.normal(size=wshape), requires_grad=True)
+    out = op(x, w, stride=2)
+    gx, gw, gb = out._backward(np.ones(out.shape))
+    assert gx.shape == x.shape and gw.shape == w.shape and gb is None
+    out.sum().backward()
+    assert x.grad is not None and w.grad is not None
+    with pytest.raises(ShapeError, match="channels disagree"):
+        op(x, w, Tensor(np.zeros(4)), stride=2)
+
+
+@pytest.mark.parametrize(
+    "op, wshape, xshape", [(conv2d, (3, 2, 3, 3), (2, 6, 6)), (deconv2d, (2, 3, 3, 3), (2, 4, 4))]
+)
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv_builds_only_required_gradients(rng, op, wshape, xshape, stride):
     def operands(x_grad, w_grad):
@@ -398,6 +413,10 @@ def test_gradient_suite_per_op(rng, trial):
     for k in (1, 3, 5):
         # stride 1, two channels in and three out: the input gradient is the gather
         check_grads(lambda x, w, b: (conv2d(x, w, b, stride=1) * p).sum(), [t(2, 5, 7), t(3, 2, k, k), t(3)])
+    # no bias: the output is the zero-bias output bit for bit
+    x, w = t(2, 5, 7), t(3, 2, 3, 3)
+    assert conv2d(x, w).data.tobytes() == conv2d(x, w, Tensor(np.zeros(3))).data.tobytes()
+    check_grads(lambda x, w: (conv2d(x, w, stride=1) * p).sum(), [x, w])
     p = probe(1, 8, 8)
     check_grads(lambda x, w, b: (deconv2d(x, w, b, stride=2) * p).sum(), [t(2, 4, 4), t(2, 1, 3, 3), t(1)])
     p = probe(2, 4, 4)
