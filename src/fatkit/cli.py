@@ -157,6 +157,7 @@ def _load_corpus_pairs(data_dir, size):
 
 
 def _cmd_train(args) -> int:
+    from .data import open_ascii
     from .gan import (
         MODEL_KEYS,
         SETTINGS,
@@ -173,7 +174,7 @@ def _cmd_train(args) -> int:
     settings = dict(SETTINGS)
     settings.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
     if args.config:
-        with open(args.config, "r", encoding="ascii") as fh:
+        with open_ascii(args.config) as fh:
             settings.update(parse_config_text(fh.read()))
     if settings["steps"] < 1:
         raise _UsageError(f"--steps must be at least 1, got {settings['steps']}")
@@ -195,7 +196,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
-    from .data import load_sample, read_ppm, write_ppm
+    from .data import load_sample, open_ascii, read_ppm, write_ppm
     from .gan import (
         MODEL_KEYS,
         SETTINGS,
@@ -214,7 +215,7 @@ def _cmd_transfer(args) -> int:
         if len(box) != 4:
             raise _UsageError(f"--highres needs --box x,y,w,h as four integers, got {args.box!r}")
     sidecar = args.model + ".cfg"
-    with open(sidecar, "r", encoding="ascii") as fh:
+    with open_ascii(sidecar) as fh:
         stored = parse_config_text(fh.read())
     # control_grid joined the sidecar later; older models were all trained with the default
     for key in MODEL_KEYS:

@@ -18,6 +18,7 @@ corpus seed, so regeneration is byte-identical.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ __all__ = [
     "random_face_params",
     "make_corpus",
     "read_manifest",
+    "open_ascii",
     "write_ppm",
     "read_ppm",
     "write_pgm",
@@ -333,7 +335,7 @@ def make_corpus(out_dir, count: int, size: int, seed: int):
 def read_manifest(path):
     """Manifest rows as (id, group, image, landmarks, mask) tuples."""
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open_ascii(path) as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:
@@ -345,6 +347,21 @@ def read_manifest(path):
 
 
 # -- file formats ------------------------------------------------------------------
+
+
+def open_ascii(path) -> io.StringIO:
+    """The whole of an ASCII text file, read as text mode reads it.
+
+    A byte outside ASCII raises FormatError naming the file and the byte's
+    offset.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: byte {exc.start} is {blob[exc.start]:#04x}, not ASCII text") from exc
+    return io.StringIO(text, newline=None)
 
 
 def write_ppm(path, image: np.ndarray):
@@ -438,7 +455,7 @@ def read_point_text(path, magic: str, count, lo: float, hi: float) -> np.ndarray
     number in [lo, hi]. Any deviation raises FormatError.
     """
     expected = "<K>" if count is None else count
-    with open(path, "r", encoding="ascii") as fh:
+    with open_ascii(path) as fh:
         header = fh.readline().split()
         if len(header) != 3 or header[0] != magic or header[1] != "1":
             raise FormatError(f"{path}: expected '{magic} 1 {expected}' header, got {' '.join(header)!r}")

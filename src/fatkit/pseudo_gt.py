@@ -23,7 +23,15 @@ import numpy as np
 
 from .data import PART_LANDMARKS, FaceSample, write_ppm
 from .tensor import ParameterError
-from .tps import DegenerateGeometryError, min_shift, tps_grid, tps_solve, warp_image
+from .tps import (
+    DegenerateGeometryError,
+    identity_grid,
+    min_shift,
+    tps_apply,
+    tps_grid,
+    tps_solve,
+    warp_image,
+)
 
 __all__ = [
     "PseudoGT",
@@ -63,13 +71,12 @@ def _unit(landmarks: np.ndarray) -> np.ndarray:
     return np.asarray(landmarks, dtype=np.float64) * 2.0 - 1.0
 
 
-def _sampling_grid(content_src: np.ndarray, content_dst: np.ndarray, h: int, w: int):
-    """Grid moving image content at `content_src` onto `content_dst`.
+def _sampling_transform(content_src: np.ndarray, content_dst: np.ndarray):
+    """TPS moving image content at `content_src` onto `content_dst`.
 
     Bilinear sampling pulls, so the solved transform runs dst -> src.
     """
-    transform = tps_solve(content_dst, content_src)
-    return tps_grid(transform, h, w)
+    return tps_solve(content_dst, content_src)
 
 
 def _box_blur(mask: np.ndarray) -> np.ndarray:
@@ -98,18 +105,32 @@ def _dilate(mask: np.ndarray, iterations: int) -> np.ndarray:
     return out
 
 
-def _paste(base: np.ndarray, insert: np.ndarray, region: np.ndarray) -> np.ndarray:
-    """Feathered paste of `insert` over `base` inside a boolean region."""
-    weight = _box_blur(region)[None, :, :]
-    return weight * insert + (1.0 - weight) * base
+def _window(region: np.ndarray):
+    """(rows, cols) slices of the region's bounding box plus a 1-pixel ring,
+    clipped to the image: outside them `_box_blur(region)` is exactly 0."""
+    rows = np.flatnonzero(region.any(axis=1))
+    cols = np.flatnonzero(region.any(axis=0))
+    h, w = region.shape
+    return (
+        slice(max(rows[0] - 1, 0), min(rows[-1] + 2, h)),
+        slice(max(cols[0] - 1, 0), min(cols[-1] + 2, w)),
+    )
+
+
+def _paste(base: np.ndarray, insert: np.ndarray, region: np.ndarray, window) -> np.ndarray:
+    """Feathered paste of `insert`, which covers only `window`, over `base`
+    inside a boolean region."""
+    # the window's ring is False or the image edge, so blurring the window
+    # alone gives the same weights as blurring the whole mask
+    weight = _box_blur(region[window])[None, :, :]
+    out = base.copy()
+    out[:, window[0], window[1]] = weight * insert + (1.0 - weight) * base[:, window[0], window[1]]
+    return out
 
 
 def _coarse_warp(source: FaceSample, reference: FaceSample) -> np.ndarray:
-    grid = _sampling_grid(
-        _unit(reference.landmarks), _unit(source.landmarks),
-        source.image.shape[1], source.image.shape[2],
-    )
-    return warp_image(reference.image, grid)
+    transform = _sampling_transform(_unit(reference.landmarks), _unit(source.landmarks))
+    return warp_image(reference.image, tps_grid(transform, source.image.shape[1], source.image.shape[2]))
 
 
 def color_pgt(source: FaceSample, reference: FaceSample) -> PseudoGT:
@@ -119,12 +140,14 @@ def color_pgt(source: FaceSample, reference: FaceSample) -> PseudoGT:
     then lips, eyebrows and eyes are re-warped from their own landmark
     subsets (plus corner anchors) and pasted back through the source parsing
     mask. Parts whose subset solve degenerates are skipped and left out of
-    `parts_refined`.
+    `parts_refined`. A part's TPS is evaluated, and the reference sampled,
+    only on the window its paste can change.
     """
     if source.landmarks.shape != reference.landmarks.shape:
         raise ParameterError("source and reference landmark schemas differ")
     h, w = source.image.shape[1], source.image.shape[2]
     out = _coarse_warp(source, reference)
+    lattice = identity_grid(h, w)
     refined = []
     for label, indices in PART_LANDMARKS.items():
         region = source.mask == label
@@ -133,11 +156,13 @@ def color_pgt(source: FaceSample, reference: FaceSample) -> PseudoGT:
         src_pts = np.concatenate([_unit(source.landmarks[list(indices)]), _CORNERS])
         ref_pts = np.concatenate([_unit(reference.landmarks[list(indices)]), _CORNERS])
         try:
-            grid = _sampling_grid(ref_pts, src_pts, h, w)
+            transform = _sampling_transform(ref_pts, src_pts)
         except DegenerateGeometryError:
             continue
-        part = warp_image(reference.image, grid)
-        out = _paste(out, part, region)
+        window = _window(region)
+        points = lattice[window]
+        grid = tps_apply(transform, points.reshape(-1, 2)).reshape(points.shape)
+        out = _paste(out, warp_image(reference.image, grid), region, window)
         refined.append(label)
     return PseudoGT(image=np.clip(out, 0.0, 1.0), mode="tps-color", parts_refined=tuple(refined))
 
@@ -186,18 +211,17 @@ def spatial_pgt(
     target = ref_contour - shift  # reference shape at the source location
     h, w = color_gt.image.shape[1], color_gt.image.shape[2]
     try:
-        grid = _sampling_grid(
-            np.concatenate([src_contour, _CORNERS]),
-            np.concatenate([target, _CORNERS]),
-            h, w,
+        transform = _sampling_transform(
+            np.concatenate([src_contour, _CORNERS]), np.concatenate([target, _CORNERS])
         )
     except DegenerateGeometryError:
         warnings.warn(f"degenerate contour for part {part_label}; spatial stage skipped")
         return PseudoGT(image=color_gt.image.copy(), mode="tps-spatial", parts_refined=())
-    warped = warp_image(color_gt.image, grid)
+    grid = tps_grid(transform, h, w)
     landed = warp_image(region[None].astype(np.float64), grid)[0] >= 0.5
     paste_region = _dilate(region | landed, 2)
-    out = _paste(color_gt.image, warped, paste_region)
+    window = _window(paste_region)
+    out = _paste(color_gt.image, warp_image(color_gt.image, grid[window]), paste_region, window)
     return PseudoGT(
         image=np.clip(out, 0.0, 1.0),
         mode="tps-spatial",

@@ -3,9 +3,9 @@
 The generator runs at a low working resolution. For a high-resolution crop,
 the detail lost by downsampling is the interpolation deviation
 `orig - upsample(low)`; adding it back onto the upsampled output restores
-the high-frequency content. Plain bilinear interpolation with the same
-pixel-center convention as the warping code, so the identity case cancels
-exactly before clamping.
+the high-frequency content. Bilinear upsampling is linear, so the sum is
+computed as `orig + upsample(z - low)` with a single resize, and the
+identity case `z = low` returns the crop exactly before clamping.
 """
 
 from __future__ import annotations
@@ -61,14 +61,14 @@ def paste_crop(frame: np.ndarray, pair: HighResPair, content: np.ndarray) -> np.
 def pyramid_reconstruct(pair: HighResPair, z: np.ndarray, clamp: bool = True) -> np.ndarray:
     """Attach the crop's high-frequency detail to a low-resolution output.
 
-    deviation = orig - upsample(low); result = deviation + upsample(z).
-    With z equal to the low input the interpolation terms cancel and the
-    original crop comes back exactly (before the [0,1] clamp).
+    (orig - upsample(low)) + upsample(z), computed with one resize as
+    result = orig + upsample(z - low), since bilinear upsampling is linear.
+    With z equal to the low input the upsampled difference is exactly 0 and
+    the original crop comes back bit for bit (before the [0,1] clamp).
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != pair.low.shape:
         raise ParameterError(f"output {z.shape} does not match low-res input {pair.low.shape}")
     _, bh, bw = pair.orig.shape
-    deviation = pair.orig - bilinear_resize(pair.low, bh, bw)
-    out = deviation + bilinear_resize(z, bh, bw)
-    return np.clip(out, 0.0, 1.0) if clamp else out
+    out = pair.orig + bilinear_resize(z - pair.low, bh, bw)
+    return np.clip(out, 0.0, 1.0, out=out) if clamp else out

@@ -280,7 +280,8 @@ def xlogx(x: Tensor) -> Tensor:
     d = x.data
     pos = d > 1e-300
     safe = np.where(pos, d, 1.0)
-    y = np.where(pos, safe * np.log(safe), 0.0)
+    y = np.log(safe)  # 0 wherever safe was set to 1
+    y *= safe
 
     def back(g):
         return (g * np.where(pos, np.log(safe) + 1.0, 0.0),)
@@ -400,10 +401,15 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"sqdist needs matching row widths, got {a.shape} and {b.shape}")
-    diff = a.data[:, None, :] - b.data[None, :, :]
-    y = np.einsum("ijk,ijk->ij", diff, diff)
+    # summed axis by axis, so no (N,K,D) difference array is built
+    y = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        d = np.subtract.outer(a.data[:, k], b.data[:, k])
+        d *= d
+        y += d
 
     def back(g):
+        diff = a.data[:, None, :] - b.data[None, :, :]
         ga = 2.0 * np.einsum("ij,ijk->ik", g, diff)
         gb = -2.0 * np.einsum("ij,ijk->jk", g, diff)
         return (ga, gb)

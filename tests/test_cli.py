@@ -181,6 +181,53 @@ def test_train_non_finite_loss_weight_is_data_error(corpus, tmp_path, capsys, mo
     assert not (tmp_path / "m.fatw").exists()
 
 
+def test_non_ascii_text_inputs_are_data_errors(corpus, tmp_path, capsys):
+    # one stray byte in a landmark file, the manifest, a config file or a
+    # model's .cfg sidecar: exit 2 with one line naming the file
+    import shutil
+
+    from fatkit.cli import main
+
+    data = tmp_path / "data"
+    shutil.copytree(corpus, data)
+    saved_model(tmp_path / "m.fatw")
+    (tmp_path / "train.cfg").write_text("steps = 1\n")
+    pts = tmp_path / "p.txt"
+    write_points(pts, np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]))
+    train = ["train", "--data", str(data), "--size", "48", "--width", "4",
+             "--config", str(tmp_path / "train.cfg"), "--out", str(tmp_path / "t.fatw"),
+             "--log", str(tmp_path / "l.csv")]
+    transfer = ["transfer", "--model", str(tmp_path / "m.fatw"), "--source", str(data / "0000.ppm"),
+                "--ref", str(data / "0001.ppm"), "--out", str(tmp_path / "t.ppm")]
+    warp = ["warp", "--image", str(data / "0000.ppm"), "--src-pts", str(pts), "--dst-pts", str(pts),
+            "--out", str(tmp_path / "w.ppm")]
+    for argv, bad in ((train, data / "0003.lm"), (train, data / "manifest.txt"),
+                      (train, tmp_path / "train.cfg"), (transfer, tmp_path / "m.fatw.cfg"),
+                      (warp, pts)):
+        clean = bad.read_bytes()
+        bad.write_bytes(clean + b"# \xc3\xa9\n")
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        bad.write_bytes(clean)
+        assert code == 2, bad
+        assert err == [f"fatkit {argv[0]}: {bad}: byte {len(clean) + 2} is 0xc3, not ASCII text"]
+    assert not any((tmp_path / name).exists() for name in ("t.fatw", "t.ppm", "w.ppm"))
+
+
+def test_thread_cap_does_not_change_spatial_training(corpus, tmp_path, monkeypatch):
+    # FAT_THREADS only fills BLAS variables that are unset, so unset them
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    (tmp_path / "train.cfg").write_text("control_grid = 4\n")  # divides the 12x12 bottleneck
+    for threads in ("1", "2"):
+        result = run_cli("train", "--data", corpus, "--steps", 4, "--size", 48, "--width", 4, "--spatial",
+                         "--config", tmp_path / "train.cfg", "--out", tmp_path / f"m{threads}.fatw",
+                         "--log", tmp_path / f"l{threads}.csv", env={"FAT_THREADS": threads})
+        assert result.returncode == 0, result.stderr
+    for name in ("m{}.fatw", "m{}.fatw.cfg", "l{}.csv"):
+        assert (tmp_path / name.format(1)).read_bytes() == (tmp_path / name.format(2)).read_bytes(), name
+
+
 def test_train_image_size_mismatch_is_data_error(corpus, tmp_path):
     # the 48 px corpus under the default 64 px model, and an impossible size
     args = ("train", "--data", corpus, "--steps", 1, "--width", 4,

@@ -1,5 +1,7 @@
 """Synthetic faces, corpus generation, and the three file formats."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,20 @@ def test_landmarks_out_of_range_or_non_finite(tmp_path):
         path.write_text(f"FATLM 1 {LANDMARK_COUNT}\n" + "0.5 0.5\n" * (LANDMARK_COUNT - 1) + bad + "\n")
         with pytest.raises(FormatError, match="finite and lie in"):
             read_landmarks(path)
+
+
+def test_landmarks_reject_non_ascii_byte(tmp_path):
+    path = tmp_path / "f.lm"
+    path.write_bytes(f"FATLM 1 {LANDMARK_COUNT}\n".encode() + b"0.5 0.5\xff\n" * LANDMARK_COUNT)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: byte 18 is 0xff, not ASCII text")):
+        read_landmarks(path)
+
+
+def test_manifest_rejects_non_ascii_byte(tmp_path):
+    path = tmp_path / "manifest.txt"
+    path.write_bytes(b"0000 plain 0000.ppm 0000.lm 0000.pgm\n0001 m\xe4keup 0001.ppm 0001.lm 0001.pgm\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: byte 43 is 0xe4, not ASCII text")):
+        read_manifest(path)
 
 
 def test_load_sample_requires_matching_mask(tmp_path, rng):

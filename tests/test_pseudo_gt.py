@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import brow_shape, brow_shape_pair
-from fatkit.data import LANDMARK_COUNT, FaceSample, random_face_params, synth_face
+from fatkit.data import LANDMARK_COUNT, PART_LANDMARKS, FaceSample, random_face_params, synth_face
 from fatkit.pseudo_gt import (
     HISTOGRAM_REGIONS,
+    _densify_open_contour,
+    _dilate,
     blend_pgt,
     color_pgt,
     histogram_pgt,
@@ -16,6 +18,7 @@ from fatkit.pseudo_gt import (
     write_pgt,
 )
 from fatkit.tensor import ParameterError
+from fatkit.tps import min_shift, tps_grid, tps_solve, warp_image
 
 
 def face(seed, group="plain", **overrides):
@@ -129,6 +132,83 @@ def test_spatial_pgt_unknown_label(makeup_face):
     gt = color_pgt(makeup_face, makeup_face)
     with pytest.raises(ParameterError):
         spatial_pgt(gt, makeup_face, makeup_face, 9)
+
+
+# -- part warps against a full-grid reference ---------------------------------------
+
+
+CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+
+
+def _full_grid_warp(image, content_src, content_dst):
+    h, w = image.shape[1:]
+    return warp_image(image, tps_grid(tps_solve(content_dst, content_src), h, w))
+
+
+def _full_paste(base, insert, region):
+    padded = np.pad(region.astype(np.float64), 1, mode="edge")
+    acc = np.zeros(region.shape)
+    for dy in range(3):
+        for dx in range(3):
+            acc += padded[dy : dy + region.shape[0], dx : dx + region.shape[1]]
+    weight = (acc / 9.0)[None]
+    return weight * insert + (1.0 - weight) * base
+
+
+def _full_grid_color_pgt(source, reference):
+    # warp the whole reference for every part, then paste through the mask
+    out = _full_grid_warp(reference.image, reference.landmarks * 2.0 - 1.0, source.landmarks * 2.0 - 1.0)
+    for label, indices in PART_LANDMARKS.items():
+        region = source.mask == label
+        if region.any():
+            ref_pts = np.concatenate([reference.landmarks[list(indices)] * 2.0 - 1.0, CORNERS])
+            src_pts = np.concatenate([source.landmarks[list(indices)] * 2.0 - 1.0, CORNERS])
+            out = _full_paste(out, _full_grid_warp(reference.image, ref_pts, src_pts), region)
+    return np.clip(out, 0.0, 1.0)
+
+
+def _full_grid_spatial_pgt(color_image, source, reference, label):
+    indices = list(PART_LANDMARKS[label])
+    src_contour = source.landmarks[indices] * 2.0 - 1.0
+    ref_contour = reference.landmarks[indices] * 2.0 - 1.0
+    if label in (2, 3):
+        src_contour = _densify_open_contour(src_contour)
+        ref_contour = _densify_open_contour(ref_contour)
+    target = ref_contour - min_shift(src_contour, ref_contour)
+    h, w = color_image.shape[1:]
+    grid = tps_grid(tps_solve(np.concatenate([target, CORNERS]), np.concatenate([src_contour, CORNERS])), h, w)
+    region = source.mask == label
+    landed = warp_image(region[None].astype(np.float64), grid)[0] >= 0.5
+    out = _full_paste(color_image, warp_image(color_image, grid), _dilate(region | landed, 2))
+    return np.clip(out, 0.0, 1.0)
+
+
+def _border_pair():
+    # lips and the left brow stretched to the image border, so their
+    # paste windows are clipped at the bottom and top-left edges
+    src, ref = face(21, "plain"), face(22, "makeup")
+    mask = src.mask.copy()
+    rows, cols = np.nonzero(mask == 6)
+    mask[rows.max() :, cols.min() : cols.max() + 1] = 6
+    rows, cols = np.nonzero(mask == 2)
+    corner = mask[: rows.max() + 1, : cols.max() + 1]
+    corner[corner != 6] = 2
+    return FaceSample(image=src.image, landmarks=src.landmarks, mask=mask), ref
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, 3, "border"])
+def test_part_warps_equal_full_grid_reference(case):
+    if case == "border":
+        src, ref = _border_pair()
+        assert (src.mask[-1] == 6).any() and src.mask[0, 0] == 2
+    else:
+        src, ref = face(10 + 2 * case, "plain"), face(11 + 2 * case, "makeup" if case % 2 else "plain")
+    gt = color_pgt(src, ref)
+    assert gt.parts_refined == (2, 3, 4, 5, 6)
+    assert gt.image.tobytes() == _full_grid_color_pgt(src, ref).tobytes()
+    for label in (2, 3, 6):
+        out = spatial_pgt(gt, src, ref, label)
+        assert out.image.tobytes() == _full_grid_spatial_pgt(gt.image, src, ref, label).tobytes()
 
 
 # -- histogram PGT ----------------------------------------------------------------

@@ -45,6 +45,17 @@ def test_identity_recovery(rng):
         assert np.abs(out - pair.orig).max() <= 1e-6
 
 
+def test_identity_recovery_is_exact(rng):
+    for _ in range(20):
+        fh, fw = rng.integers(8, 80, size=2)
+        bh, bw = rng.integers(1, fh + 1), rng.integers(1, fw + 1)
+        y, x = rng.integers(0, fh - bh + 1), rng.integers(0, fw - bw + 1)
+        low_size = int(rng.integers(2, 40))
+        pair = crop_and_resize(rng.uniform(size=(3, fh, fw)), (x, y, bw, bh), low_size=low_size)
+        out = pyramid_reconstruct(pair, pair.low, clamp=False)
+        assert out.tobytes() == pair.orig.tobytes()
+
+
 def test_linearity_in_output(rng):
     frame = rng.uniform(size=(3, 40, 40))
     pair = crop_and_resize(frame, (0, 0, 40, 40), low_size=20)

@@ -348,6 +348,29 @@ def test_grid_sample_border_clamp(rng):
     np.testing.assert_allclose(out, np.broadcast_to(x[:, :, :1], (1, 4, 4)), atol=1e-12)
 
 
+# -- TPS kernel pieces -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, k", [(4096, 34), (300, 8), (1, 1)])
+def test_sqdist_forward_equals_einsum_form(rng, n, k):
+    a = rng.uniform(-1.0, 1.0, size=(n, 2))
+    b = rng.uniform(-1.0, 1.0, size=(k, 2))
+    b[-1] = a[n // 2]  # one zero distance
+    diff = a[:, None, :] - b[None, :, :]
+    expected = np.einsum("ijk,ijk->ij", diff, diff)
+    got = pairwise_sqdist(Tensor(a), Tensor(b)).data
+    assert got[n // 2, k - 1] == 0.0
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_xlogx_forward_equals_where_form():
+    d = np.array([0.0, 1e-300, 1e-200, 1.0, np.e])
+    pos = d > 1e-300
+    safe = np.where(pos, d, 1.0)
+    expected = np.where(pos, safe * np.log(safe), 0.0)
+    assert xlogx(Tensor(d)).data.tobytes() == expected.tobytes()
+
+
 # -- autograd contracts -----------------------------------------------------------
 
 

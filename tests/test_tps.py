@@ -1,5 +1,7 @@
 """Thin-plate-spline solver, grids, warps, and the min-distance shift."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,13 @@ def test_points_bad_header(tmp_path):
     path = tmp_path / "pts.txt"
     path.write_text("NOTPTS 1 2\n0 0\n1 1\n")
     with pytest.raises(FormatError):
+        read_points(path)
+
+
+def test_points_reject_non_ascii_byte(tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_bytes(b"FATPTS 1 1\n0.0 0.0\xff\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: byte 18 is 0xff, not ASCII text")):
         read_points(path)
 
 
