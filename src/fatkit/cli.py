@@ -4,16 +4,16 @@ Subcommands: synth (generate a corpus), pgt (pseudo ground truth for one
 pair), train (adversarial training), transfer (apply a trained model),
 warp (standalone TPS warp), bench (attention timing).
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
-failure. The FAT_THREADS environment variable caps the BLAS thread count;
-it must be honored before numpy loads, so all heavy imports happen inside
-the command handlers.
+Exit codes: 0 success, 1 usage error (a malformed flag or flag
+combination), 2 data/format error (an out-of-domain setting too, from a
+flag or a file), 3 numerical failure. The FAT_THREADS environment
+variable caps the BLAS thread count; it must be honored before numpy
+loads, so all heavy imports happen inside the command handlers.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -156,8 +156,22 @@ def _load_corpus_pairs(data_dir, size):
     return list(zip(plain, makeup))
 
 
-def _cmd_train(args) -> int:
+def _read_config(path) -> dict:
+    """The settings of a `key = value` file (a `--config` file or a model's
+    `.cfg` sidecar); a malformed line is a FormatError naming the file."""
     from .data import open_ascii
+    from .gan import parse_config_text
+    from .tensor import FormatError
+
+    with open_ascii(path) as fh:
+        text = fh.read()
+    try:
+        return parse_config_text(text)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _cmd_train(args) -> int:
     from .gan import (
         MODEL_KEYS,
         SETTINGS,
@@ -166,7 +180,6 @@ def _cmd_train(args) -> int:
         fit,
         history_csv,
         init_train_state,
-        parse_config_text,
         prepare_pair,
         save_state,
     )
@@ -174,12 +187,7 @@ def _cmd_train(args) -> int:
     settings = dict(SETTINGS)
     settings.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
     if args.config:
-        with open_ascii(args.config) as fh:
-            settings.update(parse_config_text(fh.read()))
-    if settings["steps"] < 1:
-        raise _UsageError(f"--steps must be at least 1, got {settings['steps']}")
-    if not (math.isfinite(settings["lr"]) and settings["lr"] > 0):
-        raise _UsageError(f"--lr must be a finite positive number, got {settings['lr']}")
+        settings.update(_read_config(args.config))
     config, weights = configs_from_settings(settings)
     state = init_train_state(config, seed=settings["seed"])
     couples = _load_corpus_pairs(args.data, config.size)
@@ -196,15 +204,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
-    from .data import load_sample, open_ascii, read_ppm, write_ppm
-    from .gan import (
-        MODEL_KEYS,
-        SETTINGS,
-        configs_from_settings,
-        generator_forward,
-        load_generator,
-        parse_config_text,
-    )
+    from .data import load_sample, read_ppm, write_ppm
+    from .gan import MODEL_KEYS, SETTINGS, configs_from_settings, generator_forward, load_generator
     from .tensor import FormatError
 
     if args.highres:
@@ -215,8 +216,7 @@ def _cmd_transfer(args) -> int:
         if len(box) != 4:
             raise _UsageError(f"--highres needs --box x,y,w,h as four integers, got {args.box!r}")
     sidecar = args.model + ".cfg"
-    with open_ascii(sidecar) as fh:
-        stored = parse_config_text(fh.read())
+    stored = _read_config(sidecar)
     # control_grid joined the sidecar later; older models were all trained with the default
     for key in MODEL_KEYS:
         if key not in stored and key != "control_grid":

@@ -80,10 +80,6 @@ class FaceSample:
     landmarks: np.ndarray  # (30,2) in [0,1]^2, x right, y down
     mask: np.ndarray  # (H,W) uint8 labels
 
-    @property
-    def size(self) -> int:
-        return self.image.shape[1]
-
 
 @dataclass
 class SynthFaceParams:

@@ -30,7 +30,7 @@ import numpy as np
 from .attention import FatParams, fat_forward, landmark_embedding
 from .data import LANDMARK_COUNT, FaceSample
 from .pseudo_gt import color_pgt, spatial_pgt
-from .spatial import ACTIVE_LABEL_SETS, SpatialFatParams, parse_active_labels, spatial_fat_forward
+from .spatial import ACTIVE_LABEL_SETS, SpatialFatParams, spatial_fat_forward
 from .tensor import (
     AdamState,
     FormatError,
@@ -100,9 +100,11 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.size < 4 or self.size % 4 != 0:
             raise ParameterError(f"image size must be a positive multiple of 4, got {self.size}")
-        if self.base_width < 1 or self.heads < 1:
-            raise ParameterError("base width and head count must be positive")
-        grid = min(self.control_grid, self.bottleneck)
+        if self.base_width < 1:
+            raise ParameterError(f"base_width must be positive, got {self.base_width}")
+        if self.heads < 1:
+            raise ParameterError(f"heads must be positive, got {self.heads}")
+        grid = self.grid_size
         if self.spatial and (grid < 2 or self.bottleneck % grid):
             raise ParameterError(
                 f"control grid {grid} must be at least 2 and divide the "
@@ -117,6 +119,12 @@ class GeneratorConfig:
     def feature_dim(self) -> int:
         return 4 * self.base_width
 
+    @property
+    def grid_size(self) -> int:
+        """Side of the spatial branch's control-point lattice: the control
+        grid, capped at the bottleneck extent."""
+        return min(self.control_grid, self.bottleneck)
+
 
 @dataclass
 class LossWeights:
@@ -127,8 +135,9 @@ class LossWeights:
 
     def __post_init__(self):
         vals = (self.adv, self.cyc, self.per, self.make)
-        if not all(np.isfinite(v) and v >= 0.0 for v in vals):
-            raise ParameterError(f"loss weights must be finite and nonnegative, got {vals}")
+        for f, v in zip(fields(self), vals):
+            if not (np.isfinite(v) and v >= 0.0):
+                raise ParameterError(f"loss weights must be finite and nonnegative, got lambda_{f.name}={v}")
         if max(vals) == 0.0:
             raise ParameterError("at least one loss weight must be positive")
 
@@ -150,9 +159,19 @@ MODEL_KEYS = tuple(f.name for f in fields(GeneratorConfig))
 
 
 def configs_from_settings(settings: dict):
-    """The (GeneratorConfig, LossWeights) of a dict holding every SETTINGS key."""
+    """The (GeneratorConfig, LossWeights) of a dict holding every SETTINGS key;
+    an out-of-domain setting, run settings too, is a ParameterError naming it."""
+    if settings["steps"] < 1:
+        raise ParameterError(f"steps must be at least 1, got {settings['steps']}")
+    if not (np.isfinite(settings["lr"]) and settings["lr"] > 0):
+        raise ParameterError(f"lr must be a finite positive number, got {settings['lr']}")
+    if settings["seed"] < 0:
+        raise ParameterError(f"seed must be nonnegative, got {settings['seed']}")
+    labels = settings["warp_labels"]
+    if labels not in ACTIVE_LABEL_SETS:
+        raise ParameterError(f"warp_labels must be one of {sorted(ACTIVE_LABEL_SETS)}, got {labels!r}")
     model = {key: settings[key] for key in MODEL_KEYS}
-    model["warp_labels"] = parse_active_labels(model["warp_labels"])
+    model["warp_labels"] = ACTIVE_LABEL_SETS[labels]
     weights = {f.name: settings[f"lambda_{f.name}"] for f in fields(LossWeights)}
     return GeneratorConfig(**model), LossWeights(**weights)
 
@@ -227,20 +246,17 @@ class GeneratorParams:
                 config.heads,
                 LANDMARK_COUNT,
                 rng_spatial,
-                grid_size=min(config.control_grid, config.bottleneck),
+                grid_size=config.grid_size,
                 active_labels=config.warp_labels,
                 color_block=self.fat,
             )
 
-    def named(self, prefix="gen"):
+    def tensors(self) -> dict:
         parts = _numbered("enc", self.enc) + _numbered("pre", self.pre) + [("fat", self.fat)]
         parts += _numbered("post", self.post) + _numbered("dec", self.dec)
         if self.spatial is not None:
             parts.append(("spatial", self.spatial))
-        return named_tensors(parts, prefix)
-
-    def parameters(self):
-        return list(self.named().values())
+        return named_tensors(parts)
 
 
 class DiscriminatorParams:
@@ -255,11 +271,8 @@ class DiscriminatorParams:
             ConvBlock(rng, 4 * w, 1, stride=2, norm=False, relu=False),
         ]
 
-    def named(self, prefix="disc"):
-        return named_tensors(_numbered("b", self.blocks), prefix)
-
-    def parameters(self):
-        return list(self.named().values())
+    def tensors(self) -> dict:
+        return named_tensors(_numbered("b", self.blocks))
 
 
 class PerceptualParams:
@@ -276,8 +289,8 @@ class PerceptualParams:
             block.w.requires_grad = False
             block.b = None  # a frozen zero bias adds nothing
 
-    def named(self, prefix="percep"):
-        return named_tensors(_numbered("b", self.blocks), prefix)
+    def tensors(self) -> dict:
+        return named_tensors(_numbered("b", self.blocks))
 
 
 # -- forward passes ------------------------------------------------------------
@@ -453,17 +466,9 @@ def init_train_state(config: GeneratorConfig, seed: int) -> TrainState:
     disc_x = DiscriminatorParams(config, rngs[2])
     disc_y = DiscriminatorParams(config, rngs[3])
     percep = PerceptualParams(rngs[4])
-    adam_g = AdamState(gen.parameters())
-    adam_d = AdamState(disc_x.parameters() + disc_y.parameters())
+    adam_g = AdamState(gen.tensors().values())
+    adam_d = AdamState([*disc_x.tensors().values(), *disc_y.tensors().values()])
     return TrainState(config, gen, disc_x, disc_y, percep, adam_g, adam_d, seed=seed)
-
-
-def _all_params(state: TrainState):
-    return (
-        state.gen.parameters()
-        + state.disc_x.parameters()
-        + state.disc_y.parameters()
-    )
 
 
 def train_step(state: TrainState, pair: TrainPair, weights: LossWeights, lr: float) -> dict:
@@ -479,20 +484,22 @@ def train_step(state: TrainState, pair: TrainPair, weights: LossWeights, lr: flo
     z_xy = transfer_decode(ex, ey, x.landmarks, y.landmarks, x.mask, state.gen, cfg)
     z_yx = transfer_decode(ey, ex, y.landmarks, x.landmarks, y.mask, state.gen, cfg)
 
-    zero_grads(_all_params(state))
+    # every learnable tensor; the frozen perceptual weights take no gradient
+    params = state.adam_d.params + state.adam_g.params
+    zero_grads(params)
     j_d = loss_discriminators(
         Tensor(x.image), Tensor(y.image), z_xy.detach(), z_yx.detach(), state.disc_x, state.disc_y
     )
     j_d.backward()
     adam_step(state.adam_d, lr)
 
-    zero_grads(_all_params(state))
+    zero_grads(params)
     j_g, parts = loss_generator(
         pair, z_xy, z_yx, ex, ey, state.gen, state.disc_x, state.disc_y, state.percep, weights, cfg
     )
     j_g.backward()
     adam_step(state.adam_g, lr)
-    zero_grads(_all_params(state))
+    zero_grads(params)
 
     state.iteration += 1
     row = {"iter": state.iteration, "J_D": j_d.item(), "J_G": j_g.item(), **parts}
@@ -533,12 +540,9 @@ def history_csv(history) -> str:
 
 
 def state_tensors(state: TrainState) -> dict:
-    named = {}
-    named.update(state.gen.named("gen"))
-    named.update(state.disc_x.named("disc_x"))
-    named.update(state.disc_y.named("disc_y"))
-    named.update(state.percep.named("percep"))
-    return named
+    return named_tensors([
+        ("gen", state.gen), ("disc_x", state.disc_x), ("disc_y", state.disc_y), ("percep", state.percep)
+    ])
 
 
 def save_state(path, state: TrainState):
@@ -567,7 +571,7 @@ def load_generator(path, config: GeneratorConfig) -> GeneratorParams:
 
     gen = GeneratorParams(config, _Unfilled, rng_spatial=_Unfilled)
     stored = load_tensors(path)
-    for name, tensor in gen.named("gen").items():
+    for name, tensor in named_tensors([("gen", gen)]).items():
         if name not in stored:
             raise FormatError(f"checkpoint is missing tensor {name!r}")
         arr = stored[name]

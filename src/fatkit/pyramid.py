@@ -17,7 +17,7 @@ import numpy as np
 from .tensor import ParameterError, bilinear_sample
 from .tps import identity_grid
 
-__all__ = ["HighResPair", "bilinear_resize", "crop_and_resize", "paste_crop", "pyramid_reconstruct"]
+__all__ = ["HighResPair", "bilinear_resize", "crop_and_resize", "pyramid_reconstruct"]
 
 
 def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -27,12 +27,10 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HighResPair:
-    """A face crop at full resolution, its working-size resize, and where it
-    came from in the frame."""
+    """A face crop at full resolution and its working-size resize."""
 
     orig: np.ndarray  # (C,bh,bw) crop at frame resolution
     low: np.ndarray  # (C,s,s) resized crop fed to the generator
-    box: tuple  # (x, y, w, h) in frame pixels
 
 
 def crop_and_resize(frame: np.ndarray, box, low_size: int) -> HighResPair:
@@ -45,17 +43,7 @@ def crop_and_resize(frame: np.ndarray, box, low_size: int) -> HighResPair:
         raise ParameterError(f"box {box} exceeds frame {frame.shape[1:]}")
     orig = frame[:, y : y + h, x : x + w].copy()
     low = orig if (h, w) == (low_size, low_size) else bilinear_resize(orig, low_size, low_size)
-    return HighResPair(orig=orig, low=low, box=(x, y, w, h))
-
-
-def paste_crop(frame: np.ndarray, pair: HighResPair, content: np.ndarray) -> np.ndarray:
-    """Return a copy of the frame with `content` placed at the pair's box."""
-    x, y, w, h = pair.box
-    if content.shape != pair.orig.shape:
-        raise ParameterError(f"content {content.shape} does not fit box {pair.orig.shape}")
-    out = np.array(frame, dtype=np.float64, copy=True)
-    out[:, y : y + h, x : x + w] = content
-    return out
+    return HighResPair(orig=orig, low=low)
 
 
 def pyramid_reconstruct(pair: HighResPair, z: np.ndarray, clamp: bool = True) -> np.ndarray:

@@ -143,7 +143,7 @@ def predict_control_points(aligned: Tensor, params: SpatialFatParams) -> Control
     tanh output.
     """
     d, h, w = aligned.shape
-    hs = min(params.grid_size, h, w)
+    hs = params.grid_size
     if h % hs or w % hs:
         raise ShapeError(f"feature extent {h}x{w} not divisible by control grid {hs}")
     pooled = aligned if h == hs and w == hs else avg_pool2d(aligned, h // hs)

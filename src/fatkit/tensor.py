@@ -716,12 +716,11 @@ _MAGIC = b"FATW"
 _VERSION = 1
 
 
-def named_tensors(parts, prefix: str = "") -> dict:
-    """Checkpoint names '<prefix>.<part>.<tensor>' ('<part>.<tensor>' with no
-    prefix) over (part, component) pairs, where `component.tensors()` maps
-    names to tensors; the order of the pairs is the checkpoint layout."""
-    head = f"{prefix}." if prefix else ""
-    return {f"{head}{part}.{k}": v for part, comp in parts for k, v in comp.tensors().items()}
+def named_tensors(parts) -> dict:
+    """Checkpoint names '<part>.<tensor>' over (part, component) pairs, where
+    `component.tensors()` maps names to tensors; the order of the pairs is the
+    checkpoint layout."""
+    return {f"{part}.{k}": v for part, comp in parts for k, v in comp.tensors().items()}
 
 
 def save_tensors(path, named: dict):

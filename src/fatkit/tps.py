@@ -26,7 +26,6 @@ from .tensor import (
     Tensor,
     bilinear_sample,
     concat,
-    grid_sample,
     linear_solve,
     pairwise_sqdist,
     transpose,
@@ -166,13 +165,8 @@ def tps_grid(transform: TpsTransform, h: int, w: int) -> np.ndarray:
 def warp_image(image, grid):
     """Resample an image (C,H,W) at a sampling grid, clamping at the border.
 
-    Accepts a plain array or a Tensor; Tensor input keeps the operation
-    differentiable by routing through the tensor-engine sampler, and both
-    paths share one bilinear kernel.
+    The numpy twin of `tensor.grid_sample`: both run one bilinear kernel.
     """
-    if isinstance(image, Tensor):
-        g = grid if isinstance(grid, Tensor) else Tensor(grid)
-        return grid_sample(image, g)
     return bilinear_sample(np.asarray(image, dtype=np.float64), np.asarray(grid, dtype=np.float64))
 
 

@@ -136,29 +136,83 @@ def test_train_config_file_overrides_and_rejects_unknown(corpus, tmp_path):
     assert result.returncode == 2
 
 
-def test_train_nonpositive_steps_is_usage_error(corpus, tmp_path):
+def test_train_nonpositive_steps_is_data_error(corpus, tmp_path):
     for steps in (0, -3):
         result = run_cli("train", "--data", corpus, "--steps", steps, "--size", 48, "--width", 4,
                          "--out", tmp_path / "m.fatw", "--log", tmp_path / "l.csv")
-        assert result.returncode == 1
+        assert result.returncode == 2
         assert result.stderr.strip().splitlines() == [
-            f"fatkit train: error: --steps must be at least 1, got {steps}"
+            f"fatkit train: steps must be at least 1, got {steps}"
         ]
     assert not (tmp_path / "m.fatw").exists()
 
 
-def test_train_nonfinite_lr_is_usage_error(corpus, tmp_path):
+def test_train_nonfinite_lr_is_data_error(corpus, tmp_path):
     args = ("train", "--data", corpus, "--steps", 1, "--size", 48, "--width", 4,
             "--out", tmp_path / "m.fatw", "--log", tmp_path / "l.csv")
     (tmp_path / "train.cfg").write_text("lr = nan\n")
     for extra, shown in ((("--lr", "nan"), "nan"), (("--lr", "inf"), "inf"),
                          (("--config", tmp_path / "train.cfg"), "nan")):
         result = run_cli(*args, *extra)
-        assert result.returncode == 1
+        assert result.returncode == 2
         assert result.stderr.strip().splitlines() == [
-            f"fatkit train: error: --lr must be a finite positive number, got {shown}"
+            f"fatkit train: lr must be a finite positive number, got {shown}"
         ]
     assert not (tmp_path / "m.fatw").exists()
+
+
+def test_train_out_of_domain_settings_are_data_errors(corpus, tmp_path, capsys, monkeypatch):
+    # from a flag or a config file: exit 2, one line naming the setting, and
+    # no pair prepared
+    import fatkit.gan
+    from fatkit.cli import main
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("prepare_pair ran")
+
+    monkeypatch.setattr(fatkit.gan, "prepare_pair", unexpected)
+    base = ["train", "--data", str(corpus), "--steps", "1", "--size", "48", "--width", "4",
+            "--out", str(tmp_path / "m.fatw"), "--log", str(tmp_path / "l.csv")]
+    cfg = tmp_path / "train.cfg"
+    for flag, key, value, message in (
+        ("--heads", "heads", "0", "heads must be positive, got 0"),
+        ("--width", "base_width", "0", "base_width must be positive, got 0"),
+        ("--seed", "seed", "-1", "seed must be nonnegative, got -1"),
+        ("--lr", "lr", "-1", "lr must be a finite positive number, got -1.0"),
+        ("--warp-labels", "warp_labels", "brows",
+         "warp_labels must be one of ['all', 'eyebrows', 'eyes', 'lips'], got 'brows'"),
+    ):
+        cfg.write_text(f"{key} = {value}\n")
+        for extra in ([flag, value], ["--config", str(cfg)]):
+            code = main(base + extra)
+            assert code == 2, (key, extra)
+            assert capsys.readouterr().err.splitlines() == [f"fatkit train: {message}"]
+    assert not (tmp_path / "m.fatw").exists()
+
+
+def test_config_file_errors_name_the_file(corpus, tmp_path, capsys):
+    from fatkit.cli import main
+
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("steps = 1\nbogus = 3\n")
+    code = main(["train", "--data", str(corpus), "--size", "48", "--width", "4", "--config", str(cfg),
+                 "--out", str(tmp_path / "m.fatw"), "--log", str(tmp_path / "l.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"fatkit train: {cfg}: line 2: unknown configuration key 'bogus'"
+    ]
+    saved_model(tmp_path / "t.fatw")
+    sidecar = tmp_path / "t.fatw.cfg"
+    lines = sidecar.read_text().splitlines()
+    lines[3] = "spatial = maybe"
+    sidecar.write_text("\n".join(lines) + "\n")
+    code = main(["transfer", "--model", str(tmp_path / "t.fatw"), "--source", str(corpus / "0000.ppm"),
+                 "--ref", str(corpus / "0001.ppm"), "--out", str(tmp_path / "t.ppm")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"fatkit transfer: {sidecar}: line 4: spatial must be true or false, got 'maybe'"
+    ]
+    assert not (tmp_path / "m.fatw").exists() and not (tmp_path / "t.ppm").exists()
 
 
 def test_train_non_finite_loss_weight_is_data_error(corpus, tmp_path, capsys, monkeypatch):

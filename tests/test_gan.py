@@ -36,6 +36,7 @@ from fatkit.tensor import (
     l1_loss,
     load_tensors,
     mse_loss,
+    named_tensors,
     save_tensors,
     zero_grads,
 )
@@ -292,11 +293,11 @@ def test_train_step_increments_and_changes_parameters():
     state = init_train_state(cfg, seed=11)
     x, y = faces(3, 4)
     pair = prepare_pair(x, y, state.percep)
-    before = {k: v.data.copy() for k, v in state.gen.named().items()}
+    before = {k: v.data.copy() for k, v in state.gen.tensors().items()}
     row = train_step(state, pair, LossWeights(), lr=1e-3)
     assert state.iteration == 1 and row["iter"] == 1
     changed = sum(
-        0 if np.array_equal(before[k], v.data) else 1 for k, v in state.gen.named().items()
+        0 if np.array_equal(before[k], v.data) else 1 for k, v in state.gen.tensors().items()
     )
     assert changed > len(before) * 0.5
 
@@ -343,7 +344,7 @@ def _four_pass_step(state, pair, weights, lr):
     x, y = pair.x, pair.y
     z_xy = generator_forward(x.image, y.image, x.landmarks, y.landmarks, x.mask, gen, cfg)
     z_yx = generator_forward(y.image, x.image, y.landmarks, x.landmarks, y.mask, gen, cfg)
-    params = gan._all_params(state)
+    params = state.adam_d.params + state.adam_g.params
     zero_grads(params)
     j_d = loss_discriminators(
         Tensor(x.image), Tensor(y.image), z_xy.detach(), z_yx.detach(), state.disc_x, state.disc_y
@@ -447,7 +448,7 @@ def test_load_generator_restores_every_stored_tensor(tmp_path, spatial):
     path = tmp_path / "model.fatw"
     save_state(path, state)
     stored = load_tensors(path)
-    restored = load_generator(path, cfg).named("gen")
+    restored = named_tensors([("gen", load_generator(path, cfg))])
     assert list(restored) == [name for name in stored if name.startswith("gen.")]
     for name, tensor in restored.items():
         assert tensor.data.dtype == np.float64 and not tensor.requires_grad
@@ -489,6 +490,22 @@ def test_state_tensor_names_and_order():
     assert list(state_tensors(state)) == expected
     assert len(expected) == 46
     assert len(state_tensors(init_train_state(tiny_config(), seed=0))) == 36
+
+
+@pytest.mark.parametrize("spatial", [False, True])
+def test_adam_lists_partition_the_learnable_state(spatial):
+    # Adam steps the generator and the discriminators under their checkpoint
+    # names and order; the frozen perceptual stack is in neither list
+    state = init_train_state(tiny_config(spatial=spatial), seed=0)
+    named = state_tensors(state)
+
+    def ids(prefixes):
+        return [id(t) for name, t in named.items() if name.startswith(prefixes)]
+
+    assert [id(p) for p in state.adam_g.params] == ids("gen.")
+    assert [id(p) for p in state.adam_d.params] == ids(("disc_x.", "disc_y."))
+    adam = {id(p) for p in state.adam_g.params + state.adam_d.params}
+    assert ids("percep.") and adam.isdisjoint(ids("percep."))
 
 
 def test_prepare_pair_spatial_labels_change_pgt():

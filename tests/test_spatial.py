@@ -14,7 +14,7 @@ from fatkit.spatial import (
     spatial_fat_forward,
     tps_grid_from_targets,
 )
-from fatkit.tensor import ParameterError, Tensor
+from fatkit.tensor import ParameterError, ShapeError, Tensor
 from fatkit.tps import identity_grid, pixel_lattice
 
 
@@ -63,6 +63,14 @@ def test_targets_strictly_inside_unit_box(rng):
     params.ctrl_pos = Tensor(rng.normal(0, 3.0, size=(2, 4, 4)), requires_grad=True)
     ctrl = predict_control_points(Tensor(rng.normal(size=(4, 8, 8))), params)
     assert np.all(np.abs(ctrl.targets.data) < 1.0)
+
+
+def test_grid_larger_than_features_is_shape_error(rng):
+    # the lattice is never shrunk to fit the map; GeneratorConfig.grid_size
+    # caps it at the bottleneck before the parameters are built
+    params = make_params(rng, grid=8)
+    with pytest.raises(ShapeError):
+        predict_control_points(Tensor(rng.normal(size=(4, 4, 4))), params)
 
 
 # -- differentiable grid -----------------------------------------------------------------

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from fatkit.tensor import FormatError, ParameterError, Tensor
+from fatkit.tensor import FormatError, ParameterError, Tensor, grid_sample
 from fatkit.tps import (
     DegenerateGeometryError,
     identity_grid,
@@ -186,17 +186,13 @@ def test_warp_constant_image_invariant(rng):
     np.testing.assert_allclose(warp_image(img, grid), img, atol=1e-12)
 
 
-def test_warp_accepts_tensor(rng):
-    img = rng.uniform(size=(1, 6, 6))
-    out = warp_image(Tensor(img, requires_grad=True), identity_grid(6, 6))
-    assert isinstance(out, Tensor)
-    np.testing.assert_allclose(out.data, img, atol=1e-6)
-    # a fractional TPS grid reaching past the border: both paths share one kernel
+def test_warp_image_matches_grid_sample(rng):
+    # a fractional TPS grid reaching past the border: both run one kernel
     img = rng.uniform(size=(3, 7, 9))
     c = random_control(rng, 6)
     grid = 1.3 * tps_grid(tps_solve(c, c + rng.uniform(-0.2, 0.2, size=c.shape)), 5, 8)
     assert np.abs(grid).max() > 1.0
-    tensor_out = warp_image(Tensor(img, requires_grad=True), Tensor(grid, requires_grad=True))
+    tensor_out = grid_sample(Tensor(img, requires_grad=True), Tensor(grid, requires_grad=True))
     np.testing.assert_array_equal(tensor_out.data, warp_image(img, grid))
 
 
