@@ -306,15 +306,6 @@ def _cmd_bench(args) -> int:
             merged = moved if merged is None else merged + moved
         return unflatten_map(color_transform(x_flat, merged * 0.5), hb, hb)
 
-    try:
-        # keep large temporaries inside the heap: repeated mmap/munmap of the
-        # attention buffers otherwise dominates both timings with page faults
-        import ctypes
-
-        ctypes.CDLL("libc.so.6").mallopt(-3, 1 << 28)  # M_MMAP_THRESHOLD
-    except OSError:
-        pass
-
     def measure_interleaved(first, second):
         # alternate the two variants so allocator and cache state stay fair
         for _ in range(10):

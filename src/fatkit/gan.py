@@ -104,6 +104,8 @@ class GeneratorConfig:
             raise ParameterError(f"base_width must be positive, got {self.base_width}")
         if self.heads < 1:
             raise ParameterError(f"heads must be positive, got {self.heads}")
+        if self.control_grid < 2:
+            raise ParameterError(f"control_grid must be at least 2, got {self.control_grid}")
         grid = self.grid_size
         if self.spatial and (grid < 2 or self.bottleneck % grid):
             raise ParameterError(
@@ -309,11 +311,6 @@ def run_blocks(blocks, x) -> Tensor:
     return t
 
 
-def _embeddings(config: GeneratorConfig, landmarks) -> np.ndarray:
-    hb = config.bottleneck
-    return landmark_embedding(hb, hb, landmarks)
-
-
 def encode(img, gen: GeneratorParams) -> Tensor:
     """The shared encoder (`enc` + `pre` blocks): image -> bottleneck code.
 
@@ -335,8 +332,9 @@ def transfer_decode(xb: Tensor, yb: Tensor, lm_x, lm_y, mask_x, gen: GeneratorPa
     feed the positional embeddings and mask_x gates the spatial warp. Returns
     an image tensor in [0,1] of the configured size.
     """
-    le_x = _embeddings(config, lm_x)
-    le_y = _embeddings(config, lm_y)
+    hb = config.bottleneck
+    le_x = landmark_embedding(hb, hb, lm_x)
+    le_y = landmark_embedding(hb, hb, lm_y)
     if gen.spatial is not None:
         feat, _ = spatial_fat_forward(xb, yb, le_x, le_y, np.asarray(mask_x), gen.spatial)
     else:
@@ -385,10 +383,10 @@ class TrainPair:
 
     x: FaceSample
     y: FaceSample
-    pgt_xy: np.ndarray = None  # supervision for G(x, y)
-    pgt_yx: np.ndarray = None  # supervision for G(y, x)
-    feat_x: np.ndarray = None  # cached frozen features of x
-    feat_y: np.ndarray = None
+    pgt_xy: np.ndarray  # supervision for G(x, y)
+    pgt_yx: np.ndarray  # supervision for G(y, x)
+    feat_x: np.ndarray  # cached frozen features of x
+    feat_y: np.ndarray
 
 
 def prepare_pair(x: FaceSample, y: FaceSample, percep: PerceptualParams,
@@ -420,8 +418,6 @@ def loss_generator(pair: TrainPair, z_xy: Tensor, z_yx: Tensor, ex: Tensor, ey: 
     error between frozen features, and squared error against the pseudo
     ground truth.
     """
-    if weights.make > 0.0 and (pair.pgt_xy is None or pair.pgt_yx is None):
-        raise ParameterError("makeup weight is positive but the pair carries no pseudo ground truth")
     x, y = pair.x, pair.y
     adv = bce_with_logits(run_blocks(disc_x.blocks, z_yx), 1.0) + bce_with_logits(
         run_blocks(disc_y.blocks, z_xy), 1.0
@@ -432,10 +428,7 @@ def loss_generator(pair: TrainPair, z_xy: Tensor, z_yx: Tensor, ex: Tensor, ey: 
     per = mse_loss(run_blocks(percep.blocks, z_xy), Tensor(pair.feat_x)) + mse_loss(
         run_blocks(percep.blocks, z_yx), Tensor(pair.feat_y)
     )
-    if pair.pgt_xy is not None and pair.pgt_yx is not None:
-        make = mse_loss(z_xy, Tensor(pair.pgt_xy)) + mse_loss(z_yx, Tensor(pair.pgt_yx))
-    else:
-        make = Tensor(0.0)
+    make = mse_loss(z_xy, Tensor(pair.pgt_xy)) + mse_loss(z_yx, Tensor(pair.pgt_yx))
     total = weights.adv * adv + weights.cyc * cyc + weights.per * per + weights.make * make
     parts = {"adv": adv.item(), "cyc": cyc.item(), "per": per.item(), "make": make.item()}
     return total, parts

@@ -90,19 +90,11 @@ def _box_blur(mask: np.ndarray) -> np.ndarray:
 
 
 def _dilate(mask: np.ndarray, iterations: int) -> np.ndarray:
-    out = mask.astype(bool)
+    """Grow a boolean region by one ring of 8-neighbours per iteration: with
+    edge padding, a box sum is nonzero exactly where the pixel or a neighbour is set."""
     for _ in range(iterations):
-        grown = out.copy()
-        grown[1:, :] |= out[:-1, :]
-        grown[:-1, :] |= out[1:, :]
-        grown[:, 1:] |= out[:, :-1]
-        grown[:, :-1] |= out[:, 1:]
-        grown[1:, 1:] |= out[:-1, :-1]
-        grown[1:, :-1] |= out[:-1, 1:]
-        grown[:-1, 1:] |= out[1:, :-1]
-        grown[:-1, :-1] |= out[1:, 1:]
-        out = grown
-    return out
+        mask = _box_blur(mask) > 0.0
+    return mask
 
 
 def _window(region: np.ndarray):
@@ -184,6 +176,12 @@ def _densify_open_contour(points: np.ndarray, count: int = 9) -> np.ndarray:
     return np.stack([np.polyval(fit_x, dense_t), np.polyval(fit_y, dense_t)], axis=1)
 
 
+def _spatial_skipped(color_gt: PseudoGT, reason: str) -> PseudoGT:
+    """Warn why the spatial stage was skipped; keep the colour stage's output."""
+    warnings.warn(f"{reason}; spatial stage skipped")
+    return PseudoGT(image=color_gt.image.copy(), mode="tps-spatial", parts_refined=color_gt.parts_refined)
+
+
 def spatial_pgt(
     color_gt: PseudoGT, source: FaceSample, reference: FaceSample, part_label: int
 ) -> PseudoGT:
@@ -199,8 +197,7 @@ def spatial_pgt(
         raise ParameterError(f"part label {part_label} has no landmark subset")
     region = source.mask == part_label
     if not region.any() or not (reference.mask == part_label).any():
-        warnings.warn(f"part {part_label} absent from a parsing mask; spatial stage skipped")
-        return PseudoGT(image=color_gt.image.copy(), mode="tps-spatial", parts_refined=())
+        return _spatial_skipped(color_gt, f"part {part_label} absent from a parsing mask")
     indices = list(PART_LANDMARKS[part_label])
     src_contour = _unit(source.landmarks[indices])
     ref_contour = _unit(reference.landmarks[indices])
@@ -215,8 +212,7 @@ def spatial_pgt(
             np.concatenate([src_contour, _CORNERS]), np.concatenate([target, _CORNERS])
         )
     except DegenerateGeometryError:
-        warnings.warn(f"degenerate contour for part {part_label}; spatial stage skipped")
-        return PseudoGT(image=color_gt.image.copy(), mode="tps-spatial", parts_refined=())
+        return _spatial_skipped(color_gt, f"degenerate contour for part {part_label}")
     grid = tps_grid(transform, h, w)
     landed = warp_image(region[None].astype(np.float64), grid)[0] >= 0.5
     paste_region = _dilate(region | landed, 2)

@@ -146,8 +146,7 @@ def predict_control_points(aligned: Tensor, params: SpatialFatParams) -> Control
     hs = params.grid_size
     if h % hs or w % hs:
         raise ShapeError(f"feature extent {h}x{w} not divisible by control grid {hs}")
-    pooled = aligned if h == hs and w == hs else avg_pool2d(aligned, h // hs)
-    pre = conv2d(pooled, params.ctrl_w, params.ctrl_b, stride=1) + params.ctrl_pos
+    pre = conv2d(avg_pool2d(aligned, h // hs), params.ctrl_w, params.ctrl_b, stride=1) + params.ctrl_pos
     targets = transpose(reshape(tanh(pre), (2, hs * hs)))
     return ControlGrid(source=pixel_lattice(hs, hs), targets=targets)
 
@@ -171,8 +170,6 @@ def tps_grid_from_targets(control: ControlGrid, h: int, w: int):
 def _nearest_mask(mask: np.ndarray, h: int, w: int) -> np.ndarray:
     """Down-sample a label grid by taking the cell-center label."""
     mh, mw = mask.shape
-    if (mh, mw) == (h, w):
-        return mask
     if mh % h or mw % w:
         raise ShapeError(f"mask {mask.shape} not reducible to {h}x{w}")
     sy, sx = mh // h, mw // w

@@ -170,9 +170,6 @@ class Tensor:
             raise ShapeError("division only supports float divisors")
         return _mul(self, 1.0 / float(scalar))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         out = self.data[key]
 
@@ -183,18 +180,8 @@ class Tensor:
 
         return _from_op(np.array(out, copy=True), (self,), back, "getitem")
 
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 else shape[0])
-
-    @property
-    def T(self):
-        return transpose(self)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
+    def sum(self):
+        return tensor_sum(self)
 
 
 def _as_tensor(value) -> Tensor:
@@ -289,21 +276,14 @@ def xlogx(x: Tensor) -> Tensor:
     return _from_op(y, (x,), back, "xlogx")
 
 
-def tensor_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
-    y = np.sum(x.data, axis=axis, keepdims=keepdims)
-
-    def back(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).copy(),)
-
-    return _from_op(y, (x,), back, "sum")
+def tensor_sum(x: Tensor) -> Tensor:
+    """Sum of every element; scalar."""
+    return _from_op(np.sum(x.data), (x,), lambda g: (np.full(x.shape, g),), "sum")
 
 
-def tensor_mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
-    n = x.size if axis is None else x.shape[axis]
-    return tensor_sum(x, axis=axis, keepdims=keepdims) * (1.0 / n)
+def tensor_mean(x: Tensor) -> Tensor:
+    """Mean of every element; scalar."""
+    return tensor_sum(x) * (1.0 / x.size)
 
 
 def l1_loss(a: Tensor, b: Tensor) -> Tensor:
@@ -686,7 +666,8 @@ class AdamState:
 
 
 def adam_step(state: AdamState, lr: float):
-    """One bias-corrected Adam update; parameters without grads stay put."""
+    """One bias-corrected Adam update. A parameter without a grad is updated
+    as if its gradient were zero: its moments decay and it keeps moving."""
     if not np.isfinite(lr) or lr <= 0:
         raise ParameterError(f"learning rate must be a finite positive number, got {lr}")
     state.t += 1

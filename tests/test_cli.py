@@ -190,6 +190,28 @@ def test_train_out_of_domain_settings_are_data_errors(corpus, tmp_path, capsys, 
     assert not (tmp_path / "m.fatw").exists()
 
 
+def test_train_control_grid_below_two_is_data_error(corpus, tmp_path, capsys, monkeypatch):
+    # checked without --spatial too, before any pair is prepared
+    import fatkit.gan
+    from fatkit.cli import main
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("prepare_pair ran")
+
+    monkeypatch.setattr(fatkit.gan, "prepare_pair", unexpected)
+    cfg = tmp_path / "train.cfg"
+    for value in (0, -3):
+        cfg.write_text(f"control_grid = {value}\n")
+        code = main(["train", "--data", str(corpus), "--steps", "1", "--size", "48", "--width", "4",
+                     "--config", str(cfg), "--out", str(tmp_path / "m.fatw"), "--log", str(tmp_path / "l.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"fatkit train: control_grid must be at least 2, got {value}"
+        ]
+    assert not (tmp_path / "m.fatw").exists()
+    assert not (tmp_path / "m.fatw.cfg").exists()
+
+
 def test_config_file_errors_name_the_file(corpus, tmp_path, capsys):
     from fatkit.cli import main
 

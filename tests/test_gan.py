@@ -272,19 +272,6 @@ def test_loss_components_match_numpy_recomputation(setup):
     assert abs(total.item() - expected_total) < 1e-9
 
 
-def test_missing_pgt_with_positive_weight(setup):
-    cfg, state, pair = setup
-    bare = gan.TrainPair(x=pair.x, y=pair.y, feat_x=pair.feat_x, feat_y=pair.feat_y)
-    codes = (encode(pair.x.image, state.gen), encode(pair.y.image, state.gen))
-    # image-shaped codes fail every forward pass, so the check must come first
-    for ex, ey in (codes, (Tensor(pair.x.image), Tensor(pair.y.image))):
-        with pytest.raises(ParameterError, match="pseudo ground truth"):
-            loss_generator(
-                bare, Tensor(pair.x.image), Tensor(pair.y.image), ex, ey, state.gen, state.disc_x,
-                state.disc_y, state.percep, LossWeights(), cfg,
-            )
-
-
 # -- training loop -------------------------------------------------------------------
 
 

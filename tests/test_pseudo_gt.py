@@ -71,6 +71,14 @@ def test_color_pgt_output_contract(plain_face, makeup_face):
     assert gt.image.min() >= 0.0 and gt.image.max() <= 1.0
 
 
+def test_color_pgt_leaves_out_a_degenerate_part(plain_face, makeup_face):
+    # a lip landmark on the (0, 0) corner anchor makes the lip solve singular
+    landmarks = plain_face.landmarks.copy()
+    landmarks[24] = 0.0
+    source = dataclasses.replace(plain_face, landmarks=landmarks)
+    assert color_pgt(source, makeup_face).parts_refined == (2, 3, 4, 5)
+
+
 def test_color_pgt_schema_mismatch(plain_face):
     broken = FaceSample(
         image=plain_face.image, landmarks=plain_face.landmarks[:10], mask=plain_face.mask
@@ -125,7 +133,18 @@ def test_spatial_pgt_missing_part_warns(makeup_face):
     with pytest.warns(UserWarning, match="absent"):
         out = spatial_pgt(gt, erased, makeup_face, 2)
     np.testing.assert_array_equal(out.image, gt.image)
-    assert out.parts_refined == ()
+    assert out.parts_refined == gt.parts_refined
+
+
+def test_spatial_pgt_degenerate_contour_keeps_color_stage(makeup_face):
+    gt = color_pgt(makeup_face, makeup_face)
+    landmarks = makeup_face.landmarks.copy()
+    landmarks[list(PART_LANDMARKS[6])] = landmarks[PART_LANDMARKS[6][0]]
+    collapsed = dataclasses.replace(makeup_face, landmarks=landmarks)
+    with pytest.warns(UserWarning, match="degenerate contour"):
+        out = spatial_pgt(gt, makeup_face, collapsed, 6)
+    np.testing.assert_array_equal(out.image, gt.image)
+    assert out.parts_refined == gt.parts_refined
 
 
 def test_spatial_pgt_unknown_label(makeup_face):
@@ -181,6 +200,19 @@ def _full_grid_spatial_pgt(color_image, source, reference, label):
     landed = warp_image(region[None].astype(np.float64), grid)[0] >= 0.5
     out = _full_paste(color_image, warp_image(color_image, grid), _dilate(region | landed, 2))
     return np.clip(out, 0.0, 1.0)
+
+
+def test_dilate_adds_one_ring_of_8_neighbours_per_iteration(rng):
+    mask = rng.uniform(size=(9, 11)) > 0.92
+    mask[0, 0] = mask[8, 5] = True  # set pixels on the border
+    want = mask
+    for iterations in (1, 2, 3):
+        padded = np.pad(want, 1)
+        want = np.zeros_like(mask)
+        for dy in range(3):
+            for dx in range(3):
+                want |= padded[dy : dy + 9, dx : dx + 11]
+        np.testing.assert_array_equal(_dilate(mask, iterations), want)
 
 
 def _border_pair():

@@ -29,7 +29,6 @@ from fatkit.tensor import (
     softmax,
     softplus,
     tanh,
-    tensor_sum,
     transpose,
     xlogx,
     zero_grads,
@@ -310,11 +309,6 @@ def test_mse_mean_of_squared_residuals():
     assert mse_loss(Tensor([0.0, 2.0]), Tensor([0.0, 0.0])).item() == 2.0
 
 
-def test_sum_axis_and_keepdims(rng):
-    x = Tensor(rng.normal(size=(3, 4)))
-    np.testing.assert_allclose(tensor_sum(x, axis=1).data, x.data.sum(axis=1))
-
-
 # -- grid sampling ---------------------------------------------------------------
 
 
@@ -503,6 +497,22 @@ def test_adam_first_step_magnitude_is_lr():
     p.grad = np.array([5.0])  # |g| >> eps
     adam_step(AdamState([p]), lr=1e-2)
     np.testing.assert_allclose(p.data, [-1e-2], rtol=1e-6)
+
+
+def test_adam_step_without_grad_decays_moments_and_moves():
+    # a parameter whose grad is None is stepped as if its gradient were 0
+    p = Tensor(np.array([0.0]), requires_grad=True)
+    state = AdamState([p])
+    p.grad = np.array([1.0])
+    adam_step(state, lr=0.1)
+    first = p.data.copy()
+    p.grad = None
+    adam_step(state, lr=0.1)
+    m, v = 0.5 * 0.5, 0.999 * 0.001  # beta1 = 0.5, beta2 = 0.999
+    np.testing.assert_allclose(state.m[0], [m], rtol=1e-12)
+    np.testing.assert_allclose(state.v[0], [v], rtol=1e-12)
+    moved = -0.1 * (m / (1.0 - 0.5**2)) / np.sqrt(v / (1.0 - 0.999**2))
+    np.testing.assert_allclose(p.data - first, [moved], rtol=1e-6)  # about -0.047
 
 
 def test_adam_bit_identical_across_runs(rng):
