@@ -179,7 +179,7 @@ def _densify_open_contour(points: np.ndarray, count: int = 9) -> np.ndarray:
 def _spatial_skipped(color_gt: PseudoGT, reason: str) -> PseudoGT:
     """Warn why the spatial stage was skipped; keep the colour stage's output."""
     warnings.warn(f"{reason}; spatial stage skipped")
-    return PseudoGT(image=color_gt.image.copy(), mode="tps-spatial", parts_refined=color_gt.parts_refined)
+    return PseudoGT(image=color_gt.image.copy(), mode=color_gt.mode, parts_refined=color_gt.parts_refined)
 
 
 def spatial_pgt(

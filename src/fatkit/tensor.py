@@ -377,7 +377,11 @@ def linear_solve(a: Tensor, b: Tensor) -> Tensor:
 
 
 def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
-    """Squared Euclidean distances between row sets: out[i,j] = |a_i - b_j|^2."""
+    """Squared Euclidean distances between row sets: out[i,j] = |a_i - b_j|^2.
+
+    The backward builds no (N,K,D) difference array, and only the gradients
+    of operands that require one; the other is None.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"sqdist needs matching row widths, got {a.shape} and {b.shape}")
@@ -388,10 +392,12 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
         d *= d
         y += d
 
+    need_a, need_b = a.requires_grad, b.requires_grad
+
     def back(g):
-        diff = a.data[:, None, :] - b.data[None, :, :]
-        ga = 2.0 * np.einsum("ij,ijk->ik", g, diff)
-        gb = -2.0 * np.einsum("ij,ijk->jk", g, diff)
+        # sum_j g_ij (a_i - b_j) = a_i sum_j g_ij - (g @ b)_i, and likewise for b
+        ga = 2.0 * (g.sum(axis=1)[:, None] * a.data - g @ b.data) if need_a else None
+        gb = -2.0 * (g.T @ a.data - g.sum(axis=0)[:, None] * b.data) if need_b else None
         return (ga, gb)
 
     return _from_op(y, (a, b), back, "sqdist")
@@ -590,17 +596,27 @@ def _bilinear(image: np.ndarray, grid: np.ndarray):
 
     image: (C,H,W); grid: (h',w',2) with (x,y) in [-1,1] addressing pixel
     centers. Returns the sampled (C,h',w') array together with the four
-    gathered corner values, their clamped (y0, y1, x0, x1) indices and the
+    gathered corner values, their clamped flat indices `y*W + x` into the
+    (C, H*W) image (top-left, top-right, bottom-left, bottom-right) and the
     fractional weights (fx, fy), which the backward of `grid_sample` reuses.
     """
-    _, h, w = image.shape
+    c, h, w = image.shape
     x0i, x1i, fx = _axis_taps(grid[..., 0], w)
     y0i, y1i, fy = _axis_taps(grid[..., 1], h)
-    corners = (image[:, y0i, x0i], image[:, y0i, x1i], image[:, y1i, x0i], image[:, y1i, x1i])
+    r0, r1 = y0i * w, y1i * w
+    flat_idx = (r0 + x0i, r0 + x1i, r1 + x0i, r1 + x1i)
+    flat = image.reshape(c, h * w)
+    corners = tuple(np.take(flat, i, axis=1) for i in flat_idx)
     v00, v01, v10, v11 = corners
-    top = v00 * (1.0 - fx) + v01 * fx
-    bot = v10 * (1.0 - fx) + v11 * fx
-    return top * (1.0 - fy) + bot * fy, corners, (y0i, y1i, x0i, x1i), fx, fy
+    cx = 1.0 - fx
+    top = v00 * cx
+    top += v01 * fx
+    bot = v10 * cx
+    bot += v11 * fx
+    top *= 1.0 - fy
+    bot *= fy
+    top += bot
+    return top, corners, flat_idx, fx, fy
 
 
 def bilinear_sample(image: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -624,25 +640,22 @@ def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
     if x.ndim != 3 or grid.ndim != 3 or grid.shape[-1] != 2:
         raise ShapeError(f"grid_sample expects (C,H,W) and (h,w,2), got {x.shape}, {grid.shape}")
     c, h, w = x.shape
-    out, (v00, v01, v10, v11), (y0i, y1i, x0i, x1i), fx, fy = _bilinear(x.data, grid.data)
+    out, (v00, v01, v10, v11), flat_idx, fx, fy = _bilinear(x.data, grid.data)
 
     def back(g):
-        w00 = (1.0 - fy) * (1.0 - fx)
-        w01 = (1.0 - fy) * fx
-        w10 = fy * (1.0 - fx)
-        w11 = fy * fx
-        gx = np.zeros_like(x.data)
-        ch = np.arange(c)[:, None, None]
-        np.add.at(gx, (ch, y0i[None], x0i[None]), g * w00[None])
-        np.add.at(gx, (ch, y0i[None], x1i[None]), g * w01[None])
-        np.add.at(gx, (ch, y1i[None], x0i[None]), g * w10[None])
-        np.add.at(gx, (ch, y1i[None], x1i[None]), g * w11[None])
-        dpx = ((v01 - v00) * (1.0 - fy) + (v11 - v10) * fy) * g
-        dpy = ((v10 - v00) * (1.0 - fx) + (v11 - v01) * fx) * g
+        cx, cy = 1.0 - fx, 1.0 - fy
+        # corner-major, then channel, then position: each bin sums its terms
+        # in the order of four sequential np.add.at passes, one per corner
+        weights = np.stack([g * (cy * cx), g * (cy * fx), g * (fy * cx), g * (fy * fx)])
+        rows = np.arange(0, c * h * w, h * w)[:, None, None]
+        bins = np.stack([rows + i for i in flat_idx])
+        gimg = np.bincount(bins.ravel(), weights.ravel(), minlength=c * h * w).reshape(c, h, w)
+        dpx = ((v01 - v00) * cy + (v11 - v10) * fy) * g
+        dpy = ((v10 - v00) * cx + (v11 - v01) * fx) * g
         ggrid = np.empty(grid.shape)
         ggrid[..., 0] = dpx.sum(axis=0) * (w / 2.0)
         ggrid[..., 1] = dpy.sum(axis=0) * (h / 2.0)
-        return (gx, ggrid)
+        return (gimg, ggrid)
 
     return _from_op(out, (x, grid), back, "grid_sample")
 

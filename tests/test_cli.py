@@ -91,6 +91,30 @@ def test_pgt_spatial_part_sidecar(corpus, tmp_path):
     assert "parts=2,3" in meta
 
 
+def test_pgt_skipped_spatial_stage_keeps_color_mode(corpus, tmp_path, capsys):
+    # a source with no brow pixels: both eyebrow stages are skipped, so the
+    # image and the sidecar are those of the colour stage alone
+    import shutil
+
+    from fatkit.cli import main
+    from fatkit.data import read_pgm, write_pgm
+
+    for ext in (".ppm", ".lm"):
+        shutil.copy(corpus / f"0000{ext}", tmp_path / f"bare{ext}")
+    mask = read_pgm(corpus / "0000.pgm")
+    assert np.isin(mask, (2, 3)).any()
+    write_pgm(tmp_path / "bare.pgm", np.where(np.isin(mask, (2, 3)), 1, mask).astype(np.uint8))
+    common = ["pgt", "--source", str(tmp_path / "bare.ppm"), "--ref", str(corpus / "0001.ppm"), "--mode", "tps"]
+    assert main([*common, "--out", str(tmp_path / "color.ppm")]) == 0
+    with pytest.warns(UserWarning, match="absent"):
+        assert main([*common, "--spatial-part", "eyebrows", "--out", str(tmp_path / "brows.ppm")]) == 0
+    capsys.readouterr()
+    meta = (tmp_path / "brows.meta").read_text()
+    assert meta.split()[0] == "mode=tps-color"
+    assert meta == (tmp_path / "color.meta").read_text()
+    assert (tmp_path / "brows.ppm").read_bytes() == (tmp_path / "color.ppm").read_bytes()
+
+
 def test_pgt_missing_sample_is_data_error(tmp_path):
     result = run_cli("pgt", "--source", tmp_path / "nope.ppm", "--ref", tmp_path / "nope.ppm",
                      "--mode", "tps", "--out", tmp_path / "o.ppm")
@@ -475,6 +499,34 @@ def test_transfer_rejects_non_finite_checkpoint_tensor(corpus, tmp_path, capsys)
     assert code == 2
     assert err.splitlines() == ["fatkit transfer: checkpoint tensor 'gen.dec2.w' holds a non-finite value"]
     assert not (tmp_path / "t.ppm").exists()
+
+
+# -- the parser, reused within one process -----------------------------------------
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path):
+    from fatkit.cli import _build_parser
+
+    parser = _build_parser()
+    assert _build_parser() is parser
+    argv = ["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.fatw"), "--log", str(tmp_path / "l.csv")]
+    assert parser.parse_args([*argv, "--spatial"]).spatial is True
+    args = _build_parser().parse_args(argv)
+    assert args.spatial is None and args.steps is None and args.config is None
+
+
+def test_repeated_usage_errors_in_process(tmp_path, capsys):
+    from fatkit.cli import main
+
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(tmp_path / "c"), "--count", "2", "--frobnicate"])
+        assert exc.value.code == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] and errors[0] == errors[1]
+    assert main(["synth", "--out", str(tmp_path / "c"), "--count", "2", "--size", "32"]) == 0
+    assert (tmp_path / "c" / "manifest.txt").exists()
 
 
 # -- warp ---------------------------------------------------------------------------

@@ -134,6 +134,7 @@ def test_spatial_pgt_missing_part_warns(makeup_face):
         out = spatial_pgt(gt, erased, makeup_face, 2)
     np.testing.assert_array_equal(out.image, gt.image)
     assert out.parts_refined == gt.parts_refined
+    assert out.mode == gt.mode
 
 
 def test_spatial_pgt_degenerate_contour_keeps_color_stage(makeup_face):
@@ -145,6 +146,7 @@ def test_spatial_pgt_degenerate_contour_keeps_color_stage(makeup_face):
         out = spatial_pgt(gt, makeup_face, collapsed, 6)
     np.testing.assert_array_equal(out.image, gt.image)
     assert out.parts_refined == gt.parts_refined
+    assert out.mode == gt.mode
 
 
 def test_spatial_pgt_unknown_label(makeup_face):

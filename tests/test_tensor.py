@@ -13,6 +13,7 @@ from fatkit.tensor import (
     Tensor,
     adam_step,
     avg_pool2d,
+    bilinear_sample,
     concat,
     conv2d,
     deconv2d,
@@ -342,6 +343,64 @@ def test_grid_sample_border_clamp(rng):
     np.testing.assert_allclose(out, np.broadcast_to(x[:, :, :1], (1, 4, 4)), atol=1e-12)
 
 
+def _taps(coord, n):
+    pos = (coord + 1.0) * (n / 2.0) - 0.5
+    lo = np.floor(pos)
+    i = lo.astype(np.int64)
+    return np.clip(i, 0, n - 1), np.clip(i + 1, 0, n - 1), pos - lo
+
+
+def _fancy_index_bilinear(image, grid):
+    """The bilinear formula with 2-D fancy indexing, as a reference for the kernel's bits."""
+    _, h, w = image.shape
+    x0, x1, fx = _taps(grid[..., 0], w)
+    y0, y1, fy = _taps(grid[..., 1], h)
+    top = image[:, y0, x0] * (1.0 - fx) + image[:, y0, x1] * fx
+    bot = image[:, y1, x0] * (1.0 - fx) + image[:, y1, x1] * fx
+    return top * (1.0 - fy) + bot * fy
+
+
+def _clamped_grid(rng, h, w, oh, ow):
+    """Grid points past +-1 on every side, the exact corners, and exact
+    border pixel centres of an h x w image."""
+    grid = rng.uniform(-1.5, 1.5, size=(oh, ow, 2))
+    grid[0, :4, 0] = [-1.0, 1.0, 1.0 / w - 1.0, 1.0 - 1.0 / w]
+    grid[0, :4, 1] = [-1.0, 1.0, 1.0 / h - 1.0, 1.0 - 1.0 / h]
+    grid[-1, :4] = [[-1.0, 1.0], [1.0, -1.0], [-7.0, 0.0], [0.0, 7.0]]
+    return grid
+
+
+@pytest.mark.parametrize("c, h, w, oh, ow", [(1, 5, 7, 9, 4), (3, 64, 48, 30, 50), (64, 16, 16, 16, 16), (3, 9, 31, 6, 5)])
+def test_bilinear_sample_bits_equal_fancy_indexing_formula(rng, c, h, w, oh, ow):
+    image = rng.normal(size=(c, h, w))
+    grid = _clamped_grid(rng, h, w, oh, ow)
+    expected = _fancy_index_bilinear(image, grid)
+    got = bilinear_sample(image, grid)
+    assert got.shape == expected.shape == (c, oh, ow)
+    assert got.tobytes() == expected.tobytes()
+    assert grid_sample(Tensor(image), Tensor(grid)).data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("c", [1, 3, 64])
+def test_grid_sample_image_gradient_bits_equal_add_at_reference(rng, c):
+    h, w = 6, 5
+    image = Tensor(rng.normal(size=(c, h, w)), requires_grad=True)
+    grid = _clamped_grid(rng, h, w, 7, 8)
+    probe = rng.normal(size=(c, 7, 8))
+    (grid_sample(image, Tensor(grid)) * Tensor(probe)).sum().backward()
+    # four sequential scatters, one per corner; clamping sends many terms to one pixel
+    x0, x1, fx = _taps(grid[..., 0], w)
+    y0, y1, fy = _taps(grid[..., 1], h)
+    expected = np.zeros((c, h, w))
+    ch = np.arange(c)[:, None, None]
+    np.add.at(expected, (ch, y0[None], x0[None]), probe * ((1.0 - fy) * (1.0 - fx))[None])
+    np.add.at(expected, (ch, y0[None], x1[None]), probe * ((1.0 - fy) * fx)[None])
+    np.add.at(expected, (ch, y1[None], x0[None]), probe * (fy * (1.0 - fx))[None])
+    np.add.at(expected, (ch, y1[None], x1[None]), probe * (fy * fx)[None])
+    assert np.count_nonzero((x0 == x1) | (y0 == y1)) > 10
+    assert image.grad.tobytes() == expected.tobytes()
+
+
 # -- TPS kernel pieces -----------------------------------------------------------
 
 
@@ -355,6 +414,28 @@ def test_sqdist_forward_equals_einsum_form(rng, n, k):
     got = pairwise_sqdist(Tensor(a), Tensor(b)).data
     assert got[n // 2, k - 1] == 0.0
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n, k", [(256, 64), (64, 64)])
+def test_sqdist_backward_equals_einsum_form(rng, n, k):
+    # the TPS shapes at the default config: feature lattice to control grid, and the control system
+    a = Tensor(rng.uniform(-1.0, 1.0, size=(n, 2)), requires_grad=True)
+    b = Tensor(rng.uniform(-1.0, 1.0, size=(k, 2)), requires_grad=True)
+    g = rng.normal(size=(n, k))
+    ga, gb = pairwise_sqdist(a, b)._backward(g)
+    diff = a.data[:, None, :] - b.data[None, :, :]
+    for got, expected in ((ga, 2.0 * np.einsum("ij,ijk->ik", g, diff)), (gb, -2.0 * np.einsum("ij,ijk->jk", g, diff))):
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_sqdist_backward_builds_only_required_gradients(rng):
+    lattice = Tensor(rng.uniform(-1.0, 1.0, size=(9, 2)))
+    targets = Tensor(rng.uniform(-1.0, 1.0, size=(4, 2)), requires_grad=True)
+    ga, gb = pairwise_sqdist(lattice, targets)._backward(np.ones((9, 4)))
+    assert ga is None and gb.shape == (4, 2)
+    ga, gb = pairwise_sqdist(targets, lattice)._backward(np.ones((4, 9)))
+    assert ga.shape == (4, 2) and gb is None
 
 
 def test_xlogx_forward_equals_where_form():
