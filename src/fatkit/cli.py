@@ -9,15 +9,11 @@ combination), 2 data/format error (an out-of-domain setting too, from a
 flag or a file), 3 numerical failure. The FAT_THREADS environment
 variable caps the BLAS thread count; it must be honored before numpy
 loads, so all heavy imports happen inside the command handlers.
-
-`main` may be called repeatedly in one process; it builds its argparse
-parser once, on the first call, and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 
@@ -50,7 +46,6 @@ def _apply_thread_cap(command):
             os.environ.setdefault(var, cap)
 
 
-@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fatkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -377,11 +377,7 @@ def linear_solve(a: Tensor, b: Tensor) -> Tensor:
 
 
 def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
-    """Squared Euclidean distances between row sets: out[i,j] = |a_i - b_j|^2.
-
-    The backward builds no (N,K,D) difference array, and only the gradients
-    of operands that require one; the other is None.
-    """
+    """Squared Euclidean distances between row sets: out[i,j] = |a_i - b_j|^2."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"sqdist needs matching row widths, got {a.shape} and {b.shape}")
@@ -392,12 +388,10 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
         d *= d
         y += d
 
-    need_a, need_b = a.requires_grad, b.requires_grad
-
     def back(g):
         # sum_j g_ij (a_i - b_j) = a_i sum_j g_ij - (g @ b)_i, and likewise for b
-        ga = 2.0 * (g.sum(axis=1)[:, None] * a.data - g @ b.data) if need_a else None
-        gb = -2.0 * (g.T @ a.data - g.sum(axis=0)[:, None] * b.data) if need_b else None
+        ga = 2.0 * (g.sum(axis=1)[:, None] * a.data - g @ b.data)
+        gb = -2.0 * (g.T @ a.data - g.sum(axis=0)[:, None] * b.data)
         return (ga, gb)
 
     return _from_op(y, (a, b), back, "sqdist")

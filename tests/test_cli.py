@@ -501,34 +501,6 @@ def test_transfer_rejects_non_finite_checkpoint_tensor(corpus, tmp_path, capsys)
     assert not (tmp_path / "t.ppm").exists()
 
 
-# -- the parser, reused within one process -----------------------------------------
-
-
-def test_reused_parser_keeps_no_state_between_calls(tmp_path):
-    from fatkit.cli import _build_parser
-
-    parser = _build_parser()
-    assert _build_parser() is parser
-    argv = ["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.fatw"), "--log", str(tmp_path / "l.csv")]
-    assert parser.parse_args([*argv, "--spatial"]).spatial is True
-    args = _build_parser().parse_args(argv)
-    assert args.spatial is None and args.steps is None and args.config is None
-
-
-def test_repeated_usage_errors_in_process(tmp_path, capsys):
-    from fatkit.cli import main
-
-    errors = []
-    for _ in range(2):
-        with pytest.raises(SystemExit) as exc:
-            main(["synth", "--out", str(tmp_path / "c"), "--count", "2", "--frobnicate"])
-        assert exc.value.code == 1
-        errors.append(capsys.readouterr().err)
-    assert errors[0] and errors[0] == errors[1]
-    assert main(["synth", "--out", str(tmp_path / "c"), "--count", "2", "--size", "32"]) == 0
-    assert (tmp_path / "c" / "manifest.txt").exists()
-
-
 # -- warp ---------------------------------------------------------------------------
 
 

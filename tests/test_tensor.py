@@ -429,15 +429,6 @@ def test_sqdist_backward_equals_einsum_form(rng, n, k):
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
-def test_sqdist_backward_builds_only_required_gradients(rng):
-    lattice = Tensor(rng.uniform(-1.0, 1.0, size=(9, 2)))
-    targets = Tensor(rng.uniform(-1.0, 1.0, size=(4, 2)), requires_grad=True)
-    ga, gb = pairwise_sqdist(lattice, targets)._backward(np.ones((9, 4)))
-    assert ga is None and gb.shape == (4, 2)
-    ga, gb = pairwise_sqdist(targets, lattice)._backward(np.ones((4, 9)))
-    assert ga.shape == (4, 2) and gb is None
-
-
 def test_xlogx_forward_equals_where_form():
     d = np.array([0.0, 1e-300, 1e-200, 1.0, np.e])
     pos = d > 1e-300
