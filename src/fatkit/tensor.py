@@ -602,15 +602,9 @@ def _bilinear(image: np.ndarray, grid: np.ndarray):
     flat = image.reshape(c, h * w)
     corners = tuple(np.take(flat, i, axis=1) for i in flat_idx)
     v00, v01, v10, v11 = corners
-    cx = 1.0 - fx
-    top = v00 * cx
-    top += v01 * fx
-    bot = v10 * cx
-    bot += v11 * fx
-    top *= 1.0 - fy
-    bot *= fy
-    top += bot
-    return top, corners, flat_idx, fx, fy
+    top = v00 * (1.0 - fx) + v01 * fx
+    bot = v10 * (1.0 - fx) + v11 * fx
+    return top * (1.0 - fy) + bot * fy, corners, flat_idx, fx, fy
 
 
 def bilinear_sample(image: np.ndarray, grid: np.ndarray) -> np.ndarray:
