@@ -10,33 +10,6 @@ Submodules:
   pyramid   - high-resolution detail reconstruction
   data      - synthetic face corpus and file formats
   cli       - command-line entry points
-
-Submodules are imported on first attribute access so that the CLI can pin
-thread-count environment variables before numpy loads.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "tensor",
-    "tps",
-    "attention",
-    "spatial",
-    "pseudo_gt",
-    "gan",
-    "pyramid",
-    "data",
-    "cli",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

@@ -126,12 +126,11 @@ class FatParams:
 
 
 def _augment(features: Tensor, embedding) -> Tensor:
-    emb = embedding if isinstance(embedding, Tensor) else Tensor(embedding)
-    if emb.shape[0] != features.shape[0]:
+    if embedding.shape[0] != features.shape[0]:
         raise ShapeError(
-            f"embedding rows {emb.shape} do not match feature rows {features.shape}"
+            f"embedding rows {embedding.shape} do not match feature rows {features.shape}"
         )
-    return concat([features, emb], axis=1)
+    return concat([features, embedding], axis=1)
 
 
 def multi_head(x_flat: Tensor, y_flat: Tensor, le_x, le_y, params: FatParams) -> Tensor:

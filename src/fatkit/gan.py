@@ -220,7 +220,7 @@ class GeneratorParams:
     generator started from the same seed share every common parameter.
     """
 
-    def __init__(self, config: GeneratorConfig, rng, rng_spatial=None):
+    def __init__(self, config: GeneratorConfig, rng, rng_spatial):
         w = config.base_width
         d = config.feature_dim
         self.config = config
@@ -241,8 +241,6 @@ class GeneratorParams:
         ]
         self.spatial = None
         if config.spatial:
-            if rng_spatial is None:
-                raise ParameterError("spatial generator needs its own parameter stream")
             self.spatial = SpatialFatParams(
                 d,
                 config.heads,
@@ -305,10 +303,9 @@ def run_blocks(blocks, x) -> Tensor:
     the discriminators (`run_blocks(disc.blocks, img)` gives the logit
     patch grid) and the frozen perceptual features.
     """
-    t = x if isinstance(x, Tensor) else Tensor(x)
     for block in blocks:
-        t = block(t)
-    return t
+        x = block(x)
+    return x
 
 
 def encode(img, gen: GeneratorParams) -> Tensor:
@@ -317,7 +314,6 @@ def encode(img, gen: GeneratorParams) -> Tensor:
     Rejects an image whose shape is not (3, size, size) of the generator's
     config, so every path into the generator checks its input extent.
     """
-    img = img if isinstance(img, Tensor) else Tensor(img)
     expected = (3, gen.config.size, gen.config.size)
     if img.shape != expected:
         raise ParameterError(f"images must be {expected}, got {img.shape}")

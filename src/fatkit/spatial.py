@@ -184,7 +184,6 @@ def masked_tps_warp(x, control: ControlGrid, mask: np.ndarray, active_labels):
     Returns (warped, solved); a degenerate TPS solve keeps the identity grid
     everywhere and reports solved=False.
     """
-    x = x if isinstance(x, Tensor) else Tensor(x)
     _, h, w = x.shape
     grid, solved = tps_grid_from_targets(control, h, w)
     ident = identity_grid(h, w)

@@ -155,7 +155,7 @@ class Tensor:
         return _from_op(-self.data, (self,), lambda g: (-g,), "neg")
 
     def __sub__(self, other):
-        return _add(self, -_as_tensor(other))
+        return _add(self, -other)
 
     def __rsub__(self, other):
         return _add(-self, other)
@@ -728,16 +728,17 @@ def save_tensors(path, named: dict):
 
 
 def load_tensors(path) -> dict:
-    """Read a checkpoint back as name -> float32 array, preserving order."""
+    """Read a checkpoint back as name -> float32 array, preserving order.
+    A malformed file raises FormatError naming the path."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
-        raise FormatError(f"bad checkpoint magic at byte 0: {blob[:4]!r}")
+        raise FormatError(f"{path}: bad checkpoint magic at byte 0: {blob[:4]!r}")
     if len(blob) < 10:
-        raise FormatError(f"truncated checkpoint header at byte {len(blob)}")
+        raise FormatError(f"{path}: truncated checkpoint header at byte {len(blob)}")
     version, count = struct.unpack_from("<HI", blob, 4)
     if version != _VERSION:
-        raise FormatError(f"unsupported checkpoint version {version} at byte 4")
+        raise FormatError(f"{path}: unsupported checkpoint version {version} at byte 4")
     offset = 10
     out = {}
     try:
@@ -755,7 +756,7 @@ def load_tensors(path) -> dict:
             offset += 4 * n
             out[name] = arr.copy()
     except (struct.error, ValueError) as exc:
-        raise FormatError(f"malformed checkpoint record at byte {offset}: {exc}") from exc
+        raise FormatError(f"{path}: malformed checkpoint record at byte {offset}: {exc}") from exc
     if offset != len(blob):
-        raise FormatError(f"trailing bytes after checkpoint payload at byte {offset}")
+        raise FormatError(f"{path}: trailing bytes after checkpoint payload at byte {offset}")
     return out

@@ -149,7 +149,7 @@ def test_train_same_seed_identical_csv(corpus, tmp_path):
 
 def test_train_config_file_overrides_and_rejects_unknown(corpus, tmp_path):
     cfg = tmp_path / "train.cfg"
-    cfg.write_text("steps = 2\nseed = 3\n")
+    cfg.write_text("# two steps from seed 3\nsteps = 2\n\nseed = 3\n")
     result = run_cli("train", "--data", corpus, "--steps", 99, "--size", 48, "--width", 4,
                      "--config", cfg, "--out", tmp_path / "m.fatw", "--log", tmp_path / "l.csv")
     assert result.returncode == 0, result.stderr
@@ -498,6 +498,17 @@ def test_transfer_rejects_non_finite_checkpoint_tensor(corpus, tmp_path, capsys)
     code, err = transfer_in_process(corpus, tmp_path / "m.fatw", tmp_path / "t.ppm", capsys)
     assert code == 2
     assert err.splitlines() == ["fatkit transfer: checkpoint tensor 'gen.dec2.w' holds a non-finite value"]
+    assert not (tmp_path / "t.ppm").exists()
+
+
+def test_transfer_truncated_checkpoint_names_the_file(corpus, tmp_path, capsys):
+    path = tmp_path / "m.fatw"
+    saved_model(path)
+    path.write_bytes(path.read_bytes()[:45005])
+    code, err = transfer_in_process(corpus, path, tmp_path / "t.ppm", capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"fatkit transfer: {path}: malformed checkpoint record at byte ")
     assert not (tmp_path / "t.ppm").exists()
 
 

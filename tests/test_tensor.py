@@ -469,6 +469,21 @@ def test_detach_blocks_gradient():
     assert x.grad is None
 
 
+@pytest.mark.parametrize("operand", ["number", "tensor"])
+def test_subtraction_is_addition_of_the_negation(rng, operand):
+    # t - s and t + (-s) agree bit for bit, value and gradients
+    t = leaf(rng, 3, 4)
+    s = 0.3 if operand == "number" else leaf(rng, 3, 4)
+    leaves = [t] if operand == "number" else [t, s]
+    runs = []
+    for combine in (lambda: t - s, lambda: t + (-s)):
+        zero_grads(leaves)
+        out = combine()
+        (out * out).sum().backward()
+        runs.append([out.data.tobytes()] + [x.grad.tobytes() for x in leaves])
+    assert runs[0] == runs[1]
+
+
 def test_composite_conv_norm_relu_graph_gradient(rng):
     x = leaf(rng, 2, 5, 5)
     w = leaf(rng, 3, 2, 3, 3, scale=0.7)
