@@ -131,6 +131,7 @@ _LIP_C = np.array([0.5, 0.74])
 _LIP_R = np.array([0.105, 0.048])
 _INSET = 0.88  # landmark inset inside part boundaries
 _SUPERSAMPLE = 4  # image samples per pixel along each axis
+_BOX_PAD = 1e-6  # margin of a part's test box over its radii, far above round-off
 
 
 def _pose(params: SynthFaceParams):
@@ -171,64 +172,89 @@ def _canonical_landmarks(params: SynthFaceParams) -> np.ndarray:
     return pts
 
 
-def _inside_ellipse(pts: np.ndarray, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    rel = (pts - center) / radii
-    return (rel * rel).sum(axis=-1) <= 1.0
+def _inside_ellipse(x: np.ndarray, y: np.ndarray, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    rx = (x - center[0]) / radii[0]
+    ry = (y - center[1]) / radii[1]
+    return rx * rx + ry * ry <= 1.0
+
+
+def _in_box(x: np.ndarray, y: np.ndarray, center: np.ndarray, half) -> np.ndarray:
+    """Indices of the points within `half` (padded by `_BOX_PAD`) of `center`
+    along each axis: a superset of the points an ellipse or disk of those
+    radii accepts, so testing only these drops no point."""
+    lo = center - half - _BOX_PAD
+    hi = center + half + _BOX_PAD
+    rows = np.flatnonzero((y >= lo[1]) & (y <= hi[1]))
+    xr = x[rows]
+    return rows[(xr >= lo[0]) & (xr <= hi[0])]
 
 
 def _paint(points: np.ndarray, params: SynthFaceParams, aux: dict):
-    """Labels and colors of the painter stack at arbitrary world points."""
+    """Labels and colors of the painter stack at arbitrary world points.
+
+    Hair, face and brows are tested at every point; the small parts (eyes,
+    irises, lips, shadows) only at the points of their padded canonical box.
+    """
     rot, shift = aux["pose"]
     pc = _to_canonical(points, rot, shift)
+    x, y = pc[:, 0], pc[:, 1]
     n = pc.shape[0]
     labels = np.zeros(n, dtype=np.uint8)
     colors = np.tile(np.array([0.36, 0.40, 0.46]), (n, 1))
 
-    hair = _inside_ellipse(pc, _HAIR_C, _HAIR_R)
+    hair = _inside_ellipse(x, y, _HAIR_C, _HAIR_R)
     labels[hair] = LABELS["hair"]
     colors[hair] = aux["hair_color"]
 
-    face = _inside_ellipse(pc, _FACE_C, _FACE_R)
+    face = _inside_ellipse(x, y, _FACE_C, _FACE_R)
     labels[face] = LABELS["skin"]
     colors[face] = params.skin_color
 
     if params.shadow_strength > 0.0 and params.shadow_radius > 0.0:
+        radius = params.shadow_radius
         for side in ("left", "right"):
-            d = np.linalg.norm(pc - _EYE_C[side], axis=1)
-            inside = face & (d < params.shadow_radius)
-            fall = params.shadow_strength * (1.0 - (d[inside] / params.shadow_radius) ** 2)
+            center = _EYE_C[side]
+            box = _in_box(x, y, center, radius)
+            dx, dy = x[box] - center[0], y[box] - center[1]
+            d = np.sqrt(dx * dx + dy * dy)
+            keep = face[box] & (d < radius)
+            inside = box[keep]
+            fall = params.shadow_strength * (1.0 - (d[keep] / radius) ** 2)
             colors[inside] = (1.0 - fall[:, None]) * colors[inside] + fall[:, None] * np.asarray(
                 params.shadow_color
             )
 
     for side, label in (("left", LABELS["left_brow"]), ("right", LABELS["right_brow"])):
         cx = _EYE_C[side][0]
-        t = (pc[:, 0] - (cx - _BROW_HALF)) / (2.0 * _BROW_HALF)
+        t = (x - (cx - _BROW_HALF)) / (2.0 * _BROW_HALF)
         span = np.flatnonzero((t >= 0.0) & (t <= 1.0))
         center_y = _brow_centerline(side, params.brow_curvature, t[span])[:, 1]
         brow = np.zeros(n, dtype=bool)
-        brow[span] = np.abs(pc[span, 1] - center_y) <= params.brow_thickness / 2.0
+        brow[span] = np.abs(y[span] - center_y) <= params.brow_thickness / 2.0
         brow &= face
         labels[brow] = label
         colors[brow] = aux["brow_color"]
 
     for side, label in (("left", LABELS["left_eye"]), ("right", LABELS["right_eye"])):
-        eye = _inside_ellipse(pc, _EYE_C[side], _EYE_R)
+        center = _EYE_C[side]
+        box = _in_box(x, y, center, _EYE_R)
+        eye = box[_inside_ellipse(x[box], y[box], center, _EYE_R)]
         labels[eye] = label
         colors[eye] = np.array([0.93, 0.93, 0.95])
-        iris = eye & (np.linalg.norm(pc - _EYE_C[side], axis=1) < _IRIS_R)
-        colors[iris] = aux["iris_color"]
+        dx, dy = x[eye] - center[0], y[eye] - center[1]
+        colors[eye[np.sqrt(dx * dx + dy * dy) < _IRIS_R]] = aux["iris_color"]
 
-    lips = _inside_ellipse(pc, _LIP_C, _LIP_R)
+    box = _in_box(x, y, _LIP_C, _LIP_R)
+    lips = box[_inside_ellipse(x[box], y[box], _LIP_C, _LIP_R)]
     labels[lips] = LABELS["lips"]
     colors[lips] = params.lip_color
 
     if params.shade_strength > 0.0:
         along = points @ aux["shade_dir"]
         factor = 1.0 + params.shade_strength * (along - along.mean())
-        colors = colors * factor[:, None]
+        colors *= factor[:, None]
 
-    return labels, np.clip(colors, 0.0, 1.0)
+    return labels, np.clip(colors, 0.0, 1.0, out=colors)
 
 
 def synth_face(params: SynthFaceParams, size: int) -> FaceSample:

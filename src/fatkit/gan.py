@@ -552,9 +552,10 @@ def load_generator(path, config: GeneratorConfig) -> GeneratorParams:
 
     Stored tensors the generator does not use are ignored, such as the
     discriminators' and the normed-block biases older checkpoints hold. A
-    missing, misshapen or non-finite tensor is a FormatError naming it. The
-    loaded tensors require no gradient: a forward pass through the
-    generator builds no graph and frees each intermediate as it goes.
+    missing, misshapen or non-finite tensor is a FormatError naming it and
+    the checkpoint path. The loaded tensors require no gradient: a forward
+    pass through the generator builds no graph and frees each intermediate
+    as it goes.
     """
     from .tensor import load_tensors
 
@@ -562,12 +563,12 @@ def load_generator(path, config: GeneratorConfig) -> GeneratorParams:
     stored = load_tensors(path)
     for name, tensor in named_tensors([("gen", gen)]).items():
         if name not in stored:
-            raise FormatError(f"checkpoint is missing tensor {name!r}")
+            raise FormatError(f"{path}: checkpoint is missing tensor {name!r}")
         arr = stored[name]
         if tuple(arr.shape) != tensor.shape:
-            raise FormatError(f"checkpoint tensor {name!r} has shape {arr.shape}, expected {tensor.shape}")
+            raise FormatError(f"{path}: checkpoint tensor {name!r} has shape {arr.shape}, expected {tensor.shape}")
         if not np.isfinite(arr).all():
-            raise FormatError(f"checkpoint tensor {name!r} holds a non-finite value")
+            raise FormatError(f"{path}: checkpoint tensor {name!r} holds a non-finite value")
         tensor.data[...] = arr
         tensor.requires_grad = False
     return gen

@@ -14,15 +14,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ParameterError, bilinear_sample
-from .tps import identity_grid
+from .tensor import ParameterError, _axis_taps
+from .tps import _pixel_centers
 
 __all__ = ["HighResPair", "bilinear_resize", "crop_and_resize", "pyramid_reconstruct"]
 
 
 def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resample (C,H,W) to (C,out_h,out_w) at pixel centers, border-clamped."""
-    return bilinear_sample(np.asarray(image, dtype=np.float64), identity_grid(out_h, out_w))
+    """Resample (C,H,W) to (C,out_h,out_w) at pixel centers, border-clamped.
+
+    `bilinear_sample` on `identity_grid(out_h, out_w)`, run separably and
+    bit for bit: each source row in use is lerped along x once (the kernel's
+    `top`/`bot`), then the output rows lerp those along y.
+    """
+    image = np.asarray(image, dtype=np.float64)
+    _, h, w = image.shape
+    x0, x1, fx = _axis_taps(_pixel_centers(out_w), w)
+    y0, y1, fy = _axis_taps(_pixel_centers(out_h), h)
+    rows, at = np.unique(np.concatenate([y0, y1]), return_inverse=True)
+    used = np.take(image, rows, axis=1)
+    lerped = np.take(used, x0, axis=2) * (1.0 - fx) + np.take(used, x1, axis=2) * fx
+    fy = fy[:, None]
+    return np.take(lerped, at[:out_h], axis=1) * (1.0 - fy) + np.take(lerped, at[out_h:], axis=1) * fy
 
 
 @dataclass(frozen=True)

@@ -141,12 +141,16 @@ def tps_apply(transform: TpsTransform, points: np.ndarray) -> np.ndarray:
     return mapped[0] if np.asarray(points).ndim == 1 else mapped
 
 
+def _pixel_centers(n: int) -> np.ndarray:
+    """The n pixel-center coordinates of one axis, in [-1,1]."""
+    return (2.0 * np.arange(n) + 1.0) / n - 1.0
+
+
 def pixel_lattice(h: int, w: int) -> np.ndarray:
     """Pixel-center coordinates in [-1,1]^2, row-major, as an (h*w, 2) array."""
-    ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     out = np.empty((h * w, 2))
-    out[:, 0] = (2.0 * xs.ravel() + 1.0) / w - 1.0
-    out[:, 1] = (2.0 * ys.ravel() + 1.0) / h - 1.0
+    out[:, 0] = np.tile(_pixel_centers(w), h)
+    out[:, 1] = np.repeat(_pixel_centers(h), w)
     return out
 
 

@@ -497,7 +497,8 @@ def test_transfer_rejects_non_finite_checkpoint_tensor(corpus, tmp_path, capsys)
     save_tensors(tmp_path / "m.fatw", stored)
     code, err = transfer_in_process(corpus, tmp_path / "m.fatw", tmp_path / "t.ppm", capsys)
     assert code == 2
-    assert err.splitlines() == ["fatkit transfer: checkpoint tensor 'gen.dec2.w' holds a non-finite value"]
+    path = tmp_path / "m.fatw"
+    assert err.splitlines() == [f"fatkit transfer: {path}: checkpoint tensor 'gen.dec2.w' holds a non-finite value"]
     assert not (tmp_path / "t.ppm").exists()
 
 

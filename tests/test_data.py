@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from fatkit import data
 from fatkit.data import (
     LANDMARK_COUNT,
     PART_LANDMARKS,
@@ -72,6 +73,80 @@ def test_synth_rejects_out_of_range():
 def test_image_in_unit_range():
     s = synth_face(SynthFaceParams(shade_strength=0.3, seed=4), 64)
     assert s.image.min() >= 0.0 and s.image.max() <= 1.0
+
+
+def _whole_array_paint(points, params, aux):
+    """The painter stack with every part tested at every point through
+    (N, 2) arrays, as a reference for the bits of `data._paint`."""
+    rot, shift = aux["pose"]
+    pc = data._to_canonical(points, rot, shift)
+    n = pc.shape[0]
+    labels = np.zeros(n, dtype=np.uint8)
+    colors = np.tile(np.array([0.36, 0.40, 0.46]), (n, 1))
+
+    def inside(center, radii):
+        rel = (pc - center) / radii
+        return (rel * rel).sum(axis=-1) <= 1.0
+
+    hair = inside(data._HAIR_C, data._HAIR_R)
+    labels[hair] = data.LABELS["hair"]
+    colors[hair] = aux["hair_color"]
+    face = inside(data._FACE_C, data._FACE_R)
+    labels[face] = data.LABELS["skin"]
+    colors[face] = params.skin_color
+    if params.shadow_strength > 0.0 and params.shadow_radius > 0.0:
+        for side in ("left", "right"):
+            d = np.linalg.norm(pc - data._EYE_C[side], axis=1)
+            shadow = face & (d < params.shadow_radius)
+            fall = params.shadow_strength * (1.0 - (d[shadow] / params.shadow_radius) ** 2)
+            colors[shadow] = (1.0 - fall[:, None]) * colors[shadow] + fall[:, None] * np.asarray(params.shadow_color)
+    for side in ("left", "right"):
+        cx = data._EYE_C[side][0]
+        t = (pc[:, 0] - (cx - data._BROW_HALF)) / (2.0 * data._BROW_HALF)
+        span = np.flatnonzero((t >= 0.0) & (t <= 1.0))
+        center_y = data._brow_centerline(side, params.brow_curvature, t[span])[:, 1]
+        brow = np.zeros(n, dtype=bool)
+        brow[span] = np.abs(pc[span, 1] - center_y) <= params.brow_thickness / 2.0
+        brow &= face
+        labels[brow] = data.LABELS[f"{side}_brow"]
+        colors[brow] = aux["brow_color"]
+    for side in ("left", "right"):
+        eye = inside(data._EYE_C[side], data._EYE_R)
+        labels[eye] = data.LABELS[f"{side}_eye"]
+        colors[eye] = np.array([0.93, 0.93, 0.95])
+        colors[eye & (np.linalg.norm(pc - data._EYE_C[side], axis=1) < data._IRIS_R)] = aux["iris_color"]
+    lips = inside(data._LIP_C, data._LIP_R)
+    labels[lips] = data.LABELS["lips"]
+    colors[lips] = params.lip_color
+    if params.shade_strength > 0.0:
+        along = points @ aux["shade_dir"]
+        colors = colors * (1.0 + params.shade_strength * (along - along.mean()))[:, None]
+    return labels, np.clip(colors, 0.0, 1.0)
+
+
+def _oracle_faces():
+    edge = dict(shadow_radius=0.12, shadow_strength=1.0, shade_strength=0.3, seed=13)
+    return [
+        random_face_params(np.random.default_rng(21), "plain", seed=21),
+        random_face_params(np.random.default_rng(22), "makeup", seed=22),
+        SynthFaceParams(rotation_deg=15.0, shift=(0.03, -0.03), brow_thickness=0.02, brow_curvature=0.5, **edge),
+        SynthFaceParams(rotation_deg=-15.0, shift=(-0.03, 0.03), brow_thickness=0.05, brow_curvature=-0.5, **edge),
+    ]
+
+
+@pytest.mark.parametrize("size", [48, 64, 96, 192])
+def test_synth_face_bits_equal_whole_array_painter(monkeypatch, size):
+    # the painter tests the small parts only inside their boxes; a box that
+    # dropped a single sample point would move an image or mask byte
+    faces = _oracle_faces()
+    for params in faces if size < 192 else faces[2:3]:
+        got = synth_face(params, size)
+        with monkeypatch.context() as patch:
+            patch.setattr(data, "_paint", _whole_array_paint)
+            expected = synth_face(params, size)
+        assert got.image.tobytes() == expected.image.tobytes()
+        assert got.mask.tobytes() == expected.mask.tobytes()
+        assert got.landmarks.tobytes() == expected.landmarks.tobytes()
 
 
 # -- corpus ------------------------------------------------------------------------

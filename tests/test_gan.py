@@ -454,6 +454,14 @@ def test_checkpoint_missing_tensor(tmp_path):
         load_generator(tmp_path / "bad.fatw", cfg)
 
 
+def test_checkpoint_missing_tensor_names_the_file(tmp_path):
+    path = tmp_path / "bad.fatw"
+    save_tensors(path, {"gen.enc0.w": np.zeros((4, 3, 3, 3))})
+    with pytest.raises(FormatError) as info:
+        load_generator(path, tiny_config())
+    assert str(info.value).startswith(f"{path}: checkpoint is missing tensor 'gen.")
+
+
 def test_state_tensor_names_and_order():
     # the checkpoint layout is this name list, in this order; blocks with
     # instance norm and the frozen perceptual blocks store no bias

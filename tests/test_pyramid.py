@@ -4,7 +4,28 @@ import numpy as np
 import pytest
 
 from fatkit.pyramid import bilinear_resize, crop_and_resize, pyramid_reconstruct
-from fatkit.tensor import ParameterError
+from fatkit.tensor import ParameterError, bilinear_sample
+from fatkit.tps import identity_grid
+
+
+@pytest.mark.parametrize(
+    "shape, out_h, out_w",
+    [
+        ((3, 64, 64), 192, 192),
+        ((3, 192, 192), 64, 64),
+        ((3, 37, 53), 20, 71),
+        ((64, 16, 16), 8, 24),
+        ((3, 1, 9), 1, 20),
+        ((3, 9, 1), 20, 1),
+    ],
+)
+def test_resize_bits_equal_kernel_on_identity_grid(rng, shape, out_h, out_w):
+    # the separable resize is the 2-D bilinear kernel in another traversal order
+    image = rng.normal(size=shape)
+    expected = bilinear_sample(image, identity_grid(out_h, out_w))
+    got = bilinear_resize(image, out_h, out_w)
+    assert got.shape == expected.shape == (shape[0], out_h, out_w)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_full_frame_box_keeps_image(rng):
