@@ -132,6 +132,7 @@ _LIP_R = np.array([0.105, 0.048])
 _INSET = 0.88  # landmark inset inside part boundaries
 _SUPERSAMPLE = 4  # image samples per pixel along each axis
 _BOX_PAD = 1e-6  # margin of a part's test box over its radii, far above round-off
+_IRIS = MAX_LABEL + 1  # image-only label of the iris points, the last color-table entry
 
 
 def _pose(params: SynthFaceParams):
@@ -144,8 +145,21 @@ def _to_world(points: np.ndarray, rot: np.ndarray, shift: np.ndarray) -> np.ndar
     return (points - _FACE_C) @ rot.T + _FACE_C + shift
 
 
-def _to_canonical(points: np.ndarray, rot: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    return (points - _FACE_C - shift) @ rot + _FACE_C
+def _grid(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(2, len(ys) * len(xs)) x and y rows of the points (xs[j], ys[i]), row by row."""
+    grid = np.empty((2, ys.shape[0], xs.shape[0]))
+    grid[0] = xs
+    grid[1] = ys[:, None]
+    return grid.reshape(2, -1)
+
+
+def _to_canonical(coords: np.ndarray, rot: np.ndarray, shift: np.ndarray):
+    """Canonical x and y rows of the world grid whose x and y both run over
+    `coords`. The rotation is one BLAS product: per-axis `a * r00 + b * r10`
+    rounds differently where the kernel fuses the multiply-add."""
+    pc = rot.T @ _grid(coords - _FACE_C[0] - shift[0], coords - _FACE_C[1] - shift[1])
+    pc += _FACE_C[:, None]
+    return pc[0], pc[1]
 
 
 def _brow_centerline(side: str, kappa: float, t: np.ndarray) -> np.ndarray:
@@ -175,13 +189,16 @@ def _canonical_landmarks(params: SynthFaceParams) -> np.ndarray:
 def _inside_ellipse(x: np.ndarray, y: np.ndarray, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
     rx = (x - center[0]) / radii[0]
     ry = (y - center[1]) / radii[1]
-    return rx * rx + ry * ry <= 1.0
+    rx *= rx
+    ry *= ry
+    rx += ry
+    return rx <= 1.0
 
 
 def _in_box(x: np.ndarray, y: np.ndarray, center: np.ndarray, half) -> np.ndarray:
     """Indices of the points within `half` (padded by `_BOX_PAD`) of `center`
-    along each axis: a superset of the points an ellipse or disk of those
-    radii accepts, so testing only these drops no point."""
+    along each axis: a superset of the points of a part of those half-extents,
+    so testing only these drops no point."""
     lo = center - half - _BOX_PAD
     hi = center + half + _BOX_PAD
     rows = np.flatnonzero((y >= lo[1]) & (y <= hi[1]))
@@ -189,80 +206,89 @@ def _in_box(x: np.ndarray, y: np.ndarray, center: np.ndarray, half) -> np.ndarra
     return rows[(xr >= lo[0]) & (xr <= hi[0])]
 
 
-def _paint(points: np.ndarray, params: SynthFaceParams, aux: dict):
-    """Labels and colors of the painter stack at arbitrary world points.
+def _labels(x: np.ndarray, y: np.ndarray, params: SynthFaceParams):
+    """Mask labels of the painter stack at the canonical points (x, y), and
+    the indices of the points inside an iris.
 
-    Hair, face and brows are tested at every point; the small parts (eyes,
-    irises, lips, shadows) only at the points of their padded canonical box.
+    Hair and face are tested at every point; brows, eyes and lips only at the
+    points of their padded canonical box, irises only at their eye's points.
     """
-    rot, shift = aux["pose"]
-    pc = _to_canonical(points, rot, shift)
-    x, y = pc[:, 0], pc[:, 1]
-    n = pc.shape[0]
-    labels = np.zeros(n, dtype=np.uint8)
-    colors = np.tile(np.array([0.36, 0.40, 0.46]), (n, 1))
-
-    hair = _inside_ellipse(x, y, _HAIR_C, _HAIR_R)
-    labels[hair] = LABELS["hair"]
-    colors[hair] = aux["hair_color"]
-
+    labels = np.zeros(x.shape[0], dtype=np.uint8)
+    labels[_inside_ellipse(x, y, _HAIR_C, _HAIR_R)] = LABELS["hair"]
     face = _inside_ellipse(x, y, _FACE_C, _FACE_R)
     labels[face] = LABELS["skin"]
-    colors[face] = params.skin_color
 
-    if params.shadow_strength > 0.0 and params.shadow_radius > 0.0:
-        radius = params.shadow_radius
-        for side in ("left", "right"):
-            center = _EYE_C[side]
-            box = _in_box(x, y, center, radius)
-            dx, dy = x[box] - center[0], y[box] - center[1]
-            d = np.sqrt(dx * dx + dy * dy)
-            keep = face[box] & (d < radius)
-            inside = box[keep]
-            fall = params.shadow_strength * (1.0 - (d[keep] / radius) ** 2)
-            colors[inside] = (1.0 - fall[:, None]) * colors[inside] + fall[:, None] * np.asarray(
-                params.shadow_color
-            )
-
+    kappa, half_thick = params.brow_curvature, params.brow_thickness / 2.0
+    # a brow's centerline runs between _BROW_Y and _BROW_Y - kappa * _BROW_SAG
+    brow_half = np.array([_BROW_HALF, abs(kappa) * _BROW_SAG / 2.0 + half_thick])
     for side, label in (("left", LABELS["left_brow"]), ("right", LABELS["right_brow"])):
         cx = _EYE_C[side][0]
-        t = (x - (cx - _BROW_HALF)) / (2.0 * _BROW_HALF)
-        span = np.flatnonzero((t >= 0.0) & (t <= 1.0))
-        center_y = _brow_centerline(side, params.brow_curvature, t[span])[:, 1]
-        brow = np.zeros(n, dtype=bool)
-        brow[span] = np.abs(y[span] - center_y) <= params.brow_thickness / 2.0
-        brow &= face
-        labels[brow] = label
-        colors[brow] = aux["brow_color"]
+        box = _in_box(x, y, np.array([cx, _BROW_Y - kappa * _BROW_SAG / 2.0]), brow_half)
+        t = (x[box] - (cx - _BROW_HALF)) / (2.0 * _BROW_HALF)
+        center_y = _brow_centerline(side, kappa, t)[:, 1]
+        brow = (t >= 0.0) & (t <= 1.0) & (np.abs(y[box] - center_y) <= half_thick) & face[box]
+        labels[box[brow]] = label
 
+    irises = []
     for side, label in (("left", LABELS["left_eye"]), ("right", LABELS["right_eye"])):
         center = _EYE_C[side]
         box = _in_box(x, y, center, _EYE_R)
         eye = box[_inside_ellipse(x[box], y[box], center, _EYE_R)]
         labels[eye] = label
-        colors[eye] = np.array([0.93, 0.93, 0.95])
         dx, dy = x[eye] - center[0], y[eye] - center[1]
-        colors[eye[np.sqrt(dx * dx + dy * dy) < _IRIS_R]] = aux["iris_color"]
+        irises.append(eye[np.sqrt(dx * dx + dy * dy) < _IRIS_R])
 
     box = _in_box(x, y, _LIP_C, _LIP_R)
-    lips = box[_inside_ellipse(x[box], y[box], _LIP_C, _LIP_R)]
-    labels[lips] = LABELS["lips"]
-    colors[lips] = params.lip_color
+    labels[box[_inside_ellipse(x[box], y[box], _LIP_C, _LIP_R)]] = LABELS["lips"]
+    return labels, np.concatenate(irises)
+
+
+def _paint(coords: np.ndarray, params: SynthFaceParams, aux: dict) -> np.ndarray:
+    """(3, N) colors of the painter stack on the world grid whose x and y both
+    run over `coords`.
+
+    Each point takes its label's color from one table, irises under their own
+    index; eye shadow is then blended into the points left as skin, and the
+    lighting gradient scales every point.
+    """
+    x, y = _to_canonical(coords, *aux["pose"])
+    labels, irises = _labels(x, y, params)
+    labels[irises] = _IRIS
+    eye_white = (0.93, 0.93, 0.95)
+    table = np.column_stack(
+        [(0.36, 0.40, 0.46), params.skin_color, aux["brow_color"], aux["brow_color"],
+         eye_white, eye_white, params.lip_color, aux["hair_color"], aux["iris_color"]]
+    )
+    colors = np.take(table, labels, axis=1)
+
+    if params.shadow_strength > 0.0 and params.shadow_radius > 0.0:
+        radius = params.shadow_radius
+        shadow = np.asarray(params.shadow_color)[:, None]
+        for side in ("left", "right"):
+            center = _EYE_C[side]
+            box = _in_box(x, y, center, radius)
+            dx, dy = x[box] - center[0], y[box] - center[1]
+            d = np.sqrt(dx * dx + dy * dy)
+            keep = (labels[box] == LABELS["skin"]) & (d < radius)
+            inside = box[keep]
+            fall = params.shadow_strength * (1.0 - (d[keep] / radius) ** 2)
+            colors[:, inside] = (1.0 - fall) * colors[:, inside] + fall * shadow
 
     if params.shade_strength > 0.0:
-        along = points @ aux["shade_dir"]
-        factor = 1.0 + params.shade_strength * (along - along.mean())
-        colors *= factor[:, None]
+        along = aux["shade_dir"] @ _grid(coords, coords)
+        colors *= 1.0 + params.shade_strength * (along - along.mean())
 
-    return labels, np.clip(colors, 0.0, 1.0, out=colors)
+    return np.clip(colors, 0.0, 1.0, out=colors)
 
 
 def synth_face(params: SynthFaceParams, size: int) -> FaceSample:
     """Render one anti-aliased face; landmarks come from the same curves.
 
-    The image averages `_SUPERSAMPLE`^2 evaluations per pixel; the categorical
-    mask is evaluated once at pixel centers.
+    The image averages `_SUPERSAMPLE`^2 painted samples per pixel; the
+    categorical mask is labelled once at pixel centers.
     """
+    if size < 1:
+        raise ParameterError(f"size must be at least 1, got {size}")
     params.validate()
     rng = np.random.default_rng(np.random.SeedSequence([0xFACE, int(params.seed)]))
     theta = rng.uniform(0.0, 2.0 * math.pi)
@@ -275,20 +301,21 @@ def synth_face(params: SynthFaceParams, size: int) -> FaceSample:
     }
 
     ss = _SUPERSAMPLE
-    sub = (np.arange(size * ss) + 0.5) / (size * ss)
-    yy, xx = np.meshgrid(sub, sub, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    _, colors = _paint(pts, params, aux)
-    image = colors.reshape(size, ss, size, ss, 3).mean(axis=(1, 3)).transpose(2, 0, 1)
-
-    centers = (np.arange(size) + 0.5) / size
-    yy, xx = np.meshgrid(centers, centers, indexing="ij")
-    labels, _ = _paint(np.stack([xx.ravel(), yy.ravel()], axis=1), params, aux)
-    mask = labels.reshape(size, size)
+    colors = _paint((np.arange(size * ss) + 0.5) / (size * ss), params, aux)
+    # each pixel's samples summed in the order of numpy's (H, ss, W, ss, 3)
+    # .mean(axis=(1, 3)): sub-rows outer, sub-columns inner, then one division
+    samples = colors.reshape(3, size, ss, size, ss)
+    image = samples[:, :, 0, :, 0].copy()
+    for a in range(ss):
+        for d in range(ss):
+            if a or d:
+                image += samples[:, :, a, :, d]
+    image /= ss * ss
 
     rot, shift = aux["pose"]
+    labels, _ = _labels(*_to_canonical((np.arange(size) + 0.5) / size, rot, shift), params)
     landmarks = _to_world(_canonical_landmarks(params), rot, shift)
-    return FaceSample(image=np.ascontiguousarray(image), landmarks=landmarks, mask=mask)
+    return FaceSample(image=image, landmarks=landmarks, mask=labels.reshape(size, size))
 
 
 def random_face_params(rng, group: str, seed: int) -> SynthFaceParams:
@@ -336,6 +363,8 @@ def make_corpus(out_dir, count: int, size: int, seed: int):
     """
     if count < 2:
         raise ParameterError(f"corpus needs at least 2 samples, got {count}")
+    if size < 1:
+        raise ParameterError(f"size must be at least 1, got {size}")
     os.makedirs(out_dir, exist_ok=True)
     children = np.random.SeedSequence(seed).spawn(count)
     lines = []

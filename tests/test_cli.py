@@ -52,6 +52,15 @@ def test_unknown_flag_is_usage_error():
     assert result.returncode == 1
 
 
+def test_synth_nonpositive_size_exit_2(tmp_path):
+    for size in (0, -4):
+        out = tmp_path / f"size{size}"
+        result = run_cli("synth", "--out", out, "--count", 2, "--size", size)
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [f"fatkit synth: size must be at least 1, got {size}"]
+        assert not out.exists()
+
+
 def test_synth_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli("synth", "--out", a, "--count", 4, "--size", 32, "--seed", 9).returncode == 0

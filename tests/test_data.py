@@ -68,6 +68,9 @@ def test_synth_rejects_out_of_range():
         synth_face(SynthFaceParams(brow_curvature=0.9), 32)
     with pytest.raises(ParameterError):
         synth_face(SynthFaceParams(rotation_deg=30.0), 32)
+    for size in (0, -4):
+        with pytest.raises(ParameterError, match=f"size must be at least 1, got {size}"):
+            synth_face(SynthFaceParams(), size)
 
 
 def test_image_in_unit_range():
@@ -75,11 +78,11 @@ def test_image_in_unit_range():
     assert s.image.min() >= 0.0 and s.image.max() <= 1.0
 
 
-def _whole_array_paint(points, params, aux):
-    """The painter stack with every part tested at every point through
-    (N, 2) arrays, as a reference for the bits of `data._paint`."""
-    rot, shift = aux["pose"]
-    pc = data._to_canonical(points, rot, shift)
+def _whole_array_paint(pc, points, params, aux):
+    """Labels and colors of the painter stack with every part tested at every
+    point through (N, 2) arrays: `pc` canonical points, `points` the world
+    points they came from (for the shade). A reference for the bits of
+    `synth_face`."""
     n = pc.shape[0]
     labels = np.zeros(n, dtype=np.uint8)
     colors = np.tile(np.array([0.36, 0.40, 0.46]), (n, 1))
@@ -104,7 +107,8 @@ def _whole_array_paint(points, params, aux):
         cx = data._EYE_C[side][0]
         t = (pc[:, 0] - (cx - data._BROW_HALF)) / (2.0 * data._BROW_HALF)
         span = np.flatnonzero((t >= 0.0) & (t <= 1.0))
-        center_y = data._brow_centerline(side, params.brow_curvature, t[span])[:, 1]
+        ts = t[span]
+        center_y = data._BROW_Y - params.brow_curvature * data._BROW_SAG * 4.0 * ts * (1.0 - ts)
         brow = np.zeros(n, dtype=bool)
         brow[span] = np.abs(pc[span, 1] - center_y) <= params.brow_thickness / 2.0
         brow &= face
@@ -124,6 +128,33 @@ def _whole_array_paint(points, params, aux):
     return labels, np.clip(colors, 0.0, 1.0)
 
 
+def _whole_array_face(params, size):
+    """`synth_face` through the (N, 2) canonical transform, the whole-array
+    painter and numpy's 16-sample mean."""
+    rng = np.random.default_rng(np.random.SeedSequence([0xFACE, int(params.seed)]))
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    aux = {
+        "hair_color": np.array([0.22, 0.16, 0.12]) + rng.uniform(-0.05, 0.05, size=3),
+        "brow_color": np.array([0.16, 0.11, 0.08]),
+        "iris_color": np.array([0.2, 0.3, 0.45]) + rng.uniform(-0.1, 0.1, size=3),
+        "shade_dir": np.array([np.cos(theta), np.sin(theta)]),
+    }
+    rot, shift = data._pose(params)
+
+    def paint(coords):
+        yy, xx = np.meshgrid(coords, coords, indexing="ij")
+        points = np.stack([xx.ravel(), yy.ravel()], axis=1)
+        pc = (points - data._FACE_C - shift) @ rot + data._FACE_C
+        return _whole_array_paint(pc, points, params, aux)
+
+    ss = data._SUPERSAMPLE
+    _, colors = paint((np.arange(size * ss) + 0.5) / (size * ss))
+    image = colors.reshape(size, ss, size, ss, 3).mean(axis=(1, 3)).transpose(2, 0, 1)
+    labels, _ = paint((np.arange(size) + 0.5) / size)
+    landmarks = data._to_world(data._canonical_landmarks(params), rot, shift)
+    return data.FaceSample(image=np.ascontiguousarray(image), landmarks=landmarks, mask=labels.reshape(size, size))
+
+
 def _oracle_faces():
     edge = dict(shadow_radius=0.12, shadow_strength=1.0, shade_strength=0.3, seed=13)
     return [
@@ -134,19 +165,33 @@ def _oracle_faces():
     ]
 
 
-@pytest.mark.parametrize("size", [48, 64, 96, 192])
-def test_synth_face_bits_equal_whole_array_painter(monkeypatch, size):
-    # the painter tests the small parts only inside their boxes; a box that
-    # dropped a single sample point would move an image or mask byte
+@pytest.mark.parametrize("size", [3, 48, 50, 64, 96, 100, 192])
+def test_synth_face_bits_equal_whole_array_painter(size):
+    # the painter tests brows, eyes, lips and shadows only inside their boxes,
+    # labels first and colors from a table, with planar coordinates and an
+    # explicit 16-sample sum; every image, mask and landmark byte must match
     faces = _oracle_faces()
     for params in faces if size < 192 else faces[2:3]:
         got = synth_face(params, size)
-        with monkeypatch.context() as patch:
-            patch.setattr(data, "_paint", _whole_array_paint)
-            expected = synth_face(params, size)
-        assert got.image.tobytes() == expected.image.tobytes()
-        assert got.mask.tobytes() == expected.mask.tobytes()
-        assert got.landmarks.tobytes() == expected.landmarks.tobytes()
+        expected = _whole_array_face(params, size)
+        for name in ("image", "mask", "landmarks"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@pytest.mark.parametrize("curvature, thickness", [(0.5, 0.02), (-0.5, 0.05), (0.0, 0.035), (0.23, 0.05)])
+def test_part_boxes_drop_no_point(curvature, thickness):
+    # dense random canonical points around the brows and eyes, where a part's
+    # box edge lies: the boxed labels must equal the whole-array painter's
+    params = SynthFaceParams(brow_curvature=curvature, brow_thickness=thickness)
+    rng = np.random.default_rng(7)
+    pc = np.column_stack([rng.uniform(0.2, 0.8, 400_000), rng.uniform(0.25, 0.55, 400_000)])
+    aux = {"hair_color": np.zeros(3), "brow_color": np.zeros(3), "iris_color": np.zeros(3)}
+    expected, _ = _whole_array_paint(pc, pc, params, aux)
+    got, _ = data._labels(np.ascontiguousarray(pc[:, 0]), np.ascontiguousarray(pc[:, 1]), params)
+    assert np.array_equal(got, expected)
+    for label in (2, 3, 4, 5):
+        assert np.count_nonzero(got == label) > 1000
 
 
 # -- corpus ------------------------------------------------------------------------
