@@ -91,7 +91,6 @@ class FatParams:
             raise ParameterError(f"estimator must be 'identity' or 'random', got {estimator!r}")
         self.d = d
         self.heads = heads
-        self.n_landmarks = n_landmarks
         self.dk = max(d // heads, 1)
         width = d + 2 * n_landmarks
         scale = 1.0 / math.sqrt(width)

@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True, help="reference sample (.ppm)")
     p.add_argument("--mode", choices=("tps", "hist", "blend"), required=True)
     p.add_argument("--spatial-part", default=None, help="also transfer this part's shape (e.g. eyebrows)")
-    p.add_argument("--alpha", type=float, default=0.8, help="blend weight for --mode blend")
+    p.add_argument("--alpha", type=float, help="blend weight for --mode blend (default 0.8)")
     p.add_argument("--out", required=True, help="output image (.ppm; sidecar .meta)")
 
     # the setting flags carry no defaults (unset ones stay None): every
@@ -119,20 +119,22 @@ def _cmd_synth(args) -> int:
 
 def _cmd_pgt(args) -> int:
     from .data import load_sample
-    from .pseudo_gt import blend_pgt, color_pgt, histogram_pgt, spatial_pgt, write_pgt
+    from .pseudo_gt import blend_pgt, histogram_pgt, tps_pgt, write_pgt
     from .spatial import parse_active_labels
 
+    if args.spatial_part is not None and args.mode != "tps":
+        raise _UsageError(f"--spatial-part needs --mode tps, got --mode {args.mode}")
+    if args.alpha is not None and args.mode != "blend":
+        raise _UsageError(f"--alpha needs --mode blend, got --mode {args.mode}")
     source = load_sample(args.source)
     reference = load_sample(args.ref)
     if args.mode == "tps":
-        result = color_pgt(source, reference)
-        if args.spatial_part:
-            for label in parse_active_labels(args.spatial_part):
-                result = spatial_pgt(result, source, reference, label)
+        labels = () if args.spatial_part is None else parse_active_labels(args.spatial_part)
+        result = tps_pgt(source, reference, labels)
     elif args.mode == "hist":
         result = histogram_pgt(source, reference)
     else:
-        result = blend_pgt(source, reference, alpha=args.alpha)
+        result = blend_pgt(source, reference) if args.alpha is None else blend_pgt(source, reference, args.alpha)
     write_pgt(args.out, result)
     print(args.out)
     return EXIT_OK
@@ -208,7 +210,9 @@ def _cmd_transfer(args) -> int:
     from .gan import MODEL_KEYS, SETTINGS, configs_from_settings, generator_forward, load_generator
     from .tensor import FormatError
 
-    if args.highres:
+    if args.box is not None and args.highres is None:
+        raise _UsageError("--box needs --highres")
+    if args.highres is not None:
         try:
             box = tuple(int(v) for v in (args.box or "").split(","))
         except ValueError:
@@ -229,7 +233,7 @@ def _cmd_transfer(args) -> int:
         source.image, reference.image, source.landmarks, reference.landmarks,
         source.mask, gen, config,
     ).data
-    if args.highres:
+    if args.highres is not None:
         from .pyramid import crop_and_resize, pyramid_reconstruct
 
         frame = read_ppm(args.highres)
@@ -278,18 +282,20 @@ def _cmd_bench(args) -> int:
         transfer_attributes,
         unflatten_map,
     )
+    from .data import LANDMARK_COUNT
+    from .gan import GeneratorConfig
     from .tensor import Tensor
 
+    config = GeneratorConfig(args.size, base_width=args.width, heads=args.heads)
+    d, hb = config.feature_dim, config.bottleneck
     rng = np.random.default_rng(args.seed)
-    d = 4 * args.width
-    hb = args.size // 4
-    params = FatParams(d=d, heads=args.heads, n_landmarks=30, rng=rng, estimator="random")
+    params = FatParams(d=d, heads=args.heads, n_landmarks=LANDMARK_COUNT, rng=rng, estimator="random")
     for tensor in params.parameters():
         tensor.requires_grad = False  # timing inference, not graph building
     x_map = Tensor(rng.normal(size=(d, hb, hb)))
     y_map = Tensor(rng.normal(size=(d, hb, hb)))
-    le_x = landmark_embedding(hb, hb, rng.uniform(0.2, 0.8, size=(30, 2)))
-    le_y = landmark_embedding(hb, hb, rng.uniform(0.2, 0.8, size=(30, 2)))
+    le_x = landmark_embedding(hb, hb, rng.uniform(0.2, 0.8, size=(LANDMARK_COUNT, 2)))
+    le_y = landmark_embedding(hb, hb, rng.uniform(0.2, 0.8, size=(LANDMARK_COUNT, 2)))
 
     def batched_pass():
         return fat_forward(x_map, y_map, le_x, le_y, params)
@@ -353,13 +359,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except Exception as exc:  # classified lazily so numpy loads after env setup
         from .gan import NonFiniteLossError
-        from .tensor import FormatError, ParameterError, ShapeError
         from .tps import DegenerateGeometryError
 
         if isinstance(exc, (DegenerateGeometryError, NonFiniteLossError)):
             print(f"fatkit {args.command}: numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
-        if isinstance(exc, (FormatError, ShapeError, ParameterError, ValueError, OSError)):
+        # FormatError, ShapeError and ParameterError are ValueErrors
+        if isinstance(exc, (ValueError, OSError)):
             print(f"fatkit {args.command}: {exc}", file=sys.stderr)
             return EXIT_DATA
         raise

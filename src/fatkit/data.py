@@ -261,22 +261,21 @@ def _paint(coords: np.ndarray, params: SynthFaceParams, aux: dict) -> np.ndarray
     )
     colors = np.take(table, labels, axis=1)
 
-    if params.shadow_strength > 0.0 and params.shadow_radius > 0.0:
-        radius = params.shadow_radius
-        shadow = np.asarray(params.shadow_color)[:, None]
-        for side in ("left", "right"):
-            center = _EYE_C[side]
-            box = _in_box(x, y, center, radius)
-            dx, dy = x[box] - center[0], y[box] - center[1]
-            d = np.sqrt(dx * dx + dy * dy)
-            keep = (labels[box] == LABELS["skin"]) & (d < radius)
-            inside = box[keep]
-            fall = params.shadow_strength * (1.0 - (d[keep] / radius) ** 2)
-            colors[:, inside] = (1.0 - fall) * colors[:, inside] + fall * shadow
+    # at strength 0 both blends below multiply by exactly 1 and add exactly 0
+    radius = params.shadow_radius
+    shadow = np.asarray(params.shadow_color)[:, None]
+    for side in ("left", "right"):
+        center = _EYE_C[side]
+        box = _in_box(x, y, center, radius)
+        dx, dy = x[box] - center[0], y[box] - center[1]
+        d = np.sqrt(dx * dx + dy * dy)
+        keep = (labels[box] == LABELS["skin"]) & (d < radius)
+        inside = box[keep]
+        fall = params.shadow_strength * (1.0 - (d[keep] / radius) ** 2)
+        colors[:, inside] = (1.0 - fall) * colors[:, inside] + fall * shadow
 
-    if params.shade_strength > 0.0:
-        along = aux["shade_dir"] @ _grid(coords, coords)
-        colors *= 1.0 + params.shade_strength * (along - along.mean())
+    along = aux["shade_dir"] @ _grid(coords, coords)
+    colors *= 1.0 + params.shade_strength * (along - along.mean())
 
     return np.clip(colors, 0.0, 1.0, out=colors)
 
@@ -384,7 +383,7 @@ def make_corpus(out_dir, count: int, size: int, seed: int):
 
 
 def read_manifest(path):
-    """Manifest rows as (id, group, image, landmarks, mask) tuples."""
+    """Manifest rows as (id, group, image, landmarks, mask) tuples, group 'plain' or 'makeup'."""
     rows = []
     with open_ascii(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -393,6 +392,8 @@ def read_manifest(path):
                 continue
             if len(parts) != 5:
                 raise FormatError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
+            if parts[1] not in ("plain", "makeup"):
+                raise FormatError(f"{path}:{lineno}: group must be 'plain' or 'makeup', got {parts[1]!r}")
             rows.append(tuple(parts))
     return rows
 
@@ -415,19 +416,16 @@ def open_ascii(path) -> io.StringIO:
     return io.StringIO(text, newline=None)
 
 
-def write_ppm(path, image: np.ndarray):
-    """Binary P6, maxval 255. Input is (3,H,W) float in [0,1]."""
-    img = np.asarray(image)
-    if img.ndim != 3 or img.shape[0] != 3:
-        raise ParameterError(f"image must be (3,H,W), got {img.shape}")
-    data = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    h, w = img.shape[1], img.shape[2]
+def _write_netpbm(path, magic: bytes, pixels: np.ndarray):
+    """Binary netpbm file, maxval 255, of (H,W,channels) uint8 pixels."""
+    h, w = pixels.shape[:2]
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.transpose(1, 2, 0).tobytes())
+        fh.write(magic + f"\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(pixels.tobytes())
 
 
-def _read_netpbm(path, magic: bytes):
+def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
+    """(H,W,channels) uint8 pixels of a binary netpbm file with maxval 255."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:2] != magic:
@@ -449,18 +447,25 @@ def _read_netpbm(path, magic: bytes):
         raise FormatError(f"{path}: non-numeric header field at byte {offset}: {exc}") from exc
     if maxval != 255:
         raise FormatError(f"{path}: maxval must be 255, got {maxval}")
-    return blob, offset, w, h
+    expected = h * w * channels
+    payload = blob[offset : offset + expected]
+    if len(payload) != expected:
+        raise FormatError(f"{path}: pixel payload truncated at byte {offset + len(payload)}")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, channels)
+
+
+def write_ppm(path, image: np.ndarray):
+    """Binary P6, maxval 255. Input is (3,H,W) float in [0,1]."""
+    img = np.asarray(image)
+    if img.ndim != 3 or img.shape[0] != 3:
+        raise ParameterError(f"image must be (3,H,W), got {img.shape}")
+    data = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+    _write_netpbm(path, b"P6", data.transpose(1, 2, 0))
 
 
 def read_ppm(path) -> np.ndarray:
     """(3,H,W) float64 in [0,1]; values quantized to the stored 8 bits."""
-    blob, offset, w, h = _read_netpbm(path, b"P6")
-    expected = 3 * w * h
-    payload = blob[offset : offset + expected]
-    if len(payload) != expected:
-        raise FormatError(f"{path}: pixel payload truncated at byte {offset + len(payload)}")
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
-    return arr.transpose(2, 0, 1).astype(np.float64) / 255.0
+    return _read_netpbm(path, b"P6", 3).transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
 def write_pgm(path, mask: np.ndarray):
@@ -470,23 +475,14 @@ def write_pgm(path, mask: np.ndarray):
         raise ParameterError(f"mask must be (H,W), got {m.shape}")
     if m.min() < 0 or m.max() > MAX_LABEL:
         raise ParameterError(f"mask labels must lie in [0,{MAX_LABEL}], got [{m.min()},{m.max()}]")
-    h, w = m.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(m.astype(np.uint8).tobytes())
+    _write_netpbm(path, b"P5", m.astype(np.uint8)[:, :, None])
 
 
 def read_pgm(path) -> np.ndarray:
-    blob, offset, w, h = _read_netpbm(path, b"P5")
-    payload = blob[offset : offset + w * h]
-    if len(payload) != w * h:
-        raise FormatError(f"{path}: mask payload truncated at byte {offset + len(payload)}")
-    mask = np.frombuffer(payload, dtype=np.uint8).reshape(h, w).copy()
+    mask = _read_netpbm(path, b"P5", 1)[:, :, 0].copy()
     if mask.max() > MAX_LABEL:
-        bad = int(np.argmax(mask > MAX_LABEL))
-        raise FormatError(
-            f"{path}: label {mask.max()} outside [0,{MAX_LABEL}] at byte {offset + bad}"
-        )
+        row, col = np.argwhere(mask > MAX_LABEL)[0]
+        raise FormatError(f"{path}: label {mask.max()} outside [0,{MAX_LABEL}] at row {row}, column {col}")
     return mask
 
 

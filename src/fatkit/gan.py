@@ -29,7 +29,7 @@ import numpy as np
 
 from .attention import FatParams, fat_forward, landmark_embedding
 from .data import LANDMARK_COUNT, FaceSample
-from .pseudo_gt import color_pgt, spatial_pgt
+from .pseudo_gt import tps_pgt
 from .spatial import ACTIVE_LABEL_SETS, SpatialFatParams, spatial_fat_forward
 from .tensor import (
     AdamState,
@@ -41,6 +41,7 @@ from .tensor import (
     deconv2d,
     instance_norm,
     l1_loss,
+    load_tensors,
     mse_loss,
     named_tensors,
     relu,
@@ -388,16 +389,11 @@ class TrainPair:
 def prepare_pair(x: FaceSample, y: FaceSample, percep: PerceptualParams,
                  spatial_labels=()) -> TrainPair:
     """Build the cached pseudo ground truth and frozen features for a pair."""
-    gt_xy = color_pgt(x, y)
-    gt_yx = color_pgt(y, x)
-    for label in spatial_labels:
-        gt_xy = spatial_pgt(gt_xy, x, y, label)
-        gt_yx = spatial_pgt(gt_yx, y, x, label)
     return TrainPair(
         x=x,
         y=y,
-        pgt_xy=gt_xy.image,
-        pgt_yx=gt_yx.image,
+        pgt_xy=tps_pgt(x, y, spatial_labels).image,
+        pgt_yx=tps_pgt(y, x, spatial_labels).image,
         feat_x=run_blocks(percep.blocks, x.image).data,
         feat_y=run_blocks(percep.blocks, y.image).data,
     )
@@ -557,8 +553,6 @@ def load_generator(path, config: GeneratorConfig) -> GeneratorParams:
     pass through the generator builds no graph and frees each intermediate
     as it goes.
     """
-    from .tensor import load_tensors
-
     gen = GeneratorParams(config, _Unfilled, rng_spatial=_Unfilled)
     stored = load_tensors(path)
     for name, tensor in named_tensors([("gen", gen)]).items():

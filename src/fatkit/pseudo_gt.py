@@ -6,7 +6,8 @@ for lips, eyebrows and eyes pasted back through the source parsing mask), so
 the supervision keeps the reference's exact colors. A second stage can move
 a part's shape: the reference contour is translated by the mean offset onto
 the source location and the part region is warped from the source contour to
-that target.
+that target. `tps_pgt` runs the colour stage and then the shape stage of
+each chosen part.
 
 Histogram matching and alpha blending are included as the baseline
 generators. All functions are pure numpy over FaceSample inputs and record
@@ -37,6 +38,7 @@ __all__ = [
     "PseudoGT",
     "color_pgt",
     "spatial_pgt",
+    "tps_pgt",
     "histogram_pgt",
     "blend_pgt",
     "HISTOGRAM_REGIONS",
@@ -69,14 +71,6 @@ class PseudoGT:
 def _unit(landmarks: np.ndarray) -> np.ndarray:
     """[0,1] image coordinates -> [-1,1] warp coordinates."""
     return np.asarray(landmarks, dtype=np.float64) * 2.0 - 1.0
-
-
-def _sampling_transform(content_src: np.ndarray, content_dst: np.ndarray):
-    """TPS moving image content at `content_src` onto `content_dst`.
-
-    Bilinear sampling pulls, so the solved transform runs dst -> src.
-    """
-    return tps_solve(content_dst, content_src)
 
 
 def _box_blur(mask: np.ndarray) -> np.ndarray:
@@ -121,7 +115,8 @@ def _paste(base: np.ndarray, insert: np.ndarray, region: np.ndarray, window) -> 
 
 
 def _coarse_warp(source: FaceSample, reference: FaceSample) -> np.ndarray:
-    transform = _sampling_transform(_unit(reference.landmarks), _unit(source.landmarks))
+    # sampling grids pull, so the spline runs from the source points to the reference's
+    transform = tps_solve(_unit(source.landmarks), _unit(reference.landmarks))
     return warp_image(reference.image, tps_grid(transform, source.image.shape[1], source.image.shape[2]))
 
 
@@ -148,7 +143,7 @@ def color_pgt(source: FaceSample, reference: FaceSample) -> PseudoGT:
         src_pts = np.concatenate([_unit(source.landmarks[list(indices)]), _CORNERS])
         ref_pts = np.concatenate([_unit(reference.landmarks[list(indices)]), _CORNERS])
         try:
-            transform = _sampling_transform(ref_pts, src_pts)
+            transform = tps_solve(src_pts, ref_pts)
         except DegenerateGeometryError:
             continue
         window = _window(region)
@@ -208,9 +203,7 @@ def spatial_pgt(
     target = ref_contour - shift  # reference shape at the source location
     h, w = color_gt.image.shape[1], color_gt.image.shape[2]
     try:
-        transform = _sampling_transform(
-            np.concatenate([src_contour, _CORNERS]), np.concatenate([target, _CORNERS])
-        )
+        transform = tps_solve(np.concatenate([target, _CORNERS]), np.concatenate([src_contour, _CORNERS]))
     except DegenerateGeometryError:
         return _spatial_skipped(color_gt, f"degenerate contour for part {part_label}")
     grid = tps_grid(transform, h, w)
@@ -223,6 +216,17 @@ def spatial_pgt(
         mode="tps-spatial",
         parts_refined=tuple(sorted(set(color_gt.parts_refined) | {part_label})),
     )
+
+
+def tps_pgt(source: FaceSample, reference: FaceSample, labels) -> PseudoGT:
+    """The warp-based pseudo ground truth: `color_pgt`, then `spatial_pgt`
+    for each label of `labels` in order. Labels with no landmark contour
+    (skin, hair) have no shape stage and are passed over."""
+    result = color_pgt(source, reference)
+    for label in labels:
+        if label in PART_LANDMARKS:
+            result = spatial_pgt(result, source, reference, label)
+    return result
 
 
 def _match_channel(src_vals: np.ndarray, ref_vals: np.ndarray, bins: int = 256) -> np.ndarray:

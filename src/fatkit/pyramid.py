@@ -24,18 +24,16 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Resample (C,H,W) to (C,out_h,out_w) at pixel centers, border-clamped.
 
     `bilinear_sample` on `identity_grid(out_h, out_w)`, run separably and
-    bit for bit: each source row in use is lerped along x once (the kernel's
+    bit for bit: every source row is lerped along x (the kernel's
     `top`/`bot`), then the output rows lerp those along y.
     """
     image = np.asarray(image, dtype=np.float64)
     _, h, w = image.shape
     x0, x1, fx = _axis_taps(_pixel_centers(out_w), w)
     y0, y1, fy = _axis_taps(_pixel_centers(out_h), h)
-    rows, at = np.unique(np.concatenate([y0, y1]), return_inverse=True)
-    used = np.take(image, rows, axis=1)
-    lerped = np.take(used, x0, axis=2) * (1.0 - fx) + np.take(used, x1, axis=2) * fx
+    lerped = np.take(image, x0, axis=2) * (1.0 - fx) + np.take(image, x1, axis=2) * fx
     fy = fy[:, None]
-    return np.take(lerped, at[:out_h], axis=1) * (1.0 - fy) + np.take(lerped, at[out_h:], axis=1) * fy
+    return np.take(lerped, y0, axis=1) * (1.0 - fy) + np.take(lerped, y1, axis=1) * fy
 
 
 @dataclass(frozen=True)

@@ -749,9 +749,9 @@ def load_tensors(path) -> dict:
             offset += nlen
             (rank,) = struct.unpack_from("<B", blob, offset)
             offset += 1
-            dims = struct.unpack_from(f"<{rank}I", blob, offset) if rank else ()
+            dims = struct.unpack_from(f"<{rank}I", blob, offset)
             offset += 4 * rank
-            n = int(np.prod(dims, dtype=np.int64)) if rank else 1
+            n = int(np.prod(dims, dtype=np.int64))
             arr = np.frombuffer(blob, dtype="<f4", count=n, offset=offset).reshape(dims)
             offset += 4 * n
             out[name] = arr.copy()

@@ -124,6 +124,46 @@ def test_pgt_skipped_spatial_stage_keeps_color_mode(corpus, tmp_path, capsys):
     assert (tmp_path / "brows.ppm").read_bytes() == (tmp_path / "color.ppm").read_bytes()
 
 
+def test_pgt_spatial_part_all_runs_the_five_part_stages(corpus, tmp_path, capsys):
+    # 'all' also holds skin and hair, which have no contour to reshape
+    from fatkit.cli import main
+
+    out = tmp_path / "all.ppm"
+    assert main(["pgt", "--source", str(corpus / "0000.ppm"), "--ref", str(corpus / "0001.ppm"),
+                 "--mode", "tps", "--spatial-part", "all", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "all.meta").read_text() == "mode=tps-spatial parts=2,3,4,5,6\n"
+
+
+@pytest.mark.parametrize("mode, extra, message", [
+    ("hist", ("--spatial-part", "eyebrows"), "--spatial-part needs --mode tps, got --mode hist"),
+    ("blend", ("--spatial-part", "eyebrows"), "--spatial-part needs --mode tps, got --mode blend"),
+    ("tps", ("--alpha", "0.5"), "--alpha needs --mode blend, got --mode tps"),
+    ("hist", ("--alpha", "0.8"), "--alpha needs --mode blend, got --mode hist"),
+])
+def test_pgt_flag_of_another_mode_is_usage_error(corpus, tmp_path, capsys, mode, extra, message):
+    from fatkit.cli import main
+
+    out = tmp_path / "o.ppm"
+    code = main(["pgt", "--source", str(corpus / "0000.ppm"), "--ref", str(corpus / "0001.ppm"),
+                 "--mode", mode, *extra, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"fatkit pgt: error: {message}"]
+    assert not out.exists()
+
+
+def test_pgt_blend_alpha_flag_matches_library_default(corpus, tmp_path, capsys):
+    from fatkit.cli import main
+
+    common = ["pgt", "--source", str(corpus / "0000.ppm"), "--ref", str(corpus / "0001.ppm"), "--mode", "blend"]
+    assert main([*common, "--out", str(tmp_path / "d.ppm")]) == 0
+    assert main([*common, "--alpha", "0.8", "--out", str(tmp_path / "a.ppm")]) == 0
+    assert main([*common, "--alpha", "0.3", "--out", str(tmp_path / "b.ppm")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "d.ppm").read_bytes() == (tmp_path / "a.ppm").read_bytes()
+    assert (tmp_path / "d.ppm").read_bytes() != (tmp_path / "b.ppm").read_bytes()
+
+
 def test_pgt_missing_sample_is_data_error(tmp_path):
     result = run_cli("pgt", "--source", tmp_path / "nope.ppm", "--ref", tmp_path / "nope.ppm",
                      "--mode", "tps", "--out", tmp_path / "o.ppm")
@@ -374,6 +414,36 @@ def test_train_spatial_control_grid_from_config(corpus, tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_train_spatial_warp_labels_all(corpus, tmp_path, capsys):
+    # the warp gate takes all seven labels; the pseudo GT reshapes the five parts
+    from fatkit.cli import main
+
+    (tmp_path / "train.cfg").write_text("control_grid = 4\n")
+    code = main(["train", "--data", str(corpus), "--steps", "1", "--size", "48", "--width", "4", "--spatial",
+                 "--warp-labels", "all", "--config", str(tmp_path / "train.cfg"),
+                 "--out", str(tmp_path / "m.fatw"), "--log", str(tmp_path / "l.csv")])
+    assert code == 0, capsys.readouterr().err
+    assert "warp_labels = all" in (tmp_path / "m.fatw.cfg").read_text().splitlines()
+
+
+def test_train_unknown_manifest_group_is_data_error(corpus, tmp_path, capsys):
+    import shutil
+
+    from fatkit.cli import main
+
+    data = tmp_path / "data"
+    shutil.copytree(corpus, data)
+    manifest = data / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace(" makeup ", " lipstick ", 1))
+    code = main(["train", "--data", str(data), "--steps", "1", "--size", "48", "--width", "4",
+                 "--out", str(tmp_path / "m.fatw"), "--log", str(tmp_path / "l.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"fatkit train: {manifest}:2: group must be 'plain' or 'makeup', got 'lipstick'"
+    ]
+    assert not (tmp_path / "m.fatw").exists()
+
+
 def test_transfer_output_size_and_determinism(corpus, model, tmp_path):
     args = ("transfer", "--model", model / "m.fatw", "--source", corpus / "0000.ppm",
             "--ref", corpus / "0001.ppm")
@@ -453,6 +523,14 @@ def test_transfer_highres_malformed_box_is_usage_error(corpus, model, tmp_path):
             f"fatkit transfer: error: --highres needs --box x,y,w,h as four integers, got '{box}'"
         ]
     assert not (tmp_path / "hi.ppm").exists()
+
+
+def test_transfer_box_without_highres_is_usage_error(corpus, model, tmp_path):
+    result = run_cli("transfer", "--model", model / "m.fatw", "--source", corpus / "0000.ppm",
+                     "--ref", corpus / "0001.ppm", "--out", tmp_path / "t.ppm", "--box", "16,8,64,64")
+    assert result.returncode == 1
+    assert result.stderr.strip().splitlines() == ["fatkit transfer: error: --box needs --highres"]
+    assert not (tmp_path / "t.ppm").exists()
 
 
 def saved_model(path, seed=0):
@@ -587,6 +665,44 @@ def test_bench_nonpositive_iters_is_usage_error():
         assert result.stderr.strip().splitlines() == [
             f"fatkit bench: error: --iters must be at least 1, got {iters}"
         ]
+
+
+def test_bench_out_of_domain_shape_is_data_error(tmp_path):
+    # the shapes come from the generator config, which names the bad setting
+    for flag, value, message in (
+        ("--width", 0, "base_width must be positive, got 0"),
+        ("--width", -1, "base_width must be positive, got -1"),
+        ("--size", 6, "image size must be a positive multiple of 4, got 6"),
+        ("--heads", 0, "heads must be positive, got 0"),
+    ):
+        result = run_cli("bench", flag, value, "--iters", 1, "--csv", tmp_path / "b.csv")
+        assert result.returncode == 2, (flag, value)
+        assert result.stderr.splitlines() == [f"fatkit bench: {message}"]
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_readme_synopsis_names_every_flag():
+    # each subcommand's lines of README's `## Command line` synopsis name
+    # every flag its parser defines
+    import argparse
+    import re
+    from pathlib import Path
+
+    from fatkit.cli import _build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    synopsis = section.split("```\n", 2)[1]
+    named, command = {}, None
+    for line in synopsis.splitlines():
+        if line.startswith("fatkit "):
+            command = line.split()[1]
+        named.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in subparsers.choices.items():
+        flags = {s for action in parser._actions for s in action.option_strings if s.startswith("--")}
+        flags.discard("--help")
+        assert flags <= named.get(name, set()), f"README's {name} line lacks {sorted(flags - named.get(name, set()))}"
 
 
 def test_thread_cap_env_does_not_change_results(tmp_path):

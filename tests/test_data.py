@@ -253,8 +253,24 @@ def test_pgm_round_trip_and_label_check(tmp_path, rng):
     assert np.array_equal(read_pgm(path), mask)
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 9, 0, 3]))
-    with pytest.raises(FormatError, match="label 9"):
+    with pytest.raises(FormatError, match=re.escape(f"{bad}: label 9 outside [0,7] at row 0, column 1")):
         read_pgm(bad)
+
+
+def test_netpbm_writers_exact_bytes(tmp_path):
+    image = np.zeros((3, 1, 2))
+    image[:, 0, 1] = (1.0, 0.5, 0.2)
+    write_ppm(tmp_path / "i.ppm", image)
+    assert (tmp_path / "i.ppm").read_bytes() == b"P6\n2 1\n255\n" + bytes([0, 0, 0, 255, 128, 51])
+    write_pgm(tmp_path / "m.pgm", np.array([[1, 7], [0, 6]]))
+    assert (tmp_path / "m.pgm").read_bytes() == b"P5\n2 2\n255\n" + bytes([1, 7, 0, 6])
+
+
+def test_pgm_truncated_payload(tmp_path):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(b"P5\n4 4\n255\n" + bytes(10))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: pixel payload truncated at byte 21")):
+        read_pgm(path)
 
 
 def test_landmarks_round_trip(tmp_path, rng):
@@ -290,6 +306,13 @@ def test_manifest_rejects_non_ascii_byte(tmp_path):
     path = tmp_path / "manifest.txt"
     path.write_bytes(b"0000 plain 0000.ppm 0000.lm 0000.pgm\n0001 m\xe4keup 0001.ppm 0001.lm 0001.pgm\n")
     with pytest.raises(FormatError, match=re.escape(f"{path}: byte 43 is 0xe4, not ASCII text")):
+        read_manifest(path)
+
+
+def test_manifest_rejects_unknown_group(tmp_path):
+    path = tmp_path / "manifest.txt"
+    path.write_text("0000 plain 0000.ppm 0000.lm 0000.pgm\n\n0001 lipstick 0001.ppm 0001.lm 0001.pgm\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:3: group must be 'plain' or 'makeup', got 'lipstick'")):
         read_manifest(path)
 
 

@@ -15,6 +15,7 @@ from fatkit.pseudo_gt import (
     color_pgt,
     histogram_pgt,
     spatial_pgt,
+    tps_pgt,
     write_pgt,
 )
 from fatkit.tensor import ParameterError
@@ -153,6 +154,27 @@ def test_spatial_pgt_unknown_label(makeup_face):
     gt = color_pgt(makeup_face, makeup_face)
     with pytest.raises(ParameterError):
         spatial_pgt(gt, makeup_face, makeup_face, 9)
+
+
+def test_tps_pgt_is_color_stage_then_shape_stages_in_order(plain_face, makeup_face):
+    expected = color_pgt(plain_face, makeup_face)
+    for label in (6, 2):
+        expected = spatial_pgt(expected, plain_face, makeup_face, label)
+    got = tps_pgt(plain_face, makeup_face, (6, 2))
+    assert got.image.tobytes() == expected.image.tobytes()
+    assert (got.mode, got.parts_refined) == (expected.mode, expected.parts_refined)
+    flat = tps_pgt(plain_face, makeup_face, ())
+    assert flat.image.tobytes() == color_pgt(plain_face, makeup_face).image.tobytes()
+    assert flat.mode == "tps-color"
+
+
+def test_tps_pgt_passes_over_labels_without_a_contour(plain_face, makeup_face):
+    # skin (1) and hair (7) have no landmark subset, so the set 'all' runs
+    # the shape stage of the five parts only
+    every = tps_pgt(plain_face, makeup_face, (1, 2, 3, 4, 5, 6, 7))
+    parts = tps_pgt(plain_face, makeup_face, (2, 3, 4, 5, 6))
+    assert every.image.tobytes() == parts.image.tobytes()
+    assert (every.mode, every.parts_refined) == ("tps-spatial", (2, 3, 4, 5, 6))
 
 
 # -- part warps against a full-grid reference ---------------------------------------
