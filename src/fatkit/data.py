@@ -121,7 +121,10 @@ _FACE_C = np.array([0.5, 0.54])
 _FACE_R = np.array([0.33, 0.40])
 _HAIR_C = np.array([0.5, 0.44])
 _HAIR_R = np.array([0.37, 0.42])
-_EYE_C = {"left": np.array([0.365, 0.46]), "right": np.array([0.635, 0.46])}
+_SIDES = ("left", "right")
+_EYE_XS = (0.365, 0.635)  # left, right
+_EYE_Y = 0.46  # both eyes, and so their brows and shadows, share one centre y
+_EYE_C = {side: np.array([x, _EYE_Y]) for side, x in zip(_SIDES, _EYE_XS)}
 _EYE_R = np.array([0.055, 0.032])
 _IRIS_R = 0.022
 _BROW_Y = 0.375
@@ -133,6 +136,7 @@ _INSET = 0.88  # landmark inset inside part boundaries
 _SUPERSAMPLE = 4  # image samples per pixel along each axis
 _BOX_PAD = 1e-6  # margin of a part's test box over its radii, far above round-off
 _IRIS = MAX_LABEL + 1  # image-only label of the iris points, the last color-table entry
+_BAND_POINTS = 1 << 16  # sample points painted at once, at least one pixel row
 
 
 def _pose(params: SynthFaceParams):
@@ -153,13 +157,20 @@ def _grid(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return grid.reshape(2, -1)
 
 
-def _to_canonical(coords: np.ndarray, rot: np.ndarray, shift: np.ndarray):
-    """Canonical x and y rows of the world grid whose x and y both run over
-    `coords`. The rotation is one BLAS product: per-axis `a * r00 + b * r10`
-    rounds differently where the kernel fuses the multiply-add."""
-    pc = rot.T @ _grid(coords - _FACE_C[0] - shift[0], coords - _FACE_C[1] - shift[1])
+def _to_canonical(xs: np.ndarray, ys: np.ndarray, rot: np.ndarray, shift: np.ndarray):
+    """Canonical x and y rows of the world grid `_grid(xs, ys)`. The rotation
+    is one BLAS product: per-axis `a * r00 + b * r10` rounds differently where
+    the kernel fuses the multiply-add."""
+    pc = rot.T @ _grid(xs - _FACE_C[0] - shift[0], ys - _FACE_C[1] - shift[1])
     pc += _FACE_C[:, None]
     return pc[0], pc[1]
+
+
+def _bands(rows: int, row_points: int):
+    """Slices of consecutive rows covering `range(rows)`, each of at most
+    `_BAND_POINTS` points when a row holds `row_points` (at least one row)."""
+    step = max(1, _BAND_POINTS // row_points)
+    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
 
 
 def _brow_centerline(side: str, kappa: float, t: np.ndarray) -> np.ndarray:
@@ -195,15 +206,15 @@ def _inside_ellipse(x: np.ndarray, y: np.ndarray, center: np.ndarray, radii: np.
     return rx <= 1.0
 
 
-def _in_box(x: np.ndarray, y: np.ndarray, center: np.ndarray, half) -> np.ndarray:
-    """Indices of the points within `half` (padded by `_BOX_PAD`) of `center`
-    along each axis: a superset of the points of a part of those half-extents,
-    so testing only these drops no point."""
-    lo = center - half - _BOX_PAD
-    hi = center + half + _BOX_PAD
-    rows = np.flatnonzero((y >= lo[1]) & (y <= hi[1]))
+def _in_boxes(x: np.ndarray, y: np.ndarray, cxs, cy, half) -> list:
+    """Indices of the points within `half` (padded by `_BOX_PAD`) of (cx, cy)
+    along each axis, one array per cx in `cxs`: a superset of the points of a
+    part of those half-extents, so testing only these drops no point. Parts
+    side by side share one scan of y."""
+    hx, hy = np.broadcast_to(half, (2,))
+    rows = np.flatnonzero((y >= cy - hy - _BOX_PAD) & (y <= cy + hy + _BOX_PAD))
     xr = x[rows]
-    return rows[(xr >= lo[0]) & (xr <= hi[0])]
+    return [rows[(xr >= cx - hx - _BOX_PAD) & (xr <= cx + hx + _BOX_PAD)] for cx in cxs]
 
 
 def _labels(x: np.ndarray, y: np.ndarray, params: SynthFaceParams):
@@ -221,37 +232,35 @@ def _labels(x: np.ndarray, y: np.ndarray, params: SynthFaceParams):
     kappa, half_thick = params.brow_curvature, params.brow_thickness / 2.0
     # a brow's centerline runs between _BROW_Y and _BROW_Y - kappa * _BROW_SAG
     brow_half = np.array([_BROW_HALF, abs(kappa) * _BROW_SAG / 2.0 + half_thick])
-    for side, label in (("left", LABELS["left_brow"]), ("right", LABELS["right_brow"])):
-        cx = _EYE_C[side][0]
-        box = _in_box(x, y, np.array([cx, _BROW_Y - kappa * _BROW_SAG / 2.0]), brow_half)
+    boxes = _in_boxes(x, y, _EYE_XS, _BROW_Y - kappa * _BROW_SAG / 2.0, brow_half)
+    for side, cx, box in zip(_SIDES, _EYE_XS, boxes):
         t = (x[box] - (cx - _BROW_HALF)) / (2.0 * _BROW_HALF)
         center_y = _brow_centerline(side, kappa, t)[:, 1]
         brow = (t >= 0.0) & (t <= 1.0) & (np.abs(y[box] - center_y) <= half_thick) & face[box]
-        labels[box[brow]] = label
+        labels[box[brow]] = LABELS[f"{side}_brow"]
 
     irises = []
-    for side, label in (("left", LABELS["left_eye"]), ("right", LABELS["right_eye"])):
+    for side, box in zip(_SIDES, _in_boxes(x, y, _EYE_XS, _EYE_Y, _EYE_R)):
         center = _EYE_C[side]
-        box = _in_box(x, y, center, _EYE_R)
         eye = box[_inside_ellipse(x[box], y[box], center, _EYE_R)]
-        labels[eye] = label
+        labels[eye] = LABELS[f"{side}_eye"]
         dx, dy = x[eye] - center[0], y[eye] - center[1]
         irises.append(eye[np.sqrt(dx * dx + dy * dy) < _IRIS_R])
 
-    box = _in_box(x, y, _LIP_C, _LIP_R)
+    (box,) = _in_boxes(x, y, _LIP_C[:1], _LIP_C[1], _LIP_R)
     labels[box[_inside_ellipse(x[box], y[box], _LIP_C, _LIP_R)]] = LABELS["lips"]
     return labels, np.concatenate(irises)
 
 
-def _paint(coords: np.ndarray, params: SynthFaceParams, aux: dict) -> np.ndarray:
-    """(3, N) colors of the painter stack on the world grid whose x and y both
-    run over `coords`.
+def _paint(x: np.ndarray, y: np.ndarray, shade: np.ndarray, params: SynthFaceParams, aux: dict) -> np.ndarray:
+    """(3, N) colors of the painter stack at the canonical points (x, y),
+    whose world points lie at `shade` along the lighting direction, measured
+    from the face's mean.
 
     Each point takes its label's color from one table, irises under their own
     index; eye shadow is then blended into the points left as skin, and the
     lighting gradient scales every point.
     """
-    x, y = _to_canonical(coords, *aux["pose"])
     labels, irises = _labels(x, y, params)
     labels[irises] = _IRIS
     eye_white = (0.93, 0.93, 0.95)
@@ -264,9 +273,8 @@ def _paint(coords: np.ndarray, params: SynthFaceParams, aux: dict) -> np.ndarray
     # at strength 0 both blends below multiply by exactly 1 and add exactly 0
     radius = params.shadow_radius
     shadow = np.asarray(params.shadow_color)[:, None]
-    for side in ("left", "right"):
+    for side, box in zip(_SIDES, _in_boxes(x, y, _EYE_XS, _EYE_Y, radius)):
         center = _EYE_C[side]
-        box = _in_box(x, y, center, radius)
         dx, dy = x[box] - center[0], y[box] - center[1]
         d = np.sqrt(dx * dx + dy * dy)
         keep = (labels[box] == LABELS["skin"]) & (d < radius)
@@ -274,9 +282,7 @@ def _paint(coords: np.ndarray, params: SynthFaceParams, aux: dict) -> np.ndarray
         fall = params.shadow_strength * (1.0 - (d[keep] / radius) ** 2)
         colors[:, inside] = (1.0 - fall) * colors[:, inside] + fall * shadow
 
-    along = aux["shade_dir"] @ _grid(coords, coords)
-    colors *= 1.0 + params.shade_strength * (along - along.mean())
-
+    colors *= 1.0 + params.shade_strength * shade
     return np.clip(colors, 0.0, 1.0, out=colors)
 
 
@@ -284,7 +290,11 @@ def synth_face(params: SynthFaceParams, size: int) -> FaceSample:
     """Render one anti-aliased face; landmarks come from the same curves.
 
     The image averages `_SUPERSAMPLE`^2 painted samples per pixel; the
-    categorical mask is labelled once at pixel centers.
+    categorical mask is labelled once at pixel centers. Both are painted in
+    bands of whole pixel rows of at most `_BAND_POINTS` points. The only
+    array with an entry per sample is the lighting projection, one float64
+    each: its mean is numpy's one pairwise sum over the face, which bands
+    cannot split.
     """
     if size < 1:
         raise ParameterError(f"size must be at least 1, got {size}")
@@ -292,29 +302,44 @@ def synth_face(params: SynthFaceParams, size: int) -> FaceSample:
     rng = np.random.default_rng(np.random.SeedSequence([0xFACE, int(params.seed)]))
     theta = rng.uniform(0.0, 2.0 * math.pi)
     aux = {
-        "pose": _pose(params),
         "hair_color": np.array([0.22, 0.16, 0.12]) + rng.uniform(-0.05, 0.05, size=3),
         "brow_color": np.array([0.16, 0.11, 0.08]),
         "iris_color": np.array([0.2, 0.3, 0.45]) + rng.uniform(-0.1, 0.1, size=3),
-        "shade_dir": np.array([math.cos(theta), math.sin(theta)]),
     }
+    shade_dir = np.array([math.cos(theta), math.sin(theta)])
+    rot, shift = _pose(params)
 
     ss = _SUPERSAMPLE
-    colors = _paint((np.arange(size * ss) + 0.5) / (size * ss), params, aux)
+    n = size * ss
+    coords = (np.arange(n) + 0.5) / n
+    # per band: its pixel rows, its sample rows' y and its points' indices
+    bands = [(rows, coords[rows.start * ss : rows.stop * ss], slice(rows.start * ss * n, rows.stop * ss * n))
+             for rows in _bands(size, ss * n)]
+    along = np.empty(n * n)
+    for _, ys, points in bands:
+        np.matmul(shade_dir, _grid(coords, ys), out=along[points])
+    along -= along.mean()
+
     # each pixel's samples summed in the order of numpy's (H, ss, W, ss, 3)
     # .mean(axis=(1, 3)): sub-rows outer, sub-columns inner, then one division
-    samples = colors.reshape(3, size, ss, size, ss)
-    image = samples[:, :, 0, :, 0].copy()
-    for a in range(ss):
-        for d in range(ss):
-            if a or d:
-                image += samples[:, :, a, :, d]
+    image = np.empty((3, size, size))
+    for rows, ys, points in bands:
+        x, y = _to_canonical(coords, ys, rot, shift)
+        samples = _paint(x, y, along[points], params, aux).reshape(3, -1, ss, size, ss)
+        pixels = image[:, rows]
+        np.copyto(pixels, samples[:, :, 0, :, 0])
+        for a in range(ss):
+            for d in range(ss):
+                if a or d:
+                    pixels += samples[:, :, a, :, d]
     image /= ss * ss
 
-    rot, shift = aux["pose"]
-    labels, _ = _labels(*_to_canonical((np.arange(size) + 0.5) / size, rot, shift), params)
+    centers = (np.arange(size) + 0.5) / size
+    mask = np.empty((size, size), dtype=np.uint8)
+    for rows in _bands(size, size):
+        mask[rows] = _labels(*_to_canonical(centers, centers[rows], rot, shift), params)[0].reshape(-1, size)
     landmarks = _to_world(_canonical_landmarks(params), rot, shift)
-    return FaceSample(image=image, landmarks=landmarks, mask=labels.reshape(size, size))
+    return FaceSample(image=image, landmarks=landmarks, mask=mask)
 
 
 def random_face_params(rng, group: str, seed: int) -> SynthFaceParams:
@@ -430,7 +455,7 @@ def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
         blob = fh.read()
     if blob[:2] != magic:
         raise FormatError(f"{path}: bad magic at byte 0, expected {magic!r} got {blob[:2]!r}")
-    fields, offset = [], 2
+    fields, starts, offset = [], [], 2
     while len(fields) < 3:
         while offset < len(blob) and blob[offset : offset + 1].isspace():
             offset += 1
@@ -440,11 +465,15 @@ def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
         if start == offset:
             raise FormatError(f"{path}: truncated header at byte {offset}")
         fields.append(blob[start:offset])
+        starts.append(start)
     offset += 1  # single whitespace after maxval
     try:
         w, h, maxval = (int(f) for f in fields)
     except ValueError as exc:
         raise FormatError(f"{path}: non-numeric header field at byte {offset}: {exc}") from exc
+    for name, value, start in (("width", w, starts[0]), ("height", h, starts[1])):
+        if value < 1:
+            raise FormatError(f"{path}: {name} must be at least 1, got {value} at byte {start}")
     if maxval != 255:
         raise FormatError(f"{path}: maxval must be 255, got {maxval}")
     expected = h * w * channels

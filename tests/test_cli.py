@@ -164,6 +164,24 @@ def test_pgt_blend_alpha_flag_matches_library_default(corpus, tmp_path, capsys):
     assert (tmp_path / "d.ppm").read_bytes() != (tmp_path / "b.ppm").read_bytes()
 
 
+def test_pgt_mask_of_zero_width_is_data_error(corpus, tmp_path, capsys):
+    import shutil
+
+    from fatkit.cli import main
+
+    for ext in (".ppm", ".lm"):
+        shutil.copy(corpus / f"0000{ext}", tmp_path / f"flat{ext}")
+    (tmp_path / "flat.pgm").write_bytes(b"P5\n0 48\n255\n")
+    out = tmp_path / "o.ppm"
+    code = main(["pgt", "--source", str(tmp_path / "flat.ppm"), "--ref", str(corpus / "0001.ppm"),
+                 "--mode", "tps", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"fatkit pgt: {tmp_path / 'flat.pgm'}: width must be at least 1, got 0 at byte 3"
+    ]
+    assert not out.exists()
+
+
 def test_pgt_missing_sample_is_data_error(tmp_path):
     result = run_cli("pgt", "--source", tmp_path / "nope.ppm", "--ref", tmp_path / "nope.ppm",
                      "--mode", "tps", "--out", tmp_path / "o.ppm")

@@ -165,18 +165,48 @@ def _oracle_faces():
     ]
 
 
-@pytest.mark.parametrize("size", [3, 48, 50, 64, 96, 100, 192])
+@pytest.mark.parametrize("size", [3, 48, 50, 64, 96, 100, 130, 192])
 def test_synth_face_bits_equal_whole_array_painter(size):
     # the painter tests brows, eyes, lips and shadows only inside their boxes,
     # labels first and colors from a table, with planar coordinates and an
-    # explicit 16-sample sum; every image, mask and landmark byte must match
+    # explicit 16-sample sum, in bands of pixel rows; every image, mask and
+    # landmark byte must match. 130 and 192 px span several bands, the last
+    # one partial, and check one face each to keep the test fast
     faces = _oracle_faces()
-    for params in faces if size < 192 else faces[2:3]:
+    for params in {130: faces[3:4], 192: faces[2:3]}.get(size, faces):
         got = synth_face(params, size)
         expected = _whole_array_face(params, size)
         for name in ("image", "mask", "landmarks"):
             a, b = getattr(got, name), getattr(expected, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def test_bands_cover_the_rows_within_the_point_budget():
+    ss = data._SUPERSAMPLE
+    for size in (1, 3, 64, 65, 130, 192, 512):
+        row_points = ss * ss * size
+        bands = data._bands(size, row_points)
+        assert [r for band in bands for r in range(band.start, band.stop)] == list(range(size))
+        assert all((band.stop - band.start) * row_points <= data._BAND_POINTS for band in bands)
+    assert len(data._bands(64, ss * ss * 64)) == 1  # a training face paints in one band
+    assert [band.stop - band.start for band in data._bands(130, ss * ss * 130)] == [31, 31, 31, 31, 6]
+    assert data._bands(4096, 4096 * ss * ss)[:2] == [slice(0, 1), slice(1, 2)]  # a row wider than the budget
+
+
+def test_synth_face_painter_memory_is_bounded():
+    # the whole-array painter peaks at about 70 MB of numpy memory at 256 px;
+    # in bands, the only array with an entry per sample is the float64
+    # lighting projection (8.4 MB here)
+    import tracemalloc
+
+    params = random_face_params(np.random.default_rng(3), "makeup", seed=3)
+    tracemalloc.start()
+    try:
+        synth_face(params, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"synth_face at 256 px peaked at {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("curvature, thickness", [(0.5, 0.02), (-0.5, 0.05), (0.0, 0.035), (0.23, 0.05)])
@@ -271,6 +301,20 @@ def test_pgm_truncated_payload(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(10))
     with pytest.raises(FormatError, match=re.escape(f"{path}: pixel payload truncated at byte 21")):
         read_pgm(path)
+
+
+@pytest.mark.parametrize("reader, header, message", [
+    (read_pgm, b"P5\n0 0\n255\n", "width must be at least 1, got 0 at byte 3"),
+    (read_ppm, b"P6\n0 3\n255\n", "width must be at least 1, got 0 at byte 3"),
+    (read_ppm, b"P6\n4 0\n255\n", "height must be at least 1, got 0 at byte 5"),
+    (read_pgm, b"P5\n-2 2\n255\n", "width must be at least 1, got -2 at byte 3"),
+    (read_pgm, b"P5  3\n\n-1 255\n", "height must be at least 1, got -1 at byte 7"),
+])
+def test_netpbm_nonpositive_extent(tmp_path, reader, header, message):
+    path = tmp_path / "x.pnm"
+    path.write_bytes(header + bytes(12))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+        reader(path)
 
 
 def test_landmarks_round_trip(tmp_path, rng):
