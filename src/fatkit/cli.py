@@ -118,18 +118,17 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pgt(args) -> int:
-    from .data import load_sample
+    from .data import load_sample, parse_active_labels
     from .pseudo_gt import blend_pgt, histogram_pgt, tps_pgt, write_pgt
-    from .spatial import parse_active_labels
 
     if args.spatial_part is not None and args.mode != "tps":
         raise _UsageError(f"--spatial-part needs --mode tps, got --mode {args.mode}")
     if args.alpha is not None and args.mode != "blend":
         raise _UsageError(f"--alpha needs --mode blend, got --mode {args.mode}")
+    labels = () if args.spatial_part is None else parse_active_labels(args.spatial_part, "--spatial-part")
     source = load_sample(args.source)
     reference = load_sample(args.ref)
     if args.mode == "tps":
-        labels = () if args.spatial_part is None else parse_active_labels(args.spatial_part)
         result = tps_pgt(source, reference, labels)
     elif args.mode == "hist":
         result = histogram_pgt(source, reference)

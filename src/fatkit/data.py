@@ -31,6 +31,8 @@ __all__ = [
     "LABELS",
     "LANDMARK_COUNT",
     "PART_LANDMARKS",
+    "ACTIVE_LABEL_SETS",
+    "parse_active_labels",
     "FaceSample",
     "SynthFaceParams",
     "synth_face",
@@ -70,6 +72,21 @@ PART_LANDMARKS = {
     5: tuple(range(20, 24)),
     6: tuple(range(24, 30)),
 }
+
+# the named label sets a transfer can move: `warp_labels`, `--spatial-part`
+ACTIVE_LABEL_SETS = {
+    "eyebrows": (2, 3),
+    "eyes": (4, 5),
+    "lips": (6,),
+    "all": (1, 2, 3, 4, 5, 6, 7),
+}
+
+
+def parse_active_labels(spec: str, setting: str) -> tuple:
+    """The labels of a set name; an unknown name is a ParameterError naming the setting."""
+    if spec not in ACTIVE_LABEL_SETS:
+        raise ParameterError(f"{setting} must be one of {sorted(ACTIVE_LABEL_SETS)}, got {spec!r}")
+    return ACTIVE_LABEL_SETS[spec]
 
 
 @dataclass
@@ -455,8 +472,8 @@ def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
         blob = fh.read()
     if blob[:2] != magic:
         raise FormatError(f"{path}: bad magic at byte 0, expected {magic!r} got {blob[:2]!r}")
-    fields, starts, offset = [], [], 2
-    while len(fields) < 3:
+    values, offset = [], 2
+    for name in ("width", "height", "maxval"):
         while offset < len(blob) and blob[offset : offset + 1].isspace():
             offset += 1
         start = offset
@@ -464,16 +481,15 @@ def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
             offset += 1
         if start == offset:
             raise FormatError(f"{path}: truncated header at byte {offset}")
-        fields.append(blob[start:offset])
-        starts.append(start)
+        try:
+            values.append(int(blob[start:offset]))
+        except ValueError:
+            field = blob[start:offset].decode("latin-1")
+            raise FormatError(f"{path}: {name} must be an integer, got {field!r} at byte {start}") from None
+        if name != "maxval" and values[-1] < 1:
+            raise FormatError(f"{path}: {name} must be at least 1, got {values[-1]} at byte {start}")
+    w, h, maxval = values
     offset += 1  # single whitespace after maxval
-    try:
-        w, h, maxval = (int(f) for f in fields)
-    except ValueError as exc:
-        raise FormatError(f"{path}: non-numeric header field at byte {offset}: {exc}") from exc
-    for name, value, start in (("width", w, starts[0]), ("height", h, starts[1])):
-        if value < 1:
-            raise FormatError(f"{path}: {name} must be at least 1, got {value} at byte {start}")
     if maxval != 255:
         raise FormatError(f"{path}: maxval must be 255, got {maxval}")
     expected = h * w * channels

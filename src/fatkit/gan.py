@@ -28,9 +28,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .attention import FatParams, fat_forward, landmark_embedding
-from .data import LANDMARK_COUNT, FaceSample
+from .data import ACTIVE_LABEL_SETS, LANDMARK_COUNT, FaceSample, parse_active_labels
 from .pseudo_gt import tps_pgt
-from .spatial import ACTIVE_LABEL_SETS, SpatialFatParams, spatial_fat_forward
+from .spatial import SpatialFatParams, spatial_fat_forward
 from .tensor import (
     AdamState,
     FormatError,
@@ -170,11 +170,8 @@ def configs_from_settings(settings: dict):
         raise ParameterError(f"lr must be a finite positive number, got {settings['lr']}")
     if settings["seed"] < 0:
         raise ParameterError(f"seed must be nonnegative, got {settings['seed']}")
-    labels = settings["warp_labels"]
-    if labels not in ACTIVE_LABEL_SETS:
-        raise ParameterError(f"warp_labels must be one of {sorted(ACTIVE_LABEL_SETS)}, got {labels!r}")
     model = {key: settings[key] for key in MODEL_KEYS}
-    model["warp_labels"] = ACTIVE_LABEL_SETS[labels]
+    model["warp_labels"] = parse_active_labels(settings["warp_labels"], "warp_labels")
     weights = {f.name: settings[f"lambda_{f.name}"] for f in fields(LossWeights)}
     return GeneratorConfig(**model), LossWeights(**weights)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PART_LANDMARKS, FaceSample, write_ppm
+from .data import ACTIVE_LABEL_SETS, PART_LANDMARKS, FaceSample, write_ppm
 from .tensor import ParameterError
 from .tps import (
     DegenerateGeometryError,
@@ -49,12 +49,7 @@ __all__ = [
 _CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 
 # label groups matched by the histogram baseline
-HISTOGRAM_REGIONS = {
-    "skin": (1,),
-    "eyebrows": (2, 3),
-    "eyes": (4, 5),
-    "lips": (6,),
-}
+HISTOGRAM_REGIONS = {"skin": (1,), **{k: v for k, v in ACTIVE_LABEL_SETS.items() if k != "all"}}
 
 _FACE_LABELS = (1, 2, 3, 4, 5, 6)
 
@@ -196,7 +191,7 @@ def spatial_pgt(
     indices = list(PART_LANDMARKS[part_label])
     src_contour = _unit(source.landmarks[indices])
     ref_contour = _unit(reference.landmarks[indices])
-    if part_label in (2, 3):  # brows: open arcs with a meaningful interior
+    if part_label in ACTIVE_LABEL_SETS["eyebrows"]:  # brows: open arcs with a meaningful interior
         src_contour = _densify_open_contour(src_contour)
         ref_contour = _densify_open_contour(ref_contour)
     shift = min_shift(src_contour, ref_contour)

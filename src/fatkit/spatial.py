@@ -17,6 +17,8 @@ failing.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .attention import FatParams, fat_forward
@@ -42,44 +44,12 @@ from .tps import (
 )
 
 __all__ = [
-    "ControlGrid",
     "SpatialFatParams",
     "predict_control_points",
     "tps_grid_from_targets",
     "masked_tps_warp",
     "spatial_fat_forward",
-    "parse_active_labels",
-    "ACTIVE_LABEL_SETS",
 ]
-
-ACTIVE_LABEL_SETS = {
-    "eyebrows": (2, 3),
-    "eyes": (4, 5),
-    "lips": (6,),
-    "all": (1, 2, 3, 4, 5, 6, 7),
-}
-
-
-def parse_active_labels(spec: str):
-    """Map a configuration string like 'eyebrows' to its label tuple."""
-    try:
-        return ACTIVE_LABEL_SETS[spec]
-    except KeyError:
-        raise ParameterError(
-            f"unknown label set {spec!r}; choose from {sorted(ACTIVE_LABEL_SETS)}"
-        ) from None
-
-
-class ControlGrid:
-    """Source lattice plus predicted targets of the spatial transform."""
-
-    def __init__(self, source: np.ndarray, targets):
-        self.source = np.asarray(source, dtype=np.float64)
-        self.targets = targets if isinstance(targets, Tensor) else Tensor(targets)
-        if self.targets.shape != self.source.shape:
-            raise ShapeError(
-                f"targets {self.targets.shape} do not match lattice {self.source.shape}"
-            )
 
 
 class SpatialFatParams:
@@ -134,8 +104,8 @@ class SpatialFatParams:
         return list(self.tensors().values())
 
 
-def predict_control_points(aligned: Tensor, params: SpatialFatParams) -> ControlGrid:
-    """Predict tanh-bounded target control points over the coarse lattice.
+def predict_control_points(aligned: Tensor, params: SpatialFatParams) -> Tensor:
+    """Predict the (K, 2) tanh-bounded targets of the K-point coarse lattice.
 
     The aligned features are stride-pooled down to the lattice resolution,
     a 3x3 convolution maps them to 2 coordinate channels, and a per-position
@@ -147,23 +117,28 @@ def predict_control_points(aligned: Tensor, params: SpatialFatParams) -> Control
     if h % hs or w % hs:
         raise ShapeError(f"feature extent {h}x{w} not divisible by control grid {hs}")
     pre = conv2d(avg_pool2d(aligned, h // hs), params.ctrl_w, params.ctrl_b, stride=1) + params.ctrl_pos
-    targets = transpose(reshape(tanh(pre), (2, hs * hs)))
-    return ControlGrid(source=pixel_lattice(hs, hs), targets=targets)
+    return transpose(reshape(tanh(pre), (2, hs * hs)))
 
 
-def tps_grid_from_targets(control: ControlGrid, h: int, w: int):
+def tps_grid_from_targets(targets: Tensor, h: int, w: int):
     """Dense sampling grid carrying lattice content onto the targets.
 
-    Solves the TPS that maps targets back to the lattice (the sampling
-    direction) with the shared `fatkit.tps` solve, so the grid is
-    differentiable in the targets. Returns (grid, solved); when the target
-    geometry is degenerate the identity grid is returned with solved=False.
+    The source of the (K, 2) targets is the square `pixel_lattice(n, n)`
+    with n*n = K, as in the TPS spatial transformer (Jaderberg et al.,
+    2015); any other target shape is a ShapeError. Solves the TPS that maps
+    targets back to the lattice (the sampling direction) with the shared
+    `fatkit.tps` solve, so the grid is differentiable in the targets.
+    Returns (grid, solved); when the target geometry is degenerate the
+    identity grid is returned with solved=False.
     """
+    side = math.isqrt(targets.shape[0])
+    if targets.shape != (side * side, 2):
+        raise ShapeError(f"targets {targets.shape} are not the (x, y) points of a square lattice")
     try:
-        coefficients = tps_coefficients(control.targets, control.source)
+        coefficients = tps_coefficients(targets, pixel_lattice(side, side))
     except DegenerateGeometryError:
         return Tensor(identity_grid(h, w)), False
-    basis = tps_basis(Tensor(pixel_lattice(h, w)), control.targets)
+    basis = tps_basis(Tensor(pixel_lattice(h, w)), targets)
     return reshape(matmul(basis, coefficients), (h, w, 2)), True
 
 
@@ -176,7 +151,7 @@ def _nearest_mask(mask: np.ndarray, h: int, w: int) -> np.ndarray:
     return mask[sy // 2 :: sy, sx // 2 :: sx]
 
 
-def masked_tps_warp(x, control: ControlGrid, mask: np.ndarray, active_labels):
+def masked_tps_warp(x, targets: Tensor, mask: np.ndarray, active_labels):
     """Warp only the regions whose parsing label is active.
 
     The sampling grid equals the TPS grid inside active labels and the
@@ -185,7 +160,7 @@ def masked_tps_warp(x, control: ControlGrid, mask: np.ndarray, active_labels):
     everywhere and reports solved=False.
     """
     _, h, w = x.shape
-    grid, solved = tps_grid_from_targets(control, h, w)
+    grid, solved = tps_grid_from_targets(targets, h, w)
     ident = identity_grid(h, w)
     if solved:
         local = _nearest_mask(np.asarray(mask), h, w)
@@ -207,5 +182,5 @@ def spatial_fat_forward(
     # the reference corresponded to the query layout: the same transfer pass
     # with the roles swapped, so the query supplies the attributes
     aligned = fat_forward(y_map, x_map, le_y, le_x, params.align)
-    control = predict_control_points(aligned, params)
-    return masked_tps_warp(colored, control, mask, params.active_labels)
+    targets = predict_control_points(aligned, params)
+    return masked_tps_warp(colored, targets, mask, params.active_labels)

@@ -478,8 +478,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
     b = None if b is None else _as_tensor(b)
     _check_conv_args(x.data, w.data, b, stride)
     co, ci, k, _ = w.shape
-    if x.shape[1] < k or x.shape[2] < k:
-        raise ShapeError(f"input {x.shape[1:]} smaller than kernel {k}")
     need_x, need_w, need_b = x.requires_grad, w.requires_grad, b is not None and b.requires_grad
     cols, ho, wo = _im2col(x.data, k, stride)
     wmat = w.data.reshape(co, ci * k * k)

@@ -1,30 +1,35 @@
-"""The benchmark's outside tracer still finds every function it wraps.
+"""The benchmark still runs: its tracer finds every function it wraps, and
+its workloads pass their own correctness gates.
 
 `perfbench/spans.py` patches fatkit's public functions by name, in every
 module that holds them. Deleting or renaming one of them breaks
-`perfbench/run.py --trace 1`; this test runs the same install/uninstall
-cycle so the fast suite catches it first.
+`perfbench/run.py --trace 1`; the first test runs the same install/uninstall
+cycle so the fast suite catches it first. The others run a few operations of
+each workload in `perfbench/workloads.py` and check them against the stored
+reference outputs, as a benchmark run does.
 """
 
+import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 import fatkit.tensor
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
+def load_perfbench(name):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        import spans
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
-    return spans
 
 
 def test_tracer_installs_and_restores_every_hook():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     targets = [(fatkit.tensor, name) for name in spans._FORWARD_OPS]
     targets += [(module, name) for module, name, _ in spans._LAYER_CALLS]
     originals = [getattr(module, name) for module, name in targets]
@@ -38,3 +43,17 @@ def test_tracer_installs_and_restores_every_hook():
     assert restored >= len(targets)
     for (module, name), original in zip(targets, originals):
         assert getattr(module, name) is original
+
+
+def test_apply_requests_match_the_benchmark_reference(tmp_path):
+    workloads = load_perfbench("workloads")
+    setup = workloads.apply_setup(tmp_path, 0)
+    assert workloads.apply_fallback(setup, workloads.load_reference("apply"), 0) == []
+
+
+@pytest.mark.parametrize("name", ["train-color", "train-spatial"])
+def test_train_steps_match_the_benchmark_reference(tmp_path, name):
+    workloads = load_perfbench("workloads")
+    run = workloads.train_loop(workloads.train_setup(tmp_path, 0, name == "train-spatial"), 0, 0, steps=3)
+    assert workloads.check_losses(run, workloads.load_reference(name), 0) == 3
+    assert (run.attempted, run.failed) == (3, 0), run.problems

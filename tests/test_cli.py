@@ -182,6 +182,47 @@ def test_pgt_mask_of_zero_width_is_data_error(corpus, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_pgt_mask_of_non_numeric_height_names_the_field(corpus, tmp_path, capsys):
+    import shutil
+
+    from fatkit.cli import main
+
+    for ext in (".ppm", ".lm"):
+        shutil.copy(corpus / f"0000{ext}", tmp_path / f"bad{ext}")
+    (tmp_path / "bad.pgm").write_bytes(b"P5\n48 4x\n255\n" + bytes(48 * 48))
+    out = tmp_path / "o.ppm"
+    code = main(["pgt", "--source", str(tmp_path / "bad.ppm"), "--ref", str(corpus / "0001.ppm"),
+                 "--mode", "tps", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"fatkit pgt: {tmp_path / 'bad.pgm'}: height must be an integer, got '4x' at byte 6"
+    ]
+    assert not out.exists()
+
+
+def test_pgt_unknown_spatial_part_is_data_error(corpus, tmp_path, capsys):
+    from fatkit.cli import main
+
+    out = tmp_path / "o.ppm"
+    code = main(["pgt", "--source", str(corpus / "0000.ppm"), "--ref", str(corpus / "0001.ppm"),
+                 "--mode", "tps", "--spatial-part", "nose", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "fatkit pgt: --spatial-part must be one of ['all', 'eyebrows', 'eyes', 'lips'], got 'nose'"
+    ]
+    assert not out.exists()
+
+
+def test_pgt_loads_neither_the_attention_nor_the_spatial_module(corpus, tmp_path):
+    argv = ["pgt", "--source", str(corpus / "0000.ppm"), "--ref", str(corpus / "0001.ppm"),
+            "--mode", "tps", "--spatial-part", "eyebrows", "--out", str(tmp_path / "o.ppm")]
+    script = (f"import sys; from fatkit.cli import main; assert main({argv!r}) == 0; "
+              "print(sorted(m for m in sys.modules if m in ('fatkit.attention', 'fatkit.spatial')))")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
 def test_pgt_missing_sample_is_data_error(tmp_path):
     result = run_cli("pgt", "--source", tmp_path / "nope.ppm", "--ref", tmp_path / "nope.ppm",
                      "--mode", "tps", "--out", tmp_path / "o.ppm")
@@ -430,6 +471,28 @@ def test_train_spatial_control_grid_from_config(corpus, tmp_path):
     result = run_cli("transfer", "--model", tmp_path / "m.fatw", "--source", corpus / "0000.ppm",
                      "--ref", corpus / "0001.ppm", "--out", tmp_path / "t.ppm")
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("size, spatial", [(32, True), (16, False), (8, False), (4, False)])
+def test_train_and_transfer_with_maps_smaller_than_the_kernel(tmp_path, capsys, size, spatial):
+    # control_grid = 2 runs the control head's 3x3 conv on a 2x2 lattice, and
+    # small models run their deepest 3x3 convs on 2x2 or 1x1 maps
+    from fatkit.cli import main
+    from fatkit.data import make_corpus
+
+    corpus = tmp_path / "corpus"
+    make_corpus(str(corpus), count=2, size=size, seed=3)
+    (tmp_path / "train.cfg").write_text("control_grid = 2\n")
+    model = tmp_path / "m.fatw"
+    extra = ["--spatial", "--config", str(tmp_path / "train.cfg")] if spatial else []
+    code = main(["train", "--data", str(corpus), "--steps", "2", "--size", str(size), "--width", "4", *extra,
+                 "--out", str(model), "--log", str(tmp_path / "l.csv")])
+    assert code == 0, capsys.readouterr().err
+    assert ("control_grid = 2" in (tmp_path / "m.fatw.cfg").read_text().splitlines()) == spatial
+    code = main(["transfer", "--model", str(model), "--source", str(corpus / "0000.ppm"),
+                 "--ref", str(corpus / "0001.ppm"), "--out", str(tmp_path / "t.ppm")])
+    assert code == 0, capsys.readouterr().err
+    assert read_ppm(tmp_path / "t.ppm").shape == (3, size, size)
 
 
 def test_train_spatial_warp_labels_all(corpus, tmp_path, capsys):

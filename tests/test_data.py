@@ -14,6 +14,7 @@ from fatkit.data import (
     SynthFaceParams,
     load_sample,
     make_corpus,
+    parse_active_labels,
     random_face_params,
     read_landmarks,
     read_manifest,
@@ -24,6 +25,15 @@ from fatkit.data import (
     write_pgm,
     write_ppm,
 )
+
+
+def test_parse_active_labels():
+    assert parse_active_labels("eyebrows", "warp_labels") == (2, 3)
+    assert parse_active_labels("lips", "warp_labels") == (6,)
+    assert parse_active_labels("all", "warp_labels") == (1, 2, 3, 4, 5, 6, 7)
+    message = "--spatial-part must be one of ['all', 'eyebrows', 'eyes', 'lips'], got 'nose'"
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        parse_active_labels("nose", "--spatial-part")
 
 
 def test_straight_brow_landmarks_collinear():
@@ -315,6 +325,18 @@ def test_netpbm_nonpositive_extent(tmp_path, reader, header, message):
     path.write_bytes(header + bytes(12))
     with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
         reader(path)
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"P5\nx 2\n255\n", "width must be an integer, got 'x' at byte 3"),
+    (b"P5\n2 y\n255\n", "height must be an integer, got 'y' at byte 5"),
+    (b"P5\n2 2\nzz\n", "maxval must be an integer, got 'zz' at byte 7"),
+])
+def test_netpbm_non_numeric_field_named_at_its_start(tmp_path, header, message):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(header + bytes(4))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+        read_pgm(path)
 
 
 def test_landmarks_round_trip(tmp_path, rng):

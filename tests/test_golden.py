@@ -7,7 +7,10 @@ The session runs in-process through `fatkit.cli.main`: a 48 px corpus and a
 one `--highres`), `pgt` in `tps --spatial-part eyebrows`, `hist` and `blend`
 modes, and a `warp`. `tests/golden.json` holds the SHA-256 of every file it
 leaves behind, and the numpy and BLAS it was recorded with: float results
-depend on both, so on another toolchain the test fails naming the two.
+depend on both, so on another toolchain the test fails naming the two. The
+file also records the kernel set (core) that a DYNAMIC_ARCH OpenBLAS picked
+for the CPU, which can move float bits too; when digests move on another
+core, the failure names both cores.
 
 A change that moves output bits on purpose regenerates the file with
 
@@ -16,6 +19,7 @@ A change that moves output bits on purpose regenerates the file with
 and says which digests moved and why.
 """
 
+import ctypes
 import hashlib
 import json
 from pathlib import Path
@@ -32,6 +36,20 @@ GOLDEN = Path(__file__).with_name("golden.json")
 def toolchain() -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return f"numpy {np.__version__}, {blas['name']} {blas['version']}"
+
+
+def blas_core() -> str:
+    """The OpenBLAS core of numpy's bundled library, or 'unknown' when the
+    library or its corename symbol is not there."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode("ascii")
+    return "unknown"
 
 
 def run_session(root: Path):
@@ -81,7 +99,9 @@ def test_session_outputs_match_golden_digests(tmp_path):
                     f"this run has {toolchain()}", pytrace=False)
     got = session_digests(tmp_path)
     moved = sorted(name for name in set(got) | set(golden["files"]) if got.get(name) != golden["files"].get(name))
-    assert not moved, f"{len(moved)} of {len(got)} outputs moved: {', '.join(moved)}"
+    core = blas_core()
+    where = "" if core == golden["blas_core"] else f" on BLAS core {core}, recorded on {golden['blas_core']}"
+    assert not moved, f"{len(moved)} of {len(got)} outputs moved{where}: {', '.join(moved)}"
 
 
 if __name__ == "__main__":
@@ -90,5 +110,6 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(None):
         files = session_digests(Path(tmp))
-    GOLDEN.write_text(json.dumps({"toolchain": toolchain(), "files": files}, indent=1) + "\n")
+    record = {"toolchain": toolchain(), "blas_core": blas_core(), "files": files}
+    GOLDEN.write_text(json.dumps(record, indent=1) + "\n")
     print(f"{GOLDEN}: {len(files)} digests")

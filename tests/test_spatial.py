@@ -6,15 +6,13 @@ import pytest
 from conftest import check_grads
 from fatkit.attention import fat_forward, landmark_embedding
 from fatkit.spatial import (
-    ControlGrid,
     SpatialFatParams,
     masked_tps_warp,
-    parse_active_labels,
     predict_control_points,
     spatial_fat_forward,
     tps_grid_from_targets,
 )
-from fatkit.tensor import ParameterError, ShapeError, Tensor
+from fatkit.tensor import ShapeError, Tensor
 from fatkit.tps import identity_grid, pixel_lattice
 
 
@@ -30,17 +28,6 @@ def make_params(rng, d=4, n=3, grid=4, **kw):
     return SpatialFatParams(d=d, heads=2, n_landmarks=n, rng=rng, grid_size=grid, **kw)
 
 
-# -- label sets ---------------------------------------------------------------------
-
-
-def test_parse_active_labels():
-    assert parse_active_labels("eyebrows") == (2, 3)
-    assert parse_active_labels("lips") == (6,)
-    assert parse_active_labels("all") == (1, 2, 3, 4, 5, 6, 7)
-    with pytest.raises(ParameterError):
-        parse_active_labels("nose")
-
-
 # -- control-point prediction ----------------------------------------------------------
 
 
@@ -48,21 +35,21 @@ def test_zero_head_collapses_targets_to_center(rng):
     params = make_params(rng)
     params.ctrl_pos = Tensor(np.zeros((2, 4, 4)), requires_grad=True)
     aligned = Tensor(rng.normal(size=(4, 8, 8)))
-    ctrl = predict_control_points(aligned, params)
-    np.testing.assert_allclose(ctrl.targets.data, 0.0, atol=1e-12)
+    targets = predict_control_points(aligned, params)
+    np.testing.assert_allclose(targets.data, 0.0, atol=1e-12)
 
 
 def test_identity_init_reproduces_lattice(rng):
     params = make_params(rng)
-    ctrl = predict_control_points(Tensor(rng.normal(size=(4, 8, 8))), params)
-    np.testing.assert_allclose(ctrl.targets.data, pixel_lattice(4, 4), atol=1e-12)
+    targets = predict_control_points(Tensor(rng.normal(size=(4, 8, 8))), params)
+    np.testing.assert_allclose(targets.data, pixel_lattice(4, 4), atol=1e-12)
 
 
 def test_targets_strictly_inside_unit_box(rng):
     params = make_params(rng, ctrl_init="random")
     params.ctrl_pos = Tensor(rng.normal(0, 3.0, size=(2, 4, 4)), requires_grad=True)
-    ctrl = predict_control_points(Tensor(rng.normal(size=(4, 8, 8))), params)
-    assert np.all(np.abs(ctrl.targets.data) < 1.0)
+    targets = predict_control_points(Tensor(rng.normal(size=(4, 8, 8))), params)
+    assert np.all(np.abs(targets.data) < 1.0)
 
 
 def test_grid_larger_than_features_is_shape_error(rng):
@@ -77,8 +64,7 @@ def test_grid_larger_than_features_is_shape_error(rng):
 
 
 def test_identity_targets_identity_grid(rng):
-    lattice = pixel_lattice(4, 4)
-    grid, solved = tps_grid_from_targets(ControlGrid(lattice, lattice.copy()), 8, 8)
+    grid, solved = tps_grid_from_targets(Tensor(pixel_lattice(4, 4)), 8, 8)
     assert solved
     np.testing.assert_allclose(grid.data, identity_grid(8, 8), atol=1e-9)
 
@@ -87,17 +73,23 @@ def test_translated_targets_shift_grid(rng):
     lattice = pixel_lattice(4, 4)
     offset = np.array([0.125, -0.0625])
     # content at the lattice should land at lattice+offset: sampling pulls from -offset
-    grid, solved = tps_grid_from_targets(ControlGrid(lattice, lattice + offset), 8, 8)
+    grid, solved = tps_grid_from_targets(Tensor(lattice + offset), 8, 8)
     assert solved
     np.testing.assert_allclose(grid.data, identity_grid(8, 8) - offset, atol=1e-8)
 
 
 def test_collinear_targets_fall_back(rng):
-    lattice = pixel_lattice(4, 4)
     collinear = np.stack([np.linspace(-0.8, 0.8, 16), np.linspace(-0.8, 0.8, 16)], axis=1)
-    grid, solved = tps_grid_from_targets(ControlGrid(lattice, collinear), 8, 8)
+    grid, solved = tps_grid_from_targets(Tensor(collinear), 8, 8)
     assert not solved
     np.testing.assert_array_equal(grid.data, identity_grid(8, 8))
+
+
+@pytest.mark.parametrize("shape", [(12, 2), (15, 2), (16, 3), (16,)])
+def test_targets_off_a_square_lattice_are_shape_error(shape):
+    # the source lattice is pixel_lattice(n, n), so K must be a perfect square
+    with pytest.raises(ShapeError, match="square lattice"):
+        tps_grid_from_targets(Tensor(np.zeros(shape)), 8, 8)
 
 
 def test_grid_matches_plain_solver(rng):
@@ -105,7 +97,7 @@ def test_grid_matches_plain_solver(rng):
 
     lattice = pixel_lattice(3, 3)
     targets = lattice + rng.uniform(-0.08, 0.08, size=lattice.shape)
-    grid, solved = tps_grid_from_targets(ControlGrid(lattice, targets), 10, 10)
+    grid, solved = tps_grid_from_targets(Tensor(targets), 10, 10)
     assert solved
     plain = tps_grid(tps_solve(targets, lattice), 10, 10)
     np.testing.assert_allclose(grid.data, plain, atol=1e-10)
@@ -117,7 +109,7 @@ def test_grid_differentiable_in_targets(rng):
     probe = Tensor(rng.normal(size=(6, 6, 2)))
 
     def f(t):
-        grid, solved = tps_grid_from_targets(ControlGrid(lattice, t), 6, 6)
+        grid, solved = tps_grid_from_targets(t, 6, 6)
         assert solved
         return (grid * probe).sum()
 
@@ -134,28 +126,28 @@ def warp_setup(rng, h=8):
     mask = np.zeros((h, h), dtype=np.uint8)
     mask[:, : h // 2] = 2  # "eyebrow" left half
     mask[:, h // 2 :] = 6  # "lip" right half
-    return img, ControlGrid(lattice, targets), mask
+    return img, Tensor(targets), mask
 
 
 def test_empty_active_set_is_identity(rng):
-    img, ctrl, mask = warp_setup(rng)
-    out, solved = masked_tps_warp(img, ctrl, mask, active_labels=())
+    img, targets, mask = warp_setup(rng)
+    out, solved = masked_tps_warp(img, targets, mask, active_labels=())
     assert solved
     np.testing.assert_array_equal(out.data, img.data)
 
 
 def test_all_labels_equals_pure_warp(rng):
-    img, ctrl, mask = warp_setup(rng)
-    gated, _ = masked_tps_warp(img, ctrl, mask, active_labels=(0, 1, 2, 3, 4, 5, 6, 7))
-    grid, _ = tps_grid_from_targets(ctrl, 8, 8)
+    img, targets, mask = warp_setup(rng)
+    gated, _ = masked_tps_warp(img, targets, mask, active_labels=(0, 1, 2, 3, 4, 5, 6, 7))
+    grid, _ = tps_grid_from_targets(targets, 8, 8)
     from fatkit.tensor import grid_sample
 
     np.testing.assert_array_equal(gated.data, grid_sample(img, grid).data)
 
 
 def test_inactive_region_bit_identical(rng):
-    img, ctrl, mask = warp_setup(rng)
-    out, _ = masked_tps_warp(img, ctrl, mask, active_labels=(2,))
+    img, targets, mask = warp_setup(rng)
+    out, _ = masked_tps_warp(img, targets, mask, active_labels=(2,))
     lips = mask == 6
     assert np.array_equal(out.data[:, lips], img.data[:, lips])
     brows = mask == 2
@@ -163,10 +155,10 @@ def test_inactive_region_bit_identical(rng):
 
 
 def test_mask_downsampled_when_finer(rng):
-    img, ctrl, _ = warp_setup(rng, h=8)
+    img, targets, _ = warp_setup(rng, h=8)
     fine = np.zeros((32, 32), dtype=np.uint8)
     fine[:, :16] = 2
-    out, solved = masked_tps_warp(img, ctrl, fine, active_labels=(6,))
+    out, solved = masked_tps_warp(img, targets, fine, active_labels=(6,))
     assert solved
     np.testing.assert_array_equal(out.data, img.data)  # no lip labels anywhere
 
@@ -194,8 +186,8 @@ def test_spatial_forward_aligns_with_swapped_pass(rng):
     aligned = fat_forward(y, x, le_y, le_x, params.align)
     assert aligned.shape == y.shape
     colored = fat_forward(x, y, le_x, le_y, params.fat)
-    control = predict_control_points(aligned, params)
-    expected, expected_solved = masked_tps_warp(colored, control, mask, params.active_labels)
+    targets = predict_control_points(aligned, params)
+    expected, expected_solved = masked_tps_warp(colored, targets, mask, params.active_labels)
     assert solved and expected_solved
     np.testing.assert_array_equal(out.data, expected.data)
 

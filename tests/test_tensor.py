@@ -521,6 +521,12 @@ def test_gradient_suite_per_op(rng, trial):
     x, w = t(2, 5, 7), t(3, 2, 3, 3)
     assert conv2d(x, w).data.tobytes() == conv2d(x, w, Tensor(np.zeros(3))).data.tobytes()
     check_grads(lambda x, w: (conv2d(x, w, stride=1) * p).sum(), [x, w])
+    for side in (1, 2):
+        for stride in (1, 2):
+            # an input smaller than the kernel is zero-padded like any other
+            p = probe(3, -(-side // stride), -(-side // stride))
+            leaves = [t(2, side, side), t(3, 2, 3, 3), t(3)]
+            check_grads(lambda x, w, b: (conv2d(x, w, b, stride=stride) * p).sum(), leaves)
     p = probe(1, 8, 8)
     check_grads(lambda x, w, b: (deconv2d(x, w, b, stride=2) * p).sum(), [t(2, 4, 4), t(2, 1, 3, 3), t(1)])
     p = probe(2, 4, 4)
