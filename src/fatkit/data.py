@@ -481,11 +481,11 @@ def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
             offset += 1
         if start == offset:
             raise FormatError(f"{path}: truncated header at byte {offset}")
-        try:
-            values.append(int(blob[start:offset]))
-        except ValueError:
-            field = blob[start:offset].decode("latin-1")
-            raise FormatError(f"{path}: {name} must be an integer, got {field!r} at byte {start}") from None
+        field = blob[start:offset]
+        # ASCII digits only, as netpbm writes them; int() would also take "+1" and "1_0"
+        if not field.removeprefix(b"-").isdigit():
+            raise FormatError(f"{path}: {name} must be an integer, got {field.decode('latin-1')!r} at byte {start}")
+        values.append(int(field))
         if name != "maxval" and values[-1] < 1:
             raise FormatError(f"{path}: {name} must be at least 1, got {values[-1]} at byte {start}")
     w, h, maxval = values

@@ -473,6 +473,7 @@ def train_step(state: TrainState, pair: TrainPair, weights: LossWeights, lr: flo
         Tensor(x.image), Tensor(y.image), z_xy.detach(), z_yx.detach(), state.disc_x, state.disc_y
     )
     j_d.backward()
+    j_d = j_d.item()  # only the value is logged; drop the discriminator graph now
     adam_step(state.adam_d, lr)
 
     zero_grads(params)
@@ -484,7 +485,7 @@ def train_step(state: TrainState, pair: TrainPair, weights: LossWeights, lr: flo
     zero_grads(params)
 
     state.iteration += 1
-    row = {"iter": state.iteration, "J_D": j_d.item(), "J_G": j_g.item(), **parts}
+    row = {"iter": state.iteration, "J_D": j_d, "J_G": j_g.item(), **parts}
     for name in LOG_COLUMNS[1:]:
         if not np.isfinite(row[name]):
             raise NonFiniteLossError(f"loss component {name} became non-finite at iteration {row['iter']}")

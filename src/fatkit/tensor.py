@@ -472,7 +472,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
     that require one; the others, and gb with no bias, are None. At stride 1
     the input gradient is a gather, the same-padded correlation of the output
     gradient with the rotated, channel-swapped kernel; at larger strides it
-    is `_col2im`.
+    is `_col2im`. The weight gradient rebuilds the im2col columns from `x`
+    instead of keeping them from the forward, so the graph holds no
+    (C_in*k*k, Ho*Wo) matrix; `x` must therefore not be written in place
+    until the backward has run.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     b = None if b is None else _as_tensor(b)
@@ -484,8 +487,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
     out = wmat @ cols
     if b is not None:
         out += b.data[:, None]
-    if not need_w:
-        cols = None  # only the weight gradient reads the columns
     xshape = x.shape
 
     def back(g):
@@ -496,7 +497,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
             gx = (rot @ _im2col(g, k, 1)[0]).reshape(xshape)
         elif need_x:
             gx = _col2im(wmat.T @ gmat, xshape, k, stride)
-        gw = (gmat @ cols.T).reshape(w.shape) if need_w else None
+        gw = (gmat @ _im2col(x.data, k, stride)[0].T).reshape(w.shape) if need_w else None
         return (gx, gw, gmat.sum(axis=1) if need_b else None)
 
     return _from_op(out.reshape(co, ho, wo), (x, w) if b is None else (x, w, b), back, "conv2d")

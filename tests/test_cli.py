@@ -200,6 +200,24 @@ def test_pgt_mask_of_non_numeric_height_names_the_field(corpus, tmp_path, capsys
     assert not out.exists()
 
 
+def test_pgt_mask_with_digit_separator_in_width_is_data_error(corpus, tmp_path, capsys):
+    import shutil
+
+    from fatkit.cli import main
+
+    for ext in (".ppm", ".lm"):
+        shutil.copy(corpus / f"0000{ext}", tmp_path / f"sep{ext}")
+    (tmp_path / "sep.pgm").write_bytes(b"P5\n4_8 48\n255\n" + bytes(48 * 48))
+    out = tmp_path / "o.ppm"
+    code = main(["pgt", "--source", str(tmp_path / "sep.ppm"), "--ref", str(corpus / "0001.ppm"),
+                 "--mode", "tps", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"fatkit pgt: {tmp_path / 'sep.pgm'}: width must be an integer, got '4_8' at byte 3"
+    ]
+    assert not out.exists()
+
+
 def test_pgt_unknown_spatial_part_is_data_error(corpus, tmp_path, capsys):
     from fatkit.cli import main
 

@@ -331,6 +331,10 @@ def test_netpbm_nonpositive_extent(tmp_path, reader, header, message):
     (b"P5\nx 2\n255\n", "width must be an integer, got 'x' at byte 3"),
     (b"P5\n2 y\n255\n", "height must be an integer, got 'y' at byte 5"),
     (b"P5\n2 2\nzz\n", "maxval must be an integer, got 'zz' at byte 7"),
+    # int() takes digit separators and a plus sign; netpbm does not
+    (b"P5\n1_0 +1\n255\n", "width must be an integer, got '1_0' at byte 3"),
+    (b"P5\n2 +1\n255\n", "height must be an integer, got '+1' at byte 5"),
+    (b"P5\n2 2\n1_000\n", "maxval must be an integer, got '1_000' at byte 7"),
 ])
 def test_netpbm_non_numeric_field_named_at_its_start(tmp_path, header, message):
     path = tmp_path / "x.pgm"

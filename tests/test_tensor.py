@@ -243,6 +243,59 @@ def test_conv_builds_only_required_gradients(rng, op, wshape, xshape, stride):
     assert w.grad is None and b.grad is None and x.grad is not None
 
 
+# every conv2d of a default 64 px, width-16 train step with the spatial branch on:
+# (input shape, weight shape, stride, bias)
+MODEL_CONV_SHAPES = [
+    ((3, 64, 64), (16, 3, 3, 3), 1, False),  # generator encoder
+    ((16, 64, 64), (32, 16, 3, 3), 2, False),
+    ((32, 32, 32), (64, 32, 3, 3), 2, False),
+    ((64, 16, 16), (64, 64, 3, 3), 1, False),  # bottleneck blocks
+    ((64, 16, 16), (64, 64, 1, 1), 1, True),  # attribute estimator
+    ((64, 16, 16), (128, 64, 3, 3), 1, True),
+    ((16, 64, 64), (3, 16, 3, 3), 1, True),  # generator output
+    ((3, 64, 64), (16, 3, 3, 3), 2, True),  # discriminators
+    ((16, 32, 32), (32, 16, 3, 3), 2, False),
+    ((32, 16, 16), (64, 32, 3, 3), 2, False),
+    ((64, 8, 8), (1, 64, 3, 3), 2, True),
+    ((3, 64, 64), (8, 3, 3, 3), 2, False),  # perceptual stack
+    ((8, 32, 32), (16, 8, 3, 3), 2, False),
+    ((16, 16, 16), (16, 16, 3, 3), 1, False),
+    ((64, 8, 8), (2, 64, 3, 3), 1, True),  # spatial control head
+]
+
+
+@pytest.mark.parametrize("xshape, wshape, stride, bias", MODEL_CONV_SHAPES)
+def test_conv2d_weight_gradient_equals_kept_columns_bits(rng, xshape, wshape, stride, bias):
+    from fatkit.tensor import _im2col
+
+    x = Tensor(rng.normal(size=xshape), requires_grad=True)
+    w = Tensor(rng.normal(size=wshape), requires_grad=True)
+    b = Tensor(rng.normal(size=wshape[0]), requires_grad=True) if bias else None
+    out = conv2d(x, w, b, stride=stride)
+    g = rng.normal(size=out.shape)
+    gmat = g.reshape(wshape[0], -1)
+    kept = (gmat @ _im2col(x.data, wshape[2], stride)[0].T).reshape(wshape)
+    gw = out._backward(g)[1]
+    assert gw.shape == kept.shape and gw.tobytes() == kept.tobytes()
+
+
+def test_conv2d_keeps_no_columns_between_forward_and_backward(rng):
+    import tracemalloc
+
+    x = Tensor(rng.normal(size=(16, 64, 64)))
+    w = Tensor(rng.normal(size=(16, 16, 3, 3)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = conv2d(x, w, stride=1)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (C*k*k, H*W) column matrix alone would be 9 times x
+    assert held < out.data.nbytes + x.data.nbytes
+    out.sum().backward()
+    assert w.grad.shape == w.shape
+
+
 # -- normalization, activations, softmax ---------------------------------------
 
 
