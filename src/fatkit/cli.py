@@ -6,16 +6,18 @@ warp (standalone TPS warp), bench (attention timing).
 
 Exit codes: 0 success, 1 usage error (a malformed flag or flag
 combination), 2 data/format error (an out-of-domain setting too, from a
-flag or a file), 3 numerical failure. The FAT_THREADS environment
-variable caps the BLAS thread count; it must be honored before numpy
-loads, so all heavy imports happen inside the command handlers.
+flag or a file), 3 numerical failure (an ArithmeticError). FAT_THREADS
+caps the BLAS thread count; it must be honored before numpy loads, so
+all heavy imports happen inside the command handlers.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
+import warnings
 
 __all__ = ["main"]
 
@@ -106,6 +108,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_dirs(*paths):
+    """Raise, before any work, the error that writing an output whose
+    directory does not exist would raise at the end; None paths are unset."""
+    for path in filter(None, paths):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 # -- command handlers ---------------------------------------------------------
 
 
@@ -126,6 +136,7 @@ def _cmd_pgt(args) -> int:
     if args.alpha is not None and args.mode != "blend":
         raise _UsageError(f"--alpha needs --mode blend, got --mode {args.mode}")
     labels = () if args.spatial_part is None else parse_active_labels(args.spatial_part, "--spatial-part")
+    _check_out_dirs(args.out)
     source = load_sample(args.source)
     reference = load_sample(args.ref)
     if args.mode == "tps":
@@ -190,6 +201,7 @@ def _cmd_train(args) -> int:
     if args.config:
         settings.update(_read_config(args.config))
     config, weights = configs_from_settings(settings)
+    _check_out_dirs(args.out, args.log)  # the .cfg sidecar sits beside --out
     state = init_train_state(config, seed=settings["seed"])
     couples = _load_corpus_pairs(args.data, config.size)
     spatial_labels = config.warp_labels if config.spatial else ()
@@ -218,6 +230,7 @@ def _cmd_transfer(args) -> int:
             box = ()
         if len(box) != 4:
             raise _UsageError(f"--highres needs --box x,y,w,h as four integers, got {args.box!r}")
+    _check_out_dirs(args.out)
     sidecar = args.model + ".cfg"
     stored = _read_config(sidecar)
     # control_grid joined the sidecar later; older models were all trained with the default
@@ -248,6 +261,7 @@ def _cmd_warp(args) -> int:
     from .tensor import ParameterError
     from .tps import read_points, tps_grid, tps_solve, warp_image
 
+    _check_out_dirs(args.out)
     image = read_ppm(args.image)
     src = read_points(args.src_pts)
     dst = read_points(args.dst_pts)
@@ -286,6 +300,7 @@ def _cmd_bench(args) -> int:
     from .tensor import Tensor
 
     config = GeneratorConfig(args.size, base_width=args.width, heads=args.heads)
+    _check_out_dirs(args.csv)
     d, hb = config.feature_dim, config.bottleneck
     rng = np.random.default_rng(args.seed)
     params = FatParams(d=d, heads=args.heads, n_landmarks=LANDMARK_COUNT, rng=rng, estimator="random")
@@ -351,23 +366,21 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)  # argparse loads no numpy
     _apply_thread_cap(args.command)
+    show = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"fatkit {args.command}: warning: {message}\n"
     try:
         return _HANDLERS[args.command](args)
     except _UsageError as exc:
         print(f"fatkit {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as exc:  # classified lazily so numpy loads after env setup
-        from .gan import NonFiniteLossError
-        from .tps import DegenerateGeometryError
-
-        if isinstance(exc, (DegenerateGeometryError, NonFiniteLossError)):
-            print(f"fatkit {args.command}: numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        # FormatError, ShapeError and ParameterError are ValueErrors
-        if isinstance(exc, (ValueError, OSError)):
-            print(f"fatkit {args.command}: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        raise
+    except ArithmeticError as exc:  # DegenerateGeometryError and NonFiniteLossError too
+        print(f"fatkit {args.command}: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (ValueError, OSError) as exc:  # FormatError, ShapeError and ParameterError too
+        print(f"fatkit {args.command}: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    finally:
+        warnings.formatwarning = show
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ never perturbs the shared parameter draws.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import islice
 
 import numpy as np
 
@@ -74,6 +75,7 @@ __all__ = [
     "init_train_state",
     "prepare_pair",
     "train_step",
+    "pair_order",
     "fit",
     "history_csv",
     "state_tensors",
@@ -493,22 +495,30 @@ def train_step(state: TrainState, pair: TrainPair, weights: LossWeights, lr: flo
     return row
 
 
-def fit(state: TrainState, pairs, weights: LossWeights, lr: float, steps: int) -> list:
-    """Run `steps` updates, drawing pairs without replacement per epoch.
+def pair_order(seed: int, n: int, start: int = 0):
+    """Indices into `n` pairs in training order, from iteration `start` on.
 
-    The shuffle order comes from the state seed, so identical seeds and data
-    replay the exact loss history.
+    Iteration k is entry k % n of the (k // n)-th `permutation(n)` of one
+    stream seeded by `[seed, 0x5EED]`, so every epoch draws each pair once
+    without replacement, and a run split at any iteration replays one run.
     """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
+    epoch, offset = divmod(start, n)
+    for _ in range(epoch):
+        rng.permutation(n)
+    while True:
+        yield from rng.permutation(n)[offset:]
+        offset = 0
+
+
+def fit(state: TrainState, pairs, weights: LossWeights, lr: float, steps: int) -> list:
+    """Run `steps` updates on the pairs `pair_order` draws from the state's
+    seed and iteration, so identical seeds and data replay the exact loss
+    history, whether in one call or several."""
     if not pairs:
         raise ParameterError("training needs a nonempty pair list")
-    order_rng = np.random.default_rng(np.random.SeedSequence([state.seed, 0x5EED]))
-    done = 0
-    while done < steps:
-        for idx in order_rng.permutation(len(pairs)):
-            train_step(state, pairs[idx], weights, lr)
-            done += 1
-            if done >= steps:
-                break
+    for idx in islice(pair_order(state.seed, len(pairs), state.iteration), steps):
+        train_step(state, pairs[idx], weights, lr)
     return state.history
 
 

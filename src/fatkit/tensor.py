@@ -74,7 +74,7 @@ class Tensor:
     optimizer updates on leaves). Interior nodes of a computation carry the
     closures needed for the backward pass; calling `backward()` on a scalar
     result accumulates d(result)/d(leaf) into every `requires_grad` leaf.
-    Repeated backward calls accumulate; `zero_grad()` resets.
+    Repeated backward calls accumulate; `zero_grads` resets.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
@@ -115,9 +115,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """Same values, no graph: gradients stop here."""
         return Tensor(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self):
         """Populate leaf gradients of d(self)/d(leaf).
@@ -286,34 +283,24 @@ def tensor_mean(x: Tensor) -> Tensor:
     return tensor_sum(x) * (1.0 / x.size)
 
 
-def l1_loss(a: Tensor, b: Tensor) -> Tensor:
-    """Mean absolute difference; scalar."""
+def _mean_loss(a, b, value, slope, op) -> Tensor:
+    """Scalar `value(a - b)` whose gradient for `a` is `slope(a - b)`."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
-        raise ShapeError(f"l1 needs matching shapes, got {a.shape} and {b.shape}")
+        raise ShapeError(f"{op} needs matching shapes, got {a.shape} and {b.shape}")
     diff = a.data - b.data
-    y = np.mean(np.abs(diff))
-    sgn = np.sign(diff) / diff.size
+    s = slope(diff)
+    return _from_op(value(diff), (a, b), lambda g: (g * s, -g * s), op)
 
-    def back(g):
-        return (g * sgn, -g * sgn)
 
-    return _from_op(y, (a, b), back, "l1")
+def l1_loss(a: Tensor, b: Tensor) -> Tensor:
+    """Mean absolute difference; scalar."""
+    return _mean_loss(a, b, lambda d: np.mean(np.abs(d)), lambda d: np.sign(d) / d.size, "l1")
 
 
 def mse_loss(a: Tensor, b: Tensor) -> Tensor:
     """Mean squared difference; scalar."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mse needs matching shapes, got {a.shape} and {b.shape}")
-    diff = a.data - b.data
-    y = np.mean(diff * diff)
-    coeff = 2.0 * diff / diff.size
-
-    def back(g):
-        return (g * coeff, -g * coeff)
-
-    return _from_op(y, (a, b), back, "mse")
+    return _mean_loss(a, b, lambda d: np.mean(d * d), lambda d: 2.0 * d / d.size, "mse")
 
 
 # -- shape plumbing ---------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fatkit.tensor import Tensor
+from fatkit.tensor import Tensor, zero_grads
 
 
 def finite_diff_grads(fn, tensors, h=1e-5):
@@ -30,8 +30,7 @@ def finite_diff_grads(fn, tensors, h=1e-5):
 
 def check_grads(fn, tensors, h=1e-5, tol=1e-4):
     """Assert autograd and finite differences agree in relative error."""
-    for t in tensors:
-        t.zero_grad()
+    zero_grads(tensors)
     out = fn(*tensors)
     out.backward()
     expected = finite_diff_grads(fn, tensors, h=h)

@@ -100,12 +100,10 @@ def test_pgt_spatial_part_sidecar(corpus, tmp_path):
     assert "parts=2,3" in meta
 
 
-def test_pgt_skipped_spatial_stage_keeps_color_mode(corpus, tmp_path, capsys):
-    # a source with no brow pixels: both eyebrow stages are skipped, so the
-    # image and the sidecar are those of the colour stage alone
+def browless_source(corpus, tmp_path):
+    """Sample 0000 of the corpus with its brow pixels relabelled as skin."""
     import shutil
 
-    from fatkit.cli import main
     from fatkit.data import read_pgm, write_pgm
 
     for ext in (".ppm", ".lm"):
@@ -113,7 +111,16 @@ def test_pgt_skipped_spatial_stage_keeps_color_mode(corpus, tmp_path, capsys):
     mask = read_pgm(corpus / "0000.pgm")
     assert np.isin(mask, (2, 3)).any()
     write_pgm(tmp_path / "bare.pgm", np.where(np.isin(mask, (2, 3)), 1, mask).astype(np.uint8))
-    common = ["pgt", "--source", str(tmp_path / "bare.ppm"), "--ref", str(corpus / "0001.ppm"), "--mode", "tps"]
+    return tmp_path / "bare.ppm"
+
+
+def test_pgt_skipped_spatial_stage_keeps_color_mode(corpus, tmp_path, capsys):
+    # a source with no brow pixels: both eyebrow stages are skipped, so the
+    # image and the sidecar are those of the colour stage alone
+    from fatkit.cli import main
+
+    source = browless_source(corpus, tmp_path)
+    common = ["pgt", "--source", str(source), "--ref", str(corpus / "0001.ppm"), "--mode", "tps"]
     assert main([*common, "--out", str(tmp_path / "color.ppm")]) == 0
     with pytest.warns(UserWarning, match="absent"):
         assert main([*common, "--spatial-part", "eyebrows", "--out", str(tmp_path / "brows.ppm")]) == 0
@@ -122,6 +129,16 @@ def test_pgt_skipped_spatial_stage_keeps_color_mode(corpus, tmp_path, capsys):
     assert meta.split()[0] == "mode=tps-color"
     assert meta == (tmp_path / "color.meta").read_text()
     assert (tmp_path / "brows.ppm").read_bytes() == (tmp_path / "color.ppm").read_bytes()
+
+
+def test_pgt_skipped_spatial_stage_warns_in_one_line_each(corpus, tmp_path):
+    source = browless_source(corpus, tmp_path)
+    result = run_cli("pgt", "--source", source, "--ref", corpus / "0001.ppm", "--mode", "tps",
+                     "--spatial-part", "eyebrows", "--out", tmp_path / "o.ppm")
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines() == [
+        f"fatkit pgt: warning: part {part} absent from a parsing mask; spatial stage skipped" for part in (2, 3)
+    ]
 
 
 def test_pgt_spatial_part_all_runs_the_five_part_stages(corpus, tmp_path, capsys):
@@ -232,13 +249,16 @@ def test_pgt_unknown_spatial_part_is_data_error(corpus, tmp_path, capsys):
 
 
 def test_pgt_loads_neither_the_attention_nor_the_spatial_module(corpus, tmp_path):
-    argv = ["pgt", "--source", str(corpus / "0000.ppm"), "--ref", str(corpus / "0001.ppm"),
-            "--mode", "tps", "--spatial-part", "eyebrows", "--out", str(tmp_path / "o.ppm")]
-    script = (f"import sys; from fatkit.cli import main; assert main({argv!r}) == 0; "
-              "print(sorted(m for m in sys.modules if m in ('fatkit.attention', 'fatkit.spatial')))")
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    # nor the model stack, also when the command fails: a missing --source
+    # is classified as a data error without importing fatkit.gan
+    for source, code in (("0000.ppm", 0), ("missing.ppm", 2)):
+        argv = ["pgt", "--source", str(corpus / source), "--ref", str(corpus / "0001.ppm"),
+                "--mode", "tps", "--spatial-part", "eyebrows", "--out", str(tmp_path / "o.ppm")]
+        script = (f"import sys; from fatkit.cli import main; assert main({argv!r}) == {code}; "
+                  "print(sorted(m for m in sys.modules if m in ('fatkit.gan', 'fatkit.attention', 'fatkit.spatial')))")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_pgt_missing_sample_is_data_error(tmp_path):
@@ -691,11 +711,18 @@ def test_transfer_rejects_non_finite_checkpoint_tensor(corpus, tmp_path, capsys)
 def test_transfer_truncated_checkpoint_names_the_file(corpus, tmp_path, capsys):
     path = tmp_path / "m.fatw"
     saved_model(path)
-    path.write_bytes(path.read_bytes()[:45005])
+    blob = path.read_bytes()
+    path.write_bytes(blob[:45005])
     code, err = transfer_in_process(corpus, path, tmp_path / "t.ppm", capsys)
     assert code == 2
     assert len(err.splitlines()) == 1
     assert err.startswith(f"fatkit transfer: {path}: malformed checkpoint record at byte ")
+    # cuts in the magic, the header, a name, the dims and the last value
+    for n in (0, 3, 9, 10, 12, 20, len(blob) - 1):
+        path.write_bytes(blob[:n])
+        code, err = transfer_in_process(corpus, path, tmp_path / "t.ppm", capsys)
+        assert code == 2 and len(err.splitlines()) == 1, (n, err)
+        assert err.startswith(f"fatkit transfer: {path}: "), (n, err)
     assert not (tmp_path / "t.ppm").exists()
 
 
@@ -780,17 +807,69 @@ def test_bench_out_of_domain_shape_is_data_error(tmp_path):
     assert not (tmp_path / "b.csv").exists()
 
 
+# -- exit codes, outputs and README ---------------------------------------------------
+
+
+def test_missing_output_directory_fails_before_any_work(corpus, tmp_path):
+    # the error a write at the end would raise, raised before any input is read
+    gone = tmp_path / "missing"
+    train = ["train", "--data", corpus, "--steps", 1, "--size", 48, "--width", 4]
+    pair = ["--source", corpus / "0000.ppm", "--ref", corpus / "0001.ppm"]
+    absent = tmp_path / "absent"
+    cases = [
+        (train + ["--out", gone / "m.fatw", "--log", tmp_path / "l.csv"], gone / "m.fatw"),
+        (train + ["--out", tmp_path / "m.fatw", "--log", gone / "l.csv"], gone / "l.csv"),
+        (["bench", "--size", 16, "--width", 4, "--iters", 1, "--csv", gone / "b.csv"], gone / "b.csv"),
+        (["transfer", "--model", absent, *pair, "--out", gone / "t.ppm"], gone / "t.ppm"),
+        (["pgt", *pair, "--mode", "hist", "--out", gone / "p.ppm"], gone / "p.ppm"),
+        (["warp", "--image", absent, "--src-pts", absent, "--dst-pts", absent, "--out", gone / "w.ppm"],
+         gone / "w.ppm"),
+    ]
+    for argv, path in cases:
+        result = run_cli(*argv)
+        assert result.returncode == 2, argv
+        assert result.stderr.splitlines() == [f"fatkit {argv[0]}: [Errno 2] No such file or directory: {str(path)!r}"]
+        assert result.stdout == ""
+    assert list(tmp_path.iterdir()) == []  # no log, checkpoint or sidecar
+
+
+def test_any_arithmetic_error_is_a_numerical_failure(monkeypatch, capsys):
+    from fatkit import cli
+
+    monkeypatch.setitem(cli._HANDLERS, "warp", lambda args: 1 // 0)
+    assert cli.main(["warp", "--image", "i", "--src-pts", "s", "--dst-pts", "d", "--out", "o"]) == 3
+    assert capsys.readouterr().err.splitlines() == ["fatkit warp: numerical failure: integer division or modulo by zero"]
+
+
+def readme_text() -> str:
+    from pathlib import Path
+
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_lists_the_settings_sidecar_keys_and_log_header():
+    # README's file formats name these tables; they must not drift apart
+    import re
+
+    from fatkit.gan import LOG_COLUMNS, MODEL_KEYS, SETTINGS
+
+    readme = " ".join(readme_text().split())
+    config_keys = re.search(r"training config files: `key = value` lines \(keys: ([^)]*)\)", readme)[1]
+    assert config_keys.split(", ") == list(SETTINGS)
+    sidecar_keys = re.search(r"`<model>\.cfg` sidecar with the model settings \(([^)]*)\)", readme)[1]
+    assert tuple(sidecar_keys.split(", ")) == MODEL_KEYS
+    assert re.search(r"loss log: CSV with header `([^`]*)`", readme)[1] == ",".join(LOG_COLUMNS)
+
+
 def test_readme_synopsis_names_every_flag():
     # each subcommand's lines of README's `## Command line` synopsis name
     # every flag its parser defines
     import argparse
     import re
-    from pathlib import Path
 
     from fatkit.cli import _build_parser
 
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Command line\n", 1)[1]
+    section = readme_text().split("\n## Command line\n", 1)[1]
     synopsis = section.split("```\n", 2)[1]
     named, command = {}, None
     for line in synopsis.splitlines():

@@ -1,5 +1,7 @@
 """Generator/discriminator assembly, loss stack, and training loop."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from fatkit.gan import (
     load_generator,
     loss_discriminators,
     loss_generator,
+    pair_order,
     parse_config_text,
     prepare_pair,
     run_blocks,
@@ -312,6 +315,31 @@ def test_fit_step_count_and_log_columns():
     assert lines[0] == "iter,J_D,J_G,adv,cyc,per,make"
     assert len(lines) == 5
     assert lines[1].startswith("1,")
+
+
+def test_pair_order_is_one_stream_of_per_epoch_permutations():
+    n, seed = 3, 17
+    order = list(islice(pair_order(seed, n), 12))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
+    assert order == list(np.concatenate([rng.permutation(n) for _ in range(4)]))
+    for start in (1, 2, 3, 4, 6, 8, 11):  # inside an epoch, at and across its ends
+        assert list(islice(pair_order(seed, n, start), 12 - start)) == order[start:]
+
+
+def test_fit_split_over_calls_replays_one_call():
+    def run(*splits):
+        state = init_train_state(tiny_config(size=16, control_grid=8), seed=61)
+        a, b = faces(11, 12, size=16)
+        c, _ = faces(13, 14, size=16)
+        pairs = [prepare_pair(x, y, state.percep) for x, y in ((a, b), (b, c), (c, a))]
+        for steps in splits:
+            fit(state, pairs, LossWeights(), lr=1e-3, steps=steps)
+        tensors = {k: v.data.tobytes() for k, v in state_tensors(state).items()}
+        return history_csv(state.history), tensors
+
+    whole = run(5)
+    assert run(2, 3) == whole
+    assert run(2, 3, 2) == run(7)
 
 
 def test_non_finite_loss_aborts_with_component_name():

@@ -511,7 +511,7 @@ def test_backward_accumulates_until_reset():
     y.backward()
     y.backward()
     np.testing.assert_allclose(x.grad, [8.0])
-    x.zero_grad()
+    zero_grads([x])
     y.backward()
     np.testing.assert_allclose(x.grad, [4.0])
 
