@@ -14,6 +14,7 @@ flattened (h*w, d) views.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,11 +32,13 @@ from .tensor import (
 
 __all__ = [
     "FatParams",
+    "FatReference",
     "landmark_embedding",
     "flatten_map",
     "unflatten_map",
     "multi_head",
     "estimate_attributes",
+    "fat_reference",
     "transfer_attributes",
     "color_transform",
     "fat_forward",
@@ -132,21 +135,30 @@ def _augment(features: Tensor, embedding) -> Tensor:
     return concat([features, embedding], axis=1)
 
 
+def _reference_keys(y_flat: Tensor, le_y, params: FatParams) -> Tensor:
+    """Every head's projected reference rows, packed side by side: (M', k*dk)."""
+    return matmul(_augment(y_flat, le_y), params.w_ref)
+
+
+def _attend(x_flat: Tensor, le_x, keys: Tensor, params: FatParams) -> Tensor:
+    """The query side of `multi_head`, against prebuilt `_reference_keys`."""
+    k, dk = params.heads, params.dk
+    q = matmul(_augment(x_flat, le_x), params.w_query * (1.0 / math.sqrt(dk)))  # (M, k*dk)
+    m, mp = q.shape[0], keys.shape[0]
+    qh = transpose(reshape(q, (m, k, dk)), (1, 0, 2))  # (k, M, dk)
+    rh = transpose(reshape(keys, (mp, k, dk)), (1, 2, 0))  # (k, dk, M')
+    heads = softmax(matmul(qh, rh), axis=2)  # (k, M, M')
+    mix = reshape(softmax(params.w_mix, axis=0), (1, k))
+    return reshape(matmul(mix, reshape(heads, (k, m * mp))), (m, mp))
+
+
 def multi_head(x_flat: Tensor, y_flat: Tensor, le_x, le_y, params: FatParams) -> Tensor:
     """Softmax-weighted convex combination of all heads, computed batched.
 
     The per-head attentions are evaluated in a single 3D matmul rather than a
     loop, and their mixture stays row-stochastic by construction.
     """
-    k, dk = params.heads, params.dk
-    q = matmul(_augment(x_flat, le_x), params.w_query * (1.0 / math.sqrt(dk)))  # (M, k*dk)
-    r = matmul(_augment(y_flat, le_y), params.w_ref)  # (M', k*dk)
-    m, mp = q.shape[0], r.shape[0]
-    qh = transpose(reshape(q, (m, k, dk)), (1, 0, 2))  # (k, M, dk)
-    rh = transpose(reshape(r, (mp, k, dk)), (1, 2, 0))  # (k, dk, M')
-    heads = softmax(matmul(qh, rh), axis=2)  # (k, M, M')
-    mix = reshape(softmax(params.w_mix, axis=0), (1, k))
-    return reshape(matmul(mix, reshape(heads, (k, m * mp))), (m, mp))
+    return _attend(x_flat, le_x, _reference_keys(y_flat, le_y, params), params)
 
 
 def estimate_attributes(y_map: Tensor, params: FatParams) -> Tensor:
@@ -177,14 +189,37 @@ def color_transform(x_flat: Tensor, gamma: Tensor) -> Tensor:
     return x_flat * gamma[:, :d] + gamma[:, d:]
 
 
-def fat_forward(x_map: Tensor, y_map: Tensor, le_x, le_y, params: FatParams) -> Tensor:
-    """Full attribute-transfer pass; output matches the query map's shape."""
-    d, h, w = x_map.shape
+class FatReference(NamedTuple):
+    """The reference side of one attribute-transfer block.
+
+    It depends only on the reference map, its landmark embedding and the
+    block's weights, so one build serves every query of that reference, as
+    a Transformer projects its keys and values once per source sequence.
+    """
+
+    embedding: np.ndarray  # (M', 2N) landmark embedding of the reference
+    keys: Tensor  # (M', k*dk) every head's projected reference rows
+    attributes: Tensor  # (M', 2d) `estimate_attributes` rows
+
+
+def fat_reference(y_map: Tensor, le_y, params: FatParams) -> FatReference:
+    """Build the reference side of a (d,h,w) map for one block's weights."""
+    keys = _reference_keys(flatten_map(y_map), le_y, params)
+    return FatReference(le_y, keys, flatten_map(estimate_attributes(y_map, params)))
+
+
+def fat_forward(x_map: Tensor, y_map: Tensor, le_x, le_y, params: FatParams,
+                ref: FatReference = None) -> Tensor:
+    """Full attribute-transfer pass; output matches the query map's shape.
+
+    `ref` is `fat_reference(y_map, le_y, params)` when the caller built it
+    already, to share it between the queries of one reference.
+    """
+    if ref is None:
+        ref = fat_reference(y_map, le_y, params)
+    _, h, w = x_map.shape
     x_flat = flatten_map(x_map)
-    y_flat = flatten_map(y_map)
-    attn = multi_head(x_flat, y_flat, le_x, le_y, params)
-    gamma_ref = flatten_map(estimate_attributes(y_map, params))
-    gamma = transfer_attributes(attn, gamma_ref)
+    gamma = transfer_attributes(_attend(x_flat, le_x, ref.keys, params), ref.attributes)
     return unflatten_map(color_transform(x_flat, gamma), h, w)
 
 

@@ -16,19 +16,22 @@ adversarial, cycle-consistency, perceptual and pseudo-ground-truth terms of
 both transfer directions before a single backward. Each real image is
 encoded once per step: its code feeds both transfers and serves as the
 reference of its cycle pass, so only the two generated faces are encoded
-again. All randomness flows from one seed through per-component child
+again. Its reference side (attention keys, attribute rows and landmark
+embedding) is also built once, and read by its transfer and its cycle
+pass. All randomness flows from one seed through per-component child
 streams, so runs replay bit-identically and enabling the spatial branch
 never perturbs the shared parameter draws.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, fields
 from itertools import islice
 
 import numpy as np
 
-from .attention import FatParams, fat_forward, landmark_embedding
+from .attention import FatParams, FatReference, fat_forward, fat_reference, landmark_embedding
 from .data import ACTIVE_LABEL_SETS, LANDMARK_COUNT, FaceSample, parse_active_labels
 from .pseudo_gt import tps_pgt
 from .spatial import SpatialFatParams, spatial_fat_forward
@@ -67,6 +70,7 @@ __all__ = [
     "PerceptualParams",
     "generator_forward",
     "encode",
+    "face_reference",
     "transfer_decode",
     "run_blocks",
     "bce_with_logits",
@@ -320,23 +324,41 @@ def encode(img, gen: GeneratorParams) -> Tensor:
     return run_blocks(gen.enc + gen.pre, img)
 
 
+def face_reference(yb: Tensor, lm_y, gen: GeneratorParams, config: GeneratorConfig) -> FatReference:
+    """The colour block's reference side of an `encode` code with landmarks
+    lm_y: its landmark embedding, attention keys and attribute rows."""
+    hb = config.bottleneck
+    return fat_reference(yb, landmark_embedding(hb, hb, lm_y), gen.fat)
+
+
+def _transfer(xb, yb, lm_x, lm_y, mask_x, gen, config, ref):
+    """`transfer_decode`, plus the spatial warp's `solved` flag."""
+    hb = config.bottleneck
+    le_x = landmark_embedding(hb, hb, lm_x)
+    if ref is None:
+        ref = face_reference(yb, lm_y, gen, config)
+    if gen.spatial is None:
+        feat, solved = fat_forward(xb, yb, le_x, ref.embedding, gen.fat, ref=ref), True
+    else:
+        feat, solved = spatial_fat_forward(xb, yb, le_x, ref.embedding, np.asarray(mask_x), gen.spatial,
+                                           ref=ref)
+    del ref  # a gradient-free forward holds nothing else of it: free it before the decoder
+    feat = run_blocks(gen.post + gen.dec, feat)
+    return (tanh(feat) + 1.0) * 0.5, solved
+
+
 def transfer_decode(xb: Tensor, yb: Tensor, lm_x, lm_y, mask_x, gen: GeneratorParams,
-                    config: GeneratorConfig) -> Tensor:
+                    config: GeneratorConfig, ref: FatReference = None) -> Tensor:
     """Transfer the reference code's attributes onto the source code and decode.
 
     xb and yb are `encode` outputs of the source and the reference; landmarks
-    feed the positional embeddings and mask_x gates the spatial warp. Returns
-    an image tensor in [0,1] of the configured size.
+    feed the positional embeddings and mask_x gates the spatial warp. `ref`
+    is `face_reference(yb, lm_y, gen, config)` when the caller built it
+    already, to share it between the transfers that read yb. Returns an
+    image tensor in [0,1] of the configured size. Training does not report
+    the spatial warp's identity fallback.
     """
-    hb = config.bottleneck
-    le_x = landmark_embedding(hb, hb, lm_x)
-    le_y = landmark_embedding(hb, hb, lm_y)
-    if gen.spatial is not None:
-        feat, _ = spatial_fat_forward(xb, yb, le_x, le_y, np.asarray(mask_x), gen.spatial)
-    else:
-        feat = fat_forward(xb, yb, le_x, le_y, gen.fat)
-    feat = run_blocks(gen.post + gen.dec, feat)
-    return (tanh(feat) + 1.0) * 0.5
+    return _transfer(xb, yb, lm_x, lm_y, mask_x, gen, config, ref)[0]
 
 
 def generator_forward(x_img, y_img, lm_x, lm_y, mask_x, params: GeneratorParams,
@@ -344,10 +366,14 @@ def generator_forward(x_img, y_img, lm_x, lm_y, mask_x, params: GeneratorParams,
     """Transfer the reference's attributes onto the source image.
 
     x_img supplies identity, y_img supplies attributes: the one-shot
-    `transfer_decode(encode(x_img), encode(y_img), ...)`.
+    `transfer_decode(encode(x_img), encode(y_img), ...)`. A degenerate
+    spatial warp, which falls back to the identity, is a warning.
     """
-    return transfer_decode(encode(x_img, params), encode(y_img, params), lm_x, lm_y, mask_x,
-                           params, config)
+    z, solved = _transfer(encode(x_img, params), encode(y_img, params), lm_x, lm_y, mask_x,
+                          params, config, None)
+    if not solved:
+        warnings.warn("degenerate spatial warp targets; the identity warp was used")
+    return z
 
 
 # -- losses ---------------------------------------------------------------------
@@ -400,21 +426,22 @@ def prepare_pair(x: FaceSample, y: FaceSample, percep: PerceptualParams,
 
 def loss_generator(pair: TrainPair, z_xy: Tensor, z_yx: Tensor, ex: Tensor, ey: Tensor,
                    gen: GeneratorParams, disc_x, disc_y, percep, weights: LossWeights,
-                   config: GeneratorConfig):
+                   config: GeneratorConfig, ref_x: FatReference = None, ref_y: FatReference = None):
     """Weighted sum of both transfer directions' generator losses.
 
     ex and ey are the `encode` codes of the real faces, reused as the
-    references of the two cycle passes. Components: adversarial patch BCE
-    toward "real", L1 cycle consistency of the double transfer, squared
-    error between frozen features, and squared error against the pseudo
-    ground truth.
+    references of the two cycle passes; ref_x and ref_y are their
+    `face_reference`s when the caller built them already. Components:
+    adversarial patch BCE toward "real", L1 cycle consistency of the double
+    transfer, squared error between frozen features, and squared error
+    against the pseudo ground truth.
     """
     x, y = pair.x, pair.y
     adv = bce_with_logits(run_blocks(disc_x.blocks, z_yx), 1.0) + bce_with_logits(
         run_blocks(disc_y.blocks, z_xy), 1.0
     )
-    back_x = transfer_decode(encode(z_xy, gen), ex, x.landmarks, x.landmarks, x.mask, gen, config)
-    back_y = transfer_decode(encode(z_yx, gen), ey, y.landmarks, y.landmarks, y.mask, gen, config)
+    back_x = transfer_decode(encode(z_xy, gen), ex, x.landmarks, x.landmarks, x.mask, gen, config, ref=ref_x)
+    back_y = transfer_decode(encode(z_yx, gen), ey, y.landmarks, y.landmarks, y.mask, gen, config, ref=ref_y)
     cyc = l1_loss(back_x, Tensor(x.image)) + l1_loss(back_y, Tensor(y.image))
     per = mse_loss(run_blocks(percep.blocks, z_xy), Tensor(pair.feat_x)) + mse_loss(
         run_blocks(percep.blocks, z_yx), Tensor(pair.feat_y)
@@ -465,8 +492,11 @@ def train_step(state: TrainState, pair: TrainPair, weights: LossWeights, lr: flo
     cfg = state.config
     x, y = pair.x, pair.y
     ex, ey = encode(x.image, state.gen), encode(y.image, state.gen)
-    z_xy = transfer_decode(ex, ey, x.landmarks, y.landmarks, x.mask, state.gen, cfg)
-    z_yx = transfer_decode(ey, ex, y.landmarks, x.landmarks, y.mask, state.gen, cfg)
+    # each real face is the reference of one transfer and of one cycle pass
+    ref_x = face_reference(ex, x.landmarks, state.gen, cfg)
+    ref_y = face_reference(ey, y.landmarks, state.gen, cfg)
+    z_xy = transfer_decode(ex, ey, x.landmarks, y.landmarks, x.mask, state.gen, cfg, ref=ref_y)
+    z_yx = transfer_decode(ey, ex, y.landmarks, x.landmarks, y.mask, state.gen, cfg, ref=ref_x)
 
     # every learnable tensor; the frozen perceptual weights take no gradient
     params = state.adam_d.params + state.adam_g.params
@@ -480,7 +510,8 @@ def train_step(state: TrainState, pair: TrainPair, weights: LossWeights, lr: flo
 
     zero_grads(params)
     j_g, parts = loss_generator(
-        pair, z_xy, z_yx, ex, ey, state.gen, state.disc_x, state.disc_y, state.percep, weights, cfg
+        pair, z_xy, z_yx, ex, ey, state.gen, state.disc_x, state.disc_y, state.percep, weights, cfg,
+        ref_x=ref_x, ref_y=ref_y,
     )
     j_g.backward()
     adam_step(state.adam_g, lr)

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .attention import FatParams, fat_forward
+from .attention import FatParams, FatReference, fat_forward
 from .tensor import (
     ParameterError,
     ShapeError,
@@ -171,14 +171,17 @@ def masked_tps_warp(x, targets: Tensor, mask: np.ndarray, active_labels):
 
 
 def spatial_fat_forward(
-    x_map: Tensor, y_map: Tensor, le_x, le_y, mask: np.ndarray, params: SpatialFatParams
+    x_map: Tensor, y_map: Tensor, le_x, le_y, mask: np.ndarray, params: SpatialFatParams,
+    ref: FatReference = None,
 ):
     """Color transfer followed by the mask-gated predicted warp.
 
-    Returns (features, solved) where solved=False flags the identity-grid
-    fallback after a degenerate control-point prediction.
+    `ref` is the colour block's `fat_reference(y_map, le_y, params.fat)`
+    when the caller built it already. Returns (features, solved) where
+    solved=False flags the identity-grid fallback after a degenerate
+    control-point prediction.
     """
-    colored = fat_forward(x_map, y_map, le_x, le_y, params.fat)
+    colored = fat_forward(x_map, y_map, le_x, le_y, params.fat, ref=ref)
     # the reference corresponded to the query layout: the same transfer pass
     # with the roles swapped, so the query supplies the attributes
     aligned = fat_forward(y_map, x_map, le_y, le_x, params.align)

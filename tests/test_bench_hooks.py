@@ -57,3 +57,32 @@ def test_train_steps_match_the_benchmark_reference(tmp_path, name):
     run = workloads.train_loop(workloads.train_setup(tmp_path, 0, name == "train-spatial"), 0, 0, steps=3)
     assert workloads.check_losses(run, workloads.load_reference(name), 0) == 3
     assert (run.attempted, run.failed) == (3, 0), run.problems
+
+
+@pytest.mark.parametrize("name", ["train-color", "train-spatial"])
+def test_traced_train_step_reads_the_training_path(tmp_path, name):
+    # the per-layer attention and spatial figures come from the calls a
+    # train step makes; each real face's reference side is built once per
+    # step, outside the transfers that read it
+    spans = load_perfbench("spans")
+    workloads = load_perfbench("workloads")
+    spatial = name == "train-spatial"
+    setup = workloads.train_setup(tmp_path, 0, spatial)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        run = workloads.train_loop(setup, 0, 0, steps=1, tracer=tracer)
+    finally:
+        tracer.uninstall()
+    assert (run.attempted, run.failed) == (1, 0), run.problems
+    metrics = {key: value for key, (value, _) in spans.layer_metrics(tracer, [0]).items()}
+    assert metrics["attention.fat_forward.calls"] > 0
+    assert metrics["tensor.conv2d.calls"] == (82 if spatial else 70)
+    step = [s for s in tracer.spans if s[2] == 0]
+    parents = [tracer.spans[s[1]][0] for s in step if s[0] == "attention.estimate_attributes"]
+    # the alignment block's reference is the query code, new in every pass
+    assert parents.count("attention.fat_forward") == (4 if spatial else 0)
+    assert len(parents) == (6 if spatial else 2)
+    if spatial:
+        assert sum(s[0] == "spatial.spatial_fat_forward" for s in step) == 4
+        assert metrics["spatial.solved_ratio"] == 1.0

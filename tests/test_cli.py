@@ -726,6 +726,35 @@ def test_transfer_truncated_checkpoint_names_the_file(corpus, tmp_path, capsys):
     assert not (tmp_path / "t.ppm").exists()
 
 
+def test_transfer_warns_once_when_the_spatial_warp_falls_back(tmp_path, capsys):
+    # all predicted control points coincide, the TPS solve is degenerate and
+    # the warp falls back to the identity: the output is written, with one
+    # warning line
+    from fatkit.cli import main
+    from fatkit.data import make_corpus
+    from fatkit.gan import MODEL_KEYS, SETTINGS, config_text, configs_from_settings, init_train_state, save_state
+
+    make_corpus(tmp_path / "faces", count=2, size=32, seed=1)
+    settings = {**SETTINGS, "size": 32, "base_width": 4, "spatial": True, "control_grid": 4}
+    state = init_train_state(configs_from_settings(settings)[0], seed=0)
+    state.gen.spatial.ctrl_pos.data[...] = 0.0
+    model = tmp_path / "m.fatw"
+    save_state(model, state)
+    (tmp_path / "m.fatw.cfg").write_text(config_text({k: settings[k] for k in MODEL_KEYS}))
+    argv = ["transfer", "--model", model, "--source", tmp_path / "faces" / "0000.ppm",
+            "--ref", tmp_path / "faces" / "0001.ppm"]
+    with pytest.warns(UserWarning, match="identity warp") as caught:
+        assert main([str(arg) for arg in argv + ["--out", tmp_path / "a.ppm"]]) == 0
+    assert len(caught) == 1
+    capsys.readouterr()
+    result = run_cli(*argv, "--out", tmp_path / "b.ppm")
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines() == [
+        "fatkit transfer: warning: degenerate spatial warp targets; the identity warp was used"
+    ]
+    assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
+
+
 # -- warp ---------------------------------------------------------------------------
 
 

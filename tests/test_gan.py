@@ -16,6 +16,7 @@ from fatkit.gan import (
     config_text,
     configs_from_settings,
     encode,
+    face_reference,
     fit,
     generator_forward,
     history_csv,
@@ -30,6 +31,7 @@ from fatkit.gan import (
     save_state,
     state_tensors,
     train_step,
+    transfer_decode,
 )
 from fatkit.tensor import (
     FormatError,
@@ -412,7 +414,8 @@ def test_train_step_convolution_count(monkeypatch):
     # one default color step runs the four passes' encoders only for the two
     # real faces and the two generated ones: 66 conv blocks (4 encodes x 6,
     # 4 decodes x 3, 24 discriminator and 6 perceptual layers) plus the two
-    # attribute-estimator convolutions of each of the 4 attention passes
+    # attribute-estimator convolutions of each real face's reference side,
+    # which its transfer and its cycle pass share
     import fatkit.attention
 
     cfg = GeneratorConfig()
@@ -427,8 +430,97 @@ def test_train_step_convolution_count(monkeypatch):
 
         monkeypatch.setattr(module, "conv2d", counted)
     train_step(state, pair, LossWeights(), lr=2e-4)
-    assert calls == {"fatkit.gan": 66, "fatkit.attention": 8}
-    assert sum(calls.values()) == 74
+    assert calls == {"fatkit.gan": 66, "fatkit.attention": 4}
+    assert sum(calls.values()) == 70
+
+
+def _shared_transfers(state, pair, cfg):
+    """The two transfers of a train step, each reading the reference side
+    that `face_reference` built once per real face."""
+    x, y = pair.x, pair.y
+    ex, ey = encode(x.image, state.gen), encode(y.image, state.gen)
+    ref_x = face_reference(ex, x.landmarks, state.gen, cfg)
+    ref_y = face_reference(ey, y.landmarks, state.gen, cfg)
+    z_xy = transfer_decode(ex, ey, x.landmarks, y.landmarks, x.mask, state.gen, cfg, ref=ref_y)
+    z_yx = transfer_decode(ey, ex, y.landmarks, x.landmarks, y.mask, state.gen, cfg, ref=ref_x)
+    return ex, ey, ref_x, ref_y, z_xy, z_yx
+
+
+@pytest.mark.parametrize("spatial", [False, True])
+def test_shared_reference_transfers_equal_generator_forward(spatial):
+    cfg = tiny_config(spatial=spatial)
+    state = init_train_state(cfg, seed=71)
+    x, y = faces(23, 24)
+    pair = prepare_pair(x, y, state.percep)
+    *_, z_xy, z_yx = _shared_transfers(state, pair, cfg)
+    want_xy = generator_forward(x.image, y.image, x.landmarks, y.landmarks, x.mask, state.gen, cfg)
+    want_yx = generator_forward(y.image, x.image, y.landmarks, x.landmarks, y.mask, state.gen, cfg)
+    assert z_xy.data.tobytes() == want_xy.data.tobytes()
+    assert z_yx.data.tobytes() == want_yx.data.tobytes()
+
+
+@pytest.mark.parametrize("spatial", [False, True])
+def test_train_step_builds_each_reference_side_once(monkeypatch, spatial):
+    # the colour block estimates attributes once per real face; the spatial
+    # alignment block reads the query code, a new reference in each of the
+    # four passes
+    import fatkit.attention
+
+    cfg = GeneratorConfig(spatial=spatial)
+    state = init_train_state(cfg, seed=3)
+    x, y = faces(21, 22, size=cfg.size)
+    pair = prepare_pair(x, y, state.percep, spatial_labels=cfg.warp_labels if spatial else ())
+    blocks = {id(state.gen.fat): "fat"}
+    if spatial:
+        blocks[id(state.gen.spatial.align)] = "align"
+    calls = {}
+    estimate = fatkit.attention.estimate_attributes
+
+    def counted(y_map, params):
+        calls[blocks[id(params)]] = calls.get(blocks[id(params)], 0) + 1
+        return estimate(y_map, params)
+
+    monkeypatch.setattr(fatkit.attention, "estimate_attributes", counted)
+    train_step(state, pair, LossWeights(), lr=2e-4)
+    assert calls == ({"fat": 2, "align": 4} if spatial else {"fat": 2})
+
+
+@pytest.mark.parametrize("spatial", [False, True])
+def test_shared_reference_gradients_match_per_call_composition(spatial):
+    # sharing a reference side only reorders the sums of the gradients that
+    # reach it from its two readers
+    cfg = tiny_config(spatial=spatial)
+    state = init_train_state(cfg, seed=73)
+    x, y = faces(25, 26)
+    pair = prepare_pair(x, y, state.percep, spatial_labels=cfg.warp_labels if spatial else ())
+    weights = LossWeights()
+
+    def generator_grads(shared):
+        if shared:
+            ex, ey, ref_x, ref_y, z_xy, z_yx = _shared_transfers(state, pair, cfg)
+        else:
+            ex, ey = encode(x.image, state.gen), encode(y.image, state.gen)
+            z_xy = generator_forward(x.image, y.image, x.landmarks, y.landmarks, x.mask, state.gen, cfg)
+            z_yx = generator_forward(y.image, x.image, y.landmarks, x.landmarks, y.mask, state.gen, cfg)
+            ref_x = ref_y = None
+        j_g, _ = loss_generator(pair, z_xy, z_yx, ex, ey, state.gen, state.disc_x, state.disc_y,
+                                state.percep, weights, cfg, ref_x=ref_x, ref_y=ref_y)
+        zero_grads(state.adam_g.params)
+        j_g.backward()
+        grads = {name: t.grad for name, t in state.gen.tensors().items()}
+        zero_grads(state.adam_g.params)
+        return j_g.item(), grads
+
+    j_shared, shared = generator_grads(True)
+    j_plain, plain = generator_grads(False)
+    assert j_shared == j_plain
+    assert list(shared) == list(plain)
+    assert any(grad is not None and np.any(grad) for grad in plain.values())
+    for name, grad in shared.items():
+        assert (grad is None) == (plain[name] is None), name
+        if grad is not None:
+            scale = np.max(np.abs(plain[name]))
+            assert np.max(np.abs(grad - plain[name])) <= 1e-12 * scale, name
 
 
 def test_empty_dataset_rejected():

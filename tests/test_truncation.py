@@ -1,16 +1,20 @@
-"""Every file reader against every prefix of a small valid file.
+"""Every file reader against every prefix and every byte flip of a small
+valid file.
 
-Each prefix must either parse or raise a FormatError whose message starts
-with the file's path. The sweep covers every format fatkit reads: PPM and
-PGM images, FATLM landmarks, FATPTS control points, the corpus manifest,
-FATW checkpoints and `key = value` config files (a `.cfg` sidecar too).
-`tests/test_cli.py` runs truncated checkpoints through `fatkit transfer`.
+Each prefix, and each copy with one byte XORed with 0xFF or 0x01, must
+either parse or raise a FormatError whose message starts with the file's
+path. The sweep covers every format fatkit reads: PPM and PGM images, FATLM
+landmarks, FATPTS control points, the corpus manifest, FATW checkpoints
+(prefixes only) and `key = value` config files (a `.cfg` sidecar too). One
+rejected flip per format also runs through `fatkit.cli.main`, which must
+exit 2 with one line. `tests/test_cli.py` runs truncated checkpoints
+through `fatkit transfer`.
 """
 
 import numpy as np
 import pytest
 
-from fatkit.cli import _read_config
+from fatkit.cli import _read_config, main
 from fatkit.data import read_landmarks, read_manifest, read_pgm, read_ppm, write_landmarks, write_pgm, write_ppm
 from fatkit.gan import config_text
 from fatkit.tensor import FormatError, load_tensors, save_tensors
@@ -58,3 +62,75 @@ def test_every_prefix_parses_or_names_the_file(kind, tmp_path):
             rejected += 1
     assert rejected > 0
 
+
+
+def flips(blob):
+    """Every copy of `blob` with one byte XORed with 0xFF or with 0x01."""
+    for i in range(len(blob)):
+        for mask in (0xFF, 0x01):
+            flipped = bytearray(blob)
+            flipped[i] ^= mask
+            yield bytes(flipped)
+
+
+# a flip inside FATW float data is still a valid float: no reader can tell
+FLIPPABLE = sorted(set(FORMATS) - {"fatw"})
+
+
+@pytest.mark.parametrize("kind", FLIPPABLE)
+def test_every_byte_flip_parses_or_names_the_file(kind, tmp_path):
+    write, read = FORMATS[kind]
+    whole = tmp_path / f"whole.{kind}"
+    write(whole, np.random.default_rng(0))
+    bad = tmp_path / f"flip.{kind}"
+    rejected = 0
+    for n, blob in enumerate(flips(whole.read_bytes())):
+        bad.write_bytes(blob)
+        try:
+            read(bad)
+        except FormatError as exc:
+            assert str(exc).startswith(f"{bad}:"), (n, str(exc))
+            rejected += 1
+    assert rejected > 0
+
+
+def _cli_inputs(root):
+    """A tiny sample triple, a control-point file and a corpus directory
+    holding a manifest and a config file, with the argv of a command that
+    reads each format; `root` receives every file."""
+    rng = np.random.default_rng(0)
+    sample = root / "s.ppm"
+    for kind, path in (("ppm", sample), ("pgm", root / "s.pgm"), ("fatlm", root / "s.lm"),
+                       ("fatpts", root / "p.pts"), ("manifest", root / "manifest.txt"),
+                       ("config", root / "run.cfg")):
+        FORMATS[kind][0](path, rng)
+    warp = ["warp", "--image", sample, "--src-pts", root / "p.pts", "--dst-pts", root / "p.pts"]
+    pgt = ["pgt", "--source", sample, "--ref", sample, "--mode", "hist"]
+    train = ["train", "--data", root, "--log", root / "l.csv"]
+    return {
+        "ppm": (sample, warp),
+        "fatpts": (root / "p.pts", warp),
+        "pgm": (root / "s.pgm", pgt),
+        "fatlm": (root / "s.lm", pgt),
+        "manifest": (root / "manifest.txt", train),
+        "config": (root / "run.cfg", train + ["--config", root / "run.cfg"]),
+    }
+
+
+@pytest.mark.parametrize("kind", FLIPPABLE)
+def test_byte_flipped_input_exits_2_in_one_line(kind, tmp_path, capsys):
+    # the first flip the reader rejects, through the command that reads it
+    path, argv = _cli_inputs(tmp_path)[kind]
+    read = FORMATS[kind][1]
+    for blob in flips(path.read_bytes()):
+        path.write_bytes(blob)
+        try:
+            read(path)
+        except FormatError:
+            break
+    out = tmp_path / ("out.fatw" if argv[0] == "train" else "out.ppm")
+    code = main([str(arg) for arg in argv + ["--out", out]])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert err.startswith(f"fatkit {argv[0]}: {path}:"), err
