@@ -116,6 +116,28 @@ def _check_out_dirs(*paths):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
+def _write_text(path, text):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
+
+
+def _write_all(outputs):
+    """Write each (path, write) output to a temporary file beside it, then
+    move them into place in order with `os.replace`. A failed write moves
+    nothing and leaves no temporary file behind."""
+    temps = []
+    try:
+        for path, write in outputs:
+            temps.append(f"{path}.{os.getpid()}.tmp")
+            write(temps[-1])
+        for (path, _), temp in zip(outputs, temps):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            if os.path.exists(temp):
+                os.remove(temp)
+
+
 # -- command handlers ---------------------------------------------------------
 
 
@@ -207,11 +229,11 @@ def _cmd_train(args) -> int:
     spatial_labels = config.warp_labels if config.spatial else ()
     pairs = [prepare_pair(x, y, state.percep, spatial_labels=spatial_labels) for x, y in couples]
     fit(state, pairs, weights, lr=settings["lr"], steps=settings["steps"])
-    with open(args.log, "w", encoding="ascii") as fh:
-        fh.write(history_csv(state.history))
-    save_state(args.out, state)
-    with open(args.out + ".cfg", "w", encoding="ascii") as fh:
-        fh.write(config_text({key: settings[key] for key in MODEL_KEYS}))
+    _write_all([
+        (args.out + ".cfg", lambda path: _write_text(path, config_text({key: settings[key] for key in MODEL_KEYS}))),
+        (args.out, lambda path: save_state(path, state)),
+        (args.log, lambda path: _write_text(path, history_csv(state.history))),
+    ])
     print(f"{args.out} steps={state.iteration} final_J_G={state.history[-1]['J_G']:.6f}")
     return EXIT_OK
 

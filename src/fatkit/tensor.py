@@ -425,7 +425,12 @@ def _im2col(x: np.ndarray, k: int, stride: int):
 
 
 def _col2im(cols: np.ndarray, xshape, k: int, stride: int) -> np.ndarray:
-    """Adjoint of `_im2col`: scatter a (C*k*k, Ho*Wo) matrix back onto the image."""
+    """Adjoint of `_im2col`: scatter a (C*k*k, Ho*Wo) matrix back onto the image.
+
+    It serves the forward of `_transposed` (`deconv2d`, and a narrowing
+    stride-1 `conv2d`) and the `conv2d` input gradient at stride 2 or where
+    a stride-1 convolution widens its channels.
+    """
     c, h, w = xshape
     pad = (k - 1) // 2
     ho = -(-h // stride)
@@ -451,43 +456,76 @@ def _check_conv_args(x, w, b, stride, transposed=False):
         raise ShapeError(f"conv channels disagree: x {x.shape}, w {w.shape}, b {getattr(b, 'shape', None)}")
 
 
+def _transposed(x: np.ndarray, wmat: np.ndarray, oshape, k: int, stride: int) -> np.ndarray:
+    """Transposed convolution of a (C_a,h,w) array under a (C_a, C_b*k*k)
+    kernel matrix: the `_col2im` scatter of `wmat.T @ x` onto `oshape`."""
+    return _col2im(wmat.T @ x.reshape(x.shape[0], -1), oshape, k, stride)
+
+
+def _transposed_grads(g, x: np.ndarray, wmat: np.ndarray, k: int, stride: int, need_x, need_w):
+    """Input and kernel gradients of `_transposed`, (C_a,h,w) and (C_a,C_b,k,k),
+    both from one im2col matrix of the output gradient g; None where not needed."""
+    if not (need_x or need_w):
+        return None, None
+    gcols = _im2col(g, k, stride)[0]
+    gx = (wmat @ gcols).reshape(x.shape) if need_x else None
+    gw = (x.reshape(x.shape[0], -1) @ gcols.T).reshape(x.shape[0], -1, k, k) if need_w else None
+    return gx, gw
+
+
+def _rotated(w: np.ndarray) -> np.ndarray:
+    """(C_out,C_in,k,k) kernel -> (C_in, C_out*k*k): rotated by 180 degrees and
+    channel-swapped, the kernel under which a stride-1 `conv2d` is `_transposed`."""
+    co, ci, k, _ = w.shape
+    return w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * k * k)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
     """Cross-correlation with same padding; output is ceil(H/stride) per side.
 
     x: (C_in,H,W), w: (C_out,C_in,k,k), b: (C_out,) or None for no bias. The
     backward returns (gx, gw, gb) and builds only the gradients of operands
-    that require one; the others, and gb with no bias, are None. At stride 1
-    the input gradient is a gather, the same-padded correlation of the output
-    gradient with the rotated, channel-swapped kernel; at larger strides it
-    is `_col2im`. The weight gradient rebuilds the im2col columns from `x`
-    instead of keeping them from the forward, so the graph holds no
-    (C_in*k*k, Ho*Wo) matrix; `x` must therefore not be written in place
-    until the backward has run.
+    that require one; the others, and gb with no bias, are None.
+
+    A stride-1 convolution is the transposed convolution of x under the
+    rotated, channel-swapped kernel, so it builds the im2col matrix of its
+    narrower side only. When it narrows (C_out < C_in), its forward is that
+    transposed convolution, a `_col2im` scatter; otherwise it is the weight
+    matrix times the im2col matrix of x. With C_out <= C_in the backward
+    takes both gradients from one im2col matrix of the output gradient; when
+    it widens, and at larger strides, it rebuilds the im2col matrix of x for
+    the weight gradient and scatters the input gradient with `_col2im`. The
+    graph keeps no column matrix between forward and backward, so `x` must
+    not be written in place until the backward has run.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     b = None if b is None else _as_tensor(b)
     _check_conv_args(x.data, w.data, b, stride)
     co, ci, k, _ = w.shape
     need_x, need_w, need_b = x.requires_grad, w.requires_grad, b is not None and b.requires_grad
-    cols, ho, wo = _im2col(x.data, k, stride)
-    wmat = w.data.reshape(co, ci * k * k)
-    out = wmat @ cols
-    if b is not None:
-        out += b.data[:, None]
     xshape = x.shape
+    if stride == 1 and co < ci:
+        out = _transposed(x.data, _rotated(w.data), (co,) + xshape[1:], k, 1)
+    else:
+        cols, ho, wo = _im2col(x.data, k, stride)
+        out = (w.data.reshape(co, ci * k * k) @ cols).reshape(co, ho, wo)
+    if b is not None:
+        out += b.data[:, None, None]
 
     def back(g):
-        gmat = g.reshape(co, ho * wo)
-        gx = None
-        if need_x and stride == 1:
-            rot = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * k * k)
-            gx = (rot @ _im2col(g, k, 1)[0]).reshape(xshape)
-        elif need_x:
-            gx = _col2im(wmat.T @ gmat, xshape, k, stride)
-        gw = (gmat @ _im2col(x.data, k, stride)[0].T).reshape(w.shape) if need_w else None
+        gmat = g.reshape(co, -1)
+        if stride == 1 and co <= ci:
+            gx, grot = _transposed_grads(g, x.data, _rotated(w.data), k, 1, need_x, need_w)
+            gw = None if grot is None else np.ascontiguousarray(grot.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+        else:
+            wmat = w.data.reshape(co, ci * k * k)
+            gx = _col2im(wmat.T @ gmat, xshape, k, stride) if need_x else None
+            if need_x and stride == 1:
+                gx = np.ascontiguousarray(gx)  # C-contiguous, as the other stride-1 gx
+            gw = (gmat @ _im2col(x.data, k, stride)[0].T).reshape(w.shape) if need_w else None
         return (gx, gw, gmat.sum(axis=1) if need_b else None)
 
-    return _from_op(out.reshape(co, ho, wo), (x, w) if b is None else (x, w, b), back, "conv2d")
+    return _from_op(out, (x, w) if b is None else (x, w, b), back, "conv2d")
 
 
 def deconv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
@@ -495,7 +533,9 @@ def deconv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
 
     x: (C_a,h,w), w: (C_a,C_b,k,k), b: (C_b,) or None for no bias; output
     (C_b, stride*h, stride*w), so <conv2d(u; w), x> == <u, deconv2d(x; w)>
-    holds exactly without biases. The backward is built as conv2d's.
+    holds exactly without biases. The forward is a `_col2im` scatter; the
+    backward takes both gradients from one im2col matrix of the output
+    gradient.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     b = None if b is None else _as_tensor(b)
@@ -504,18 +544,13 @@ def deconv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
         raise ParameterError(f"deconv stride must be 1 or 2, got {stride}")
     ca, cb, k, _ = w.shape
     need_x, need_w, need_b = x.requires_grad, w.requires_grad, b is not None and b.requires_grad
-    h, wid = x.shape[1], x.shape[2]
-    oshape = (cb, stride * h, stride * wid)
     wmat = w.data.reshape(ca, cb * k * k)
-    xmat = x.data.reshape(ca, h * wid)
-    out = _col2im(wmat.T @ xmat, oshape, k, stride)
+    out = _transposed(x.data, wmat, (cb, stride * x.shape[1], stride * x.shape[2]), k, stride)
     if b is not None:
         out += b.data[:, None, None]
 
     def back(g):
-        gcols = _im2col(g, k, stride)[0] if need_x or need_w else None
-        gx = (wmat @ gcols).reshape(x.shape) if need_x else None
-        gw = (xmat @ gcols.T).reshape(w.shape) if need_w else None
+        gx, gw = _transposed_grads(g, x.data, wmat, k, stride, need_x, need_w)
         return (gx, gw, g.sum(axis=(1, 2)) if need_b else None)
 
     return _from_op(out, (x, w) if b is None else (x, w, b), back, "deconv2d")

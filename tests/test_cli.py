@@ -862,6 +862,35 @@ def test_missing_output_directory_fails_before_any_work(corpus, tmp_path):
     assert list(tmp_path.iterdir()) == []  # no log, checkpoint or sidecar
 
 
+def test_train_failed_checkpoint_write_leaves_no_output(corpus, tmp_path, capsys, monkeypatch):
+    import fatkit.gan
+
+    def failing_save(path, state):
+        with open(path, "wb") as fh:
+            fh.write(b"FATW")  # a partial checkpoint, then the disk fills
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(fatkit.gan, "save_state", failing_save)
+    out = tmp_path / "out"
+    out.mkdir()
+    from fatkit.cli import main
+
+    code = main(["train", "--data", str(corpus), "--steps", "1", "--size", "48", "--width", "4",
+                 "--out", str(out / "m.fatw"), "--log", str(out / "l.csv")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("fatkit train: [Errno 28] No space left on device")
+    assert list(out.iterdir()) == []  # no checkpoint, sidecar, log or temporary file
+
+
+def test_train_replaces_its_outputs_and_leaves_no_temporary_file(corpus, tmp_path):
+    args = ("train", "--data", corpus, "--steps", 1, "--size", 48, "--width", 4)
+    for seed in (1, 2):
+        result = run_cli(*args, "--seed", seed, "--out", tmp_path / "m.fatw", "--log", tmp_path / "l.csv")
+        assert result.returncode == 0, result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.csv", "m.fatw", "m.fatw.cfg"]
+
+
 def test_any_arithmetic_error_is_a_numerical_failure(monkeypatch, capsys):
     from fatkit import cli
 
