@@ -195,6 +195,7 @@ class FatReference(NamedTuple):
     It depends only on the reference map, its landmark embedding and the
     block's weights, so one build serves every query of that reference, as
     a Transformer projects its keys and values once per source sequence.
+    The embedding is also the face's query embedding, in a transfer onto it.
     """
 
     embedding: np.ndarray  # (M', 2N) landmark embedding of the reference

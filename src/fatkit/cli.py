@@ -6,9 +6,10 @@ warp (standalone TPS warp), bench (attention timing).
 
 Exit codes: 0 success, 1 usage error (a malformed flag or flag
 combination), 2 data/format error (an out-of-domain setting too, from a
-flag or a file), 3 numerical failure (an ArithmeticError). FAT_THREADS
-caps the BLAS thread count; it must be honored before numpy loads, so
-all heavy imports happen inside the command handlers.
+flag or a file, and a size too large to allocate), 3 numerical failure
+(an ArithmeticError). FAT_THREADS caps the BLAS thread count; it must be
+honored before numpy loads, so all heavy imports happen inside the
+command handlers.
 """
 
 from __future__ import annotations
@@ -273,7 +274,7 @@ def _cmd_transfer(args) -> int:
         frame = read_ppm(args.highres)
         pair = crop_and_resize(frame, box, low_size=config.size)
         z = pyramid_reconstruct(pair, z)
-    write_ppm(args.out, z)
+    _write_all([(args.out, lambda path: write_ppm(path, z))])
     print(args.out)
     return EXIT_OK
 
@@ -293,7 +294,7 @@ def _cmd_warp(args) -> int:
     # sampling transform runs target -> source
     transform = tps_solve(dst, src)
     grid = tps_grid(transform, image.shape[1], image.shape[2])
-    write_ppm(args.out, warp_image(image, grid))
+    _write_all([(args.out, lambda path: write_ppm(path, warp_image(image, grid)))])
     print(args.out)
     return EXIT_OK
 
@@ -368,10 +369,8 @@ def _cmd_bench(args) -> int:
     print(f"fat_ms={fat_ms:.3f}")
     print(f"sequential_ms={sequential_ms:.3f}")
     if args.csv:
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write("kind,mean_ms\n")
-            fh.write(f"fat,{fat_ms:.6f}\n")
-            fh.write(f"sequential,{sequential_ms:.6f}\n")
+        table = f"kind,mean_ms\nfat,{fat_ms:.6f}\nsequential,{sequential_ms:.6f}\n"
+        _write_all([(args.csv, lambda path: _write_text(path, table))])
     return EXIT_OK
 
 
@@ -400,6 +399,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:  # FormatError, ShapeError and ParameterError too
         print(f"fatkit {args.command}: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # an out-of-domain size, such as --size 40000
+        print(f"fatkit {args.command}: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
         return EXIT_DATA
     finally:
         warnings.formatwarning = show

@@ -18,7 +18,9 @@ encoded once per step: its code feeds both transfers and serves as the
 reference of its cycle pass, so only the two generated faces are encoded
 again. Its reference side (attention keys, attribute rows and landmark
 embedding) is also built once, and read by its transfer and its cycle
-pass. All randomness flows from one seed through per-component child
+pass, and its embedding is also its query embedding. `transfer_decode`
+alone runs attention and the decoder, and returns the warp's `solved`
+flag. All randomness flows from one seed through per-component child
 streams, so runs replay bit-identically and enabling the spatial branch
 never perturbs the shared parameter draws.
 """
@@ -331,12 +333,15 @@ def face_reference(yb: Tensor, lm_y, gen: GeneratorParams, config: GeneratorConf
     return fat_reference(yb, landmark_embedding(hb, hb, lm_y), gen.fat)
 
 
-def _transfer(xb, yb, lm_x, lm_y, mask_x, gen, config, ref):
-    """`transfer_decode`, plus the spatial warp's `solved` flag."""
-    hb = config.bottleneck
-    le_x = landmark_embedding(hb, hb, lm_x)
-    if ref is None:
-        ref = face_reference(yb, lm_y, gen, config)
+def transfer_decode(xb: Tensor, le_x, yb: Tensor, ref: FatReference, mask_x, gen: GeneratorParams):
+    """Transfer the reference code's attributes onto the source code and decode.
+
+    xb and yb are `encode` outputs of the source and the reference, le_x is
+    the source's bottleneck landmark embedding, ref is `face_reference` of
+    yb, and mask_x gates the spatial warp. Returns (image, solved): an image
+    tensor in [0,1] of the configured size, and False where a degenerate
+    spatial warp fell back to the identity.
+    """
     if gen.spatial is None:
         feat, solved = fat_forward(xb, yb, le_x, ref.embedding, gen.fat, ref=ref), True
     else:
@@ -347,30 +352,18 @@ def _transfer(xb, yb, lm_x, lm_y, mask_x, gen, config, ref):
     return (tanh(feat) + 1.0) * 0.5, solved
 
 
-def transfer_decode(xb: Tensor, yb: Tensor, lm_x, lm_y, mask_x, gen: GeneratorParams,
-                    config: GeneratorConfig, ref: FatReference = None) -> Tensor:
-    """Transfer the reference code's attributes onto the source code and decode.
-
-    xb and yb are `encode` outputs of the source and the reference; landmarks
-    feed the positional embeddings and mask_x gates the spatial warp. `ref`
-    is `face_reference(yb, lm_y, gen, config)` when the caller built it
-    already, to share it between the transfers that read yb. Returns an
-    image tensor in [0,1] of the configured size. Training does not report
-    the spatial warp's identity fallback.
-    """
-    return _transfer(xb, yb, lm_x, lm_y, mask_x, gen, config, ref)[0]
-
-
 def generator_forward(x_img, y_img, lm_x, lm_y, mask_x, params: GeneratorParams,
                       config: GeneratorConfig) -> Tensor:
     """Transfer the reference's attributes onto the source image.
 
-    x_img supplies identity, y_img supplies attributes: the one-shot
-    `transfer_decode(encode(x_img), encode(y_img), ...)`. A degenerate
-    spatial warp, which falls back to the identity, is a warning.
+    x_img supplies identity, y_img supplies attributes: one `encode` of
+    each, the reference's `face_reference`, then `transfer_decode`. A
+    degenerate spatial warp, which falls back to the identity, is a warning.
     """
-    z, solved = _transfer(encode(x_img, params), encode(y_img, params), lm_x, lm_y, mask_x,
-                          params, config, None)
+    hb = config.bottleneck
+    yb = encode(y_img, params)
+    z, solved = transfer_decode(encode(x_img, params), landmark_embedding(hb, hb, lm_x), yb,
+                                face_reference(yb, lm_y, params, config), mask_x, params)
     if not solved:
         warnings.warn("degenerate spatial warp targets; the identity warp was used")
     return z
@@ -431,7 +424,7 @@ def loss_generator(pair: TrainPair, z_xy: Tensor, z_yx: Tensor, ex: Tensor, ey: 
 
     ex and ey are the `encode` codes of the real faces, reused as the
     references of the two cycle passes; ref_x and ref_y are their
-    `face_reference`s when the caller built them already. Components:
+    `face_reference`s, built here when the caller did not. Components:
     adversarial patch BCE toward "real", L1 cycle consistency of the double
     transfer, squared error between frozen features, and squared error
     against the pseudo ground truth.
@@ -440,8 +433,10 @@ def loss_generator(pair: TrainPair, z_xy: Tensor, z_yx: Tensor, ex: Tensor, ey: 
     adv = bce_with_logits(run_blocks(disc_x.blocks, z_yx), 1.0) + bce_with_logits(
         run_blocks(disc_y.blocks, z_xy), 1.0
     )
-    back_x = transfer_decode(encode(z_xy, gen), ex, x.landmarks, x.landmarks, x.mask, gen, config, ref=ref_x)
-    back_y = transfer_decode(encode(z_yx, gen), ey, y.landmarks, y.landmarks, y.mask, gen, config, ref=ref_y)
+    ref_x = face_reference(ex, x.landmarks, gen, config) if ref_x is None else ref_x
+    ref_y = face_reference(ey, y.landmarks, gen, config) if ref_y is None else ref_y
+    back_x, _ = transfer_decode(encode(z_xy, gen), ref_x.embedding, ex, ref_x, x.mask, gen)
+    back_y, _ = transfer_decode(encode(z_yx, gen), ref_y.embedding, ey, ref_y, y.mask, gen)
     cyc = l1_loss(back_x, Tensor(x.image)) + l1_loss(back_y, Tensor(y.image))
     per = mse_loss(run_blocks(percep.blocks, z_xy), Tensor(pair.feat_x)) + mse_loss(
         run_blocks(percep.blocks, z_yx), Tensor(pair.feat_y)
@@ -492,11 +487,12 @@ def train_step(state: TrainState, pair: TrainPair, weights: LossWeights, lr: flo
     cfg = state.config
     x, y = pair.x, pair.y
     ex, ey = encode(x.image, state.gen), encode(y.image, state.gen)
-    # each real face is the reference of one transfer and of one cycle pass
+    # each real face is the reference of one transfer and of one cycle pass,
+    # and the query of the other transfer
     ref_x = face_reference(ex, x.landmarks, state.gen, cfg)
     ref_y = face_reference(ey, y.landmarks, state.gen, cfg)
-    z_xy = transfer_decode(ex, ey, x.landmarks, y.landmarks, x.mask, state.gen, cfg, ref=ref_y)
-    z_yx = transfer_decode(ey, ex, y.landmarks, x.landmarks, y.mask, state.gen, cfg, ref=ref_x)
+    z_xy, _ = transfer_decode(ex, ref_x.embedding, ey, ref_y, x.mask, state.gen)
+    z_yx, _ = transfer_decode(ey, ref_y.embedding, ex, ref_x, y.mask, state.gen)
 
     # every learnable tensor; the frozen perceptual weights take no gradient
     params = state.adam_d.params + state.adam_g.params

@@ -429,7 +429,7 @@ def _col2im(cols: np.ndarray, xshape, k: int, stride: int) -> np.ndarray:
 
     It serves the forward of `_transposed` (`deconv2d`, and a narrowing
     stride-1 `conv2d`) and the `conv2d` input gradient at stride 2 or where
-    a stride-1 convolution widens its channels.
+    a stride-1 convolution widens its channels. The result owns its memory.
     """
     c, h, w = xshape
     pad = (k - 1) // 2
@@ -440,7 +440,7 @@ def _col2im(cols: np.ndarray, xshape, k: int, stride: int) -> np.ndarray:
     for di in range(k):
         for dj in range(k):
             xp[:, di : di + stride * ho : stride, dj : dj + stride * wo : stride] += blocks[:, di, dj]
-    return xp[:, pad : pad + h, pad : pad + w]
+    return np.ascontiguousarray(xp[:, pad : pad + h, pad : pad + w])
 
 
 def _check_conv_args(x, w, b, stride, transposed=False):
@@ -520,8 +520,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
         else:
             wmat = w.data.reshape(co, ci * k * k)
             gx = _col2im(wmat.T @ gmat, xshape, k, stride) if need_x else None
-            if need_x and stride == 1:
-                gx = np.ascontiguousarray(gx)  # C-contiguous, as the other stride-1 gx
             gw = (gmat @ _im2col(x.data, k, stride)[0].T).reshape(w.shape) if need_w else None
         return (gx, gw, gmat.sum(axis=1) if need_b else None)
 

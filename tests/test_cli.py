@@ -883,6 +883,63 @@ def test_train_failed_checkpoint_write_leaves_no_output(corpus, tmp_path, capsys
     assert list(out.iterdir()) == []  # no checkpoint, sidecar, log or temporary file
 
 
+def fill_the_disk(path, *_):
+    with open(path, "wb") as fh:
+        fh.write(b"P6\n")  # a partial output, then the disk fills
+    raise OSError(28, "No space left on device", path)
+
+
+@pytest.mark.parametrize("command", ["transfer", "warp", "bench"])
+def test_single_output_failed_write_leaves_no_output(corpus, tmp_path, capsys, monkeypatch, command):
+    import fatkit.data
+    from fatkit import cli
+
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "transfer":
+        saved_model(tmp_path / "m.fatw")
+        argv = ["--model", tmp_path / "m.fatw", "--source", corpus / "0000.ppm", "--ref", corpus / "0001.ppm",
+                "--out", out / "z.ppm"]
+    elif command == "warp":
+        write_points(tmp_path / "p.txt", np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]))
+        argv = ["--image", corpus / "0000.ppm", "--src-pts", tmp_path / "p.txt", "--dst-pts", tmp_path / "p.txt",
+                "--out", out / "w.ppm"]
+    else:
+        argv = ["--size", 32, "--iters", 1, "--csv", out / "b.csv"]
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the bench thread cap must not outlive this test
+    monkeypatch.setattr(fatkit.data, "write_ppm", fill_the_disk)
+    monkeypatch.setattr(cli, "_write_text", fill_the_disk)
+    code = cli.main([command, *map(str, argv)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"fatkit {command}: [Errno 28] No space left on device")
+    assert list(out.iterdir()) == []  # no output and no temporary file
+
+
+def run_cli_in_limited_memory(*argv):
+    """`run_cli` in a child that caps its own address space at 1.5 GB, so an
+    allocation far past it fails at once on any machine."""
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000,) * 2); "
+            "from fatkit.cli import main; sys.exit(main(sys.argv[1:]))")
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)], capture_output=True, text=True,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("train", ["--heads", 1000000000, "--width", 4, "--steps", 1, "--size", 48]),
+    ("synth", ["--count", 2, "--size", 40000]),
+])
+def test_out_of_memory_is_one_line_data_error(corpus, tmp_path, command, argv):
+    paths = {"train": ["--data", corpus, "--out", tmp_path / "m.fatw", "--log", tmp_path / "l.csv"],
+             "synth": ["--out", tmp_path / "big"]}
+    result = run_cli_in_limited_memory(command, *argv, *paths[command])
+    assert result.returncode == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(f"fatkit {command}: out of memory: Unable to allocate")
+    assert not (tmp_path / "m.fatw").exists() and not (tmp_path / "l.csv").exists()
+
+
 def test_train_replaces_its_outputs_and_leaves_no_temporary_file(corpus, tmp_path):
     args = ("train", "--data", corpus, "--steps", 1, "--size", 48, "--width", 4)
     for seed in (1, 2):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fatkit.gan as gan
+from fatkit.attention import FatReference
 from fatkit.data import synth_face, random_face_params
 from fatkit.gan import (
     SETTINGS,
@@ -207,10 +208,11 @@ def test_discriminator_loss_symmetry(setup):
 
 def test_perfect_cycle_with_identity_stub(setup, monkeypatch):
     # identity encoder, and a decoder that returns the source code: every
-    # cycle pass gives back its input
+    # cycle pass gives back its input, and no reference side is read
     cfg, state, pair = setup
     monkeypatch.setattr(gan, "encode", lambda img, gen: img if isinstance(img, Tensor) else Tensor(img))
-    monkeypatch.setattr(gan, "transfer_decode", lambda xb, *a, **k: xb)
+    monkeypatch.setattr(gan, "face_reference", lambda *a: FatReference(None, None, None))
+    monkeypatch.setattr(gan, "transfer_decode", lambda xb, *a, **k: (xb, True))
     z_xy = Tensor(pair.x.image)
     z_yx = Tensor(pair.y.image)
     ex, ey = Tensor(pair.x.image), Tensor(pair.y.image)
@@ -441,8 +443,8 @@ def _shared_transfers(state, pair, cfg):
     ex, ey = encode(x.image, state.gen), encode(y.image, state.gen)
     ref_x = face_reference(ex, x.landmarks, state.gen, cfg)
     ref_y = face_reference(ey, y.landmarks, state.gen, cfg)
-    z_xy = transfer_decode(ex, ey, x.landmarks, y.landmarks, x.mask, state.gen, cfg, ref=ref_y)
-    z_yx = transfer_decode(ey, ex, y.landmarks, x.landmarks, y.mask, state.gen, cfg, ref=ref_x)
+    z_xy, _ = transfer_decode(ex, ref_x.embedding, ey, ref_y, x.mask, state.gen)
+    z_yx, _ = transfer_decode(ey, ref_y.embedding, ex, ref_x, y.mask, state.gen)
     return ex, ey, ref_x, ref_y, z_xy, z_yx
 
 
@@ -483,6 +485,54 @@ def test_train_step_builds_each_reference_side_once(monkeypatch, spatial):
     monkeypatch.setattr(fatkit.attention, "estimate_attributes", counted)
     train_step(state, pair, LossWeights(), lr=2e-4)
     assert calls == ({"fat": 2, "align": 4} if spatial else {"fat": 2})
+
+
+@pytest.mark.parametrize("spatial", [False, True])
+def test_train_step_embeds_each_face_once(monkeypatch, spatial):
+    # a real face's reference embedding is also its query embedding, in its
+    # transfer onto the other face and in its cycle pass
+    cfg = tiny_config(spatial=spatial)
+    state = init_train_state(cfg, seed=3)
+    x, y = faces(21, 22)
+    pair = prepare_pair(x, y, state.percep, spatial_labels=cfg.warp_labels if spatial else ())
+    calls = []
+    embed = gan.landmark_embedding
+
+    def counted(h, w, landmarks):
+        calls.append(landmarks)
+        return embed(h, w, landmarks)
+
+    monkeypatch.setattr(gan, "landmark_embedding", counted)
+    train_step(state, pair, LossWeights(), lr=2e-4)
+    assert [id(lm) for lm in calls] == [id(x.landmarks), id(y.landmarks)]
+
+
+@pytest.mark.parametrize("spatial", [False, True])
+def test_gradient_free_forward_frees_the_reference_side_before_the_decoder(monkeypatch, spatial):
+    import weakref
+
+    cfg = tiny_config(spatial=spatial)
+    gen = init_train_state(cfg, seed=5).gen
+    for tensor in gen.tensors().values():
+        tensor.requires_grad = False
+    attributes, alive = [], []
+    build, run = gan.face_reference, gan.run_blocks
+
+    def recorded(*args):
+        ref = build(*args)
+        attributes.append(weakref.ref(ref.attributes.data))
+        return ref
+
+    def traced(blocks, x):
+        if blocks[0] is gen.post[0]:
+            alive.append(attributes[0]() is not None)
+        return run(blocks, x)
+
+    monkeypatch.setattr(gan, "face_reference", recorded)
+    monkeypatch.setattr(gan, "run_blocks", traced)
+    x, y = faces(27, 28)
+    generator_forward(x.image, y.image, x.landmarks, y.landmarks, x.mask, gen, cfg)
+    assert alive == [False]
 
 
 @pytest.mark.parametrize("spatial", [False, True])

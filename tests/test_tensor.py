@@ -385,6 +385,17 @@ def test_conv2d_narrowing_builds_no_wide_column_matrix(rng):
     assert forward_peak < wide and backward_peak < wide
 
 
+def test_col2im_scatters_own_their_memory(rng):
+    # a stride-2 input gradient and a transposed-conv output keep no view of
+    # the padded scatter buffer alive
+    x = Tensor(rng.normal(size=(4, 8, 8)), requires_grad=True)
+    out = conv2d(x, Tensor(rng.normal(size=(6, 4, 3, 3))), stride=2)
+    gx = out._backward(rng.normal(size=out.shape))[0]
+    up = deconv2d(Tensor(rng.normal(size=(4, 4, 4))), Tensor(rng.normal(size=(4, 2, 3, 3))), stride=2)
+    for arr in (gx, up.data):
+        assert arr.flags.c_contiguous and arr.base is None
+
+
 # -- normalization, activations, softmax ---------------------------------------
 
 
