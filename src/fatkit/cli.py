@@ -41,12 +41,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _apply_thread_cap(command):
+    """Set each unset BLAS thread variable to the cap and return the names
+    set, which `main` removes again when the command returns."""
     # bench runs on one BLAS thread by default: pool wakeups dominate its small
     # kernels and swamp the comparison; FAT_THREADS (or explicit env) overrides
     cap = os.environ.get("FAT_THREADS", "1" if command == "bench" else "")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
+    added = [var for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+             if cap and var not in os.environ]
+    for var in added:
+        os.environ[var] = cap
+    return added
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,8 +155,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pgt(args) -> int:
-    from .data import load_sample, parse_active_labels
-    from .pseudo_gt import blend_pgt, histogram_pgt, tps_pgt, write_pgt
+    from .data import load_sample, parse_active_labels, write_ppm
+    from .pseudo_gt import blend_pgt, histogram_pgt, pgt_sidecar, tps_pgt
 
     if args.spatial_part is not None and args.mode != "tps":
         raise _UsageError(f"--spatial-part needs --mode tps, got --mode {args.mode}")
@@ -168,7 +172,11 @@ def _cmd_pgt(args) -> int:
         result = histogram_pgt(source, reference)
     else:
         result = blend_pgt(source, reference) if args.alpha is None else blend_pgt(source, reference, args.alpha)
-    write_pgt(args.out, result)
+    sidecar, text = pgt_sidecar(args.out, result)
+    _write_all([
+        (args.out, lambda path: write_ppm(path, result.image)),
+        (sidecar, lambda path: _write_text(path, text)),
+    ])
     print(args.out)
     return EXIT_OK
 
@@ -386,7 +394,7 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)  # argparse loads no numpy
-    _apply_thread_cap(args.command)
+    capped = _apply_thread_cap(args.command)
     show = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"fatkit {args.command}: warning: {message}\n"
     try:
@@ -405,6 +413,8 @@ def main(argv=None) -> int:
         return EXIT_DATA
     finally:
         warnings.formatwarning = show
+        for var in capped:
+            os.environ.pop(var, None)
 
 
 if __name__ == "__main__":

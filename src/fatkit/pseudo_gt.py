@@ -42,6 +42,7 @@ __all__ = [
     "histogram_pgt",
     "blend_pgt",
     "HISTOGRAM_REGIONS",
+    "pgt_sidecar",
     "write_pgt",
 ]
 
@@ -273,16 +274,22 @@ def blend_pgt(source: FaceSample, reference: FaceSample, alpha: float = 0.8) -> 
     return PseudoGT(image=np.clip(out, 0.0, 1.0), mode="blend", parts_refined=())
 
 
-def write_pgt(path, pgt: PseudoGT):
-    """Write the image as PPM plus a one-line sidecar with the provenance.
+def pgt_sidecar(path, pgt: PseudoGT):
+    """The sidecar path and text of a pseudo-GT image written at `path`.
 
-    The sidecar sits next to the image with a .meta extension and holds
-    `mode=<mode>` and, when parts were refined, ` parts=<comma ids>`.
+    The sidecar sits next to the image with a .meta extension and holds one
+    line, `mode=<mode>` and, when parts were refined, ` parts=<comma ids>`.
     """
-    write_ppm(path, pgt.image)
     line = f"mode={pgt.mode}"
     if pgt.parts_refined:
         line += " parts=" + ",".join(str(p) for p in pgt.parts_refined)
-    sidecar = os.path.splitext(str(path))[0] + ".meta"
+    return os.path.splitext(str(path))[0] + ".meta", line + "\n"
+
+
+def write_pgt(path, pgt: PseudoGT):
+    """Write the image as PPM, then its `pgt_sidecar`. `fatkit pgt` writes
+    the same pair all or nothing."""
+    write_ppm(path, pgt.image)
+    sidecar, text = pgt_sidecar(path, pgt)
     with open(sidecar, "w", encoding="ascii") as fh:
-        fh.write(line + "\n")
+        fh.write(text)

@@ -67,25 +67,60 @@ class FormatError(ValueError):
     """A serialized file does not match its documented byte layout."""
 
 
+class _Node:
+    """The graph side of an interior tensor: its backward closure, the nodes
+    of its parents and its op name. It holds no value, so an interior value
+    lives only while the caller or some backward closure holds its array."""
+
+    __slots__ = ("_parents", "_backward", "_op")
+    requires_grad = True
+
+    def __init__(self, parents, backward, op):
+        self._parents = parents
+        self._backward = backward
+        self._op = op
+
+
 class Tensor:
     """N-dimensional float64 array with an optional gradient buffer.
 
     Tensors are immutable after creation apart from `grad` (and in-place
-    optimizer updates on leaves). Interior nodes of a computation carry the
-    closures needed for the backward pass; calling `backward()` on a scalar
-    result accumulates d(result)/d(leaf) into every `requires_grad` leaf.
-    Repeated backward calls accumulate; `zero_grads` resets.
+    optimizer updates on leaves). An interior tensor's graph lives in a
+    `_Node` apart from its value: `_parents` links nodes, a leaf standing as
+    itself, and each backward closure holds only the arrays it reads. So an
+    activation that no backward reads, such as a conv output that feeds
+    `instance_norm`, is freed as soon as the caller drops it. `_parents`,
+    `_backward` and `_op` read through to the node; a leaf reads `()`,
+    `None` and "leaf". Calling `backward()` on a scalar result accumulates
+    d(result)/d(leaf) into every `requires_grad` leaf. Repeated backward
+    calls accumulate; `zero_grads` resets.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
-        self._op = "leaf"
+        self._node = None
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, backward):
+        if self._node is None:
+            raise GraphError("a leaf has no backward to replace")
+        self._node._backward = backward
+
+    @property
+    def _op(self):
+        return "leaf" if self._node is None else self._node._op
 
     # -- basic introspection ------------------------------------------------
 
@@ -125,8 +160,9 @@ class Tensor:
         """
         if self.data.size != 1:
             raise GraphError(f"backward() needs a scalar, got shape {self.shape}")
-        topo = _toposort(self)
-        flowing = {id(self): np.ones_like(self.data)}
+        root = self._node or self
+        topo = _toposort(root)
+        flowing = {id(root): np.ones_like(self.data)}
         for node in reversed(topo):
             g = flowing.pop(id(node), None)
             if g is None:
@@ -189,13 +225,11 @@ def _from_op(data, parents, backward, op) -> Tensor:
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
-        out._op = op
+        out._node = _Node(tuple(p._node or p for p in parents), backward, op)
     return out
 
 
-def _toposort(root: Tensor):
+def _toposort(root):
     order, seen = [], set()
     stack = [(root, False)]
     while stack:
@@ -275,7 +309,8 @@ def xlogx(x: Tensor) -> Tensor:
 
 def tensor_sum(x: Tensor) -> Tensor:
     """Sum of every element; scalar."""
-    return _from_op(np.sum(x.data), (x,), lambda g: (np.full(x.shape, g),), "sum")
+    shape = x.shape
+    return _from_op(np.sum(x.data), (x,), lambda g: (np.full(shape, g),), "sum")
 
 
 def tensor_mean(x: Tensor) -> Tensor:
@@ -374,11 +409,12 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
         d = np.subtract.outer(a.data[:, k], b.data[:, k])
         d *= d
         y += d
+    ad, bd = a.data, b.data
 
     def back(g):
         # sum_j g_ij (a_i - b_j) = a_i sum_j g_ij - (g @ b)_i, and likewise for b
-        ga = 2.0 * (g.sum(axis=1)[:, None] * a.data - g @ b.data)
-        gb = -2.0 * (g.T @ a.data - g.sum(axis=0)[:, None] * b.data)
+        ga = 2.0 * (g.sum(axis=1)[:, None] * ad - g @ bd)
+        gb = -2.0 * (g.T @ ad - g.sum(axis=0)[:, None] * bd)
         return (ga, gb)
 
     return _from_op(y, (a, b), back, "sqdist")
@@ -462,14 +498,16 @@ def _transposed(x: np.ndarray, wmat: np.ndarray, oshape, k: int, stride: int) ->
     return _col2im(wmat.T @ x.reshape(x.shape[0], -1), oshape, k, stride)
 
 
-def _transposed_grads(g, x: np.ndarray, wmat: np.ndarray, k: int, stride: int, need_x, need_w):
-    """Input and kernel gradients of `_transposed`, (C_a,h,w) and (C_a,C_b,k,k),
-    both from one im2col matrix of the output gradient g; None where not needed."""
-    if not (need_x or need_w):
+def _transposed_grads(g, xshape, x, wmat: np.ndarray, k: int, stride: int, need_x):
+    """Input and kernel gradients of `_transposed` for an input of shape
+    `xshape`, (C_a,h,w) and (C_a,C_b,k,k), both from one im2col matrix of the
+    output gradient g; None where not needed. The input array `x` is read
+    only for the kernel gradient, and is None when that is not needed."""
+    if not (need_x or x is not None):
         return None, None
     gcols = _im2col(g, k, stride)[0]
-    gx = (wmat @ gcols).reshape(x.shape) if need_x else None
-    gw = (x.reshape(x.shape[0], -1) @ gcols.T).reshape(x.shape[0], -1, k, k) if need_w else None
+    gx = (wmat @ gcols).reshape(xshape) if need_x else None
+    gw = None if x is None else (x.reshape(xshape[0], -1) @ gcols.T).reshape(xshape[0], -1, k, k)
     return gx, gw
 
 
@@ -496,31 +534,33 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
     it widens, and at larger strides, it rebuilds the im2col matrix of x for
     the weight gradient and scatters the input gradient with `_col2im`. The
     graph keeps no column matrix between forward and backward, so `x` must
-    not be written in place until the backward has run.
+    not be written in place until the backward has run. The backward holds
+    `x`'s array only when it builds the weight gradient.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     b = None if b is None else _as_tensor(b)
     _check_conv_args(x.data, w.data, b, stride)
     co, ci, k, _ = w.shape
     need_x, need_w, need_b = x.requires_grad, w.requires_grad, b is not None and b.requires_grad
-    xshape = x.shape
+    xshape, wshape, wd = x.shape, w.shape, w.data
     if stride == 1 and co < ci:
-        out = _transposed(x.data, _rotated(w.data), (co,) + xshape[1:], k, 1)
+        out = _transposed(x.data, _rotated(wd), (co,) + xshape[1:], k, 1)
     else:
         cols, ho, wo = _im2col(x.data, k, stride)
-        out = (w.data.reshape(co, ci * k * k) @ cols).reshape(co, ho, wo)
+        out = (wd.reshape(co, ci * k * k) @ cols).reshape(co, ho, wo)
     if b is not None:
         out += b.data[:, None, None]
+    xd = x.data if need_w else None
 
     def back(g):
         gmat = g.reshape(co, -1)
         if stride == 1 and co <= ci:
-            gx, grot = _transposed_grads(g, x.data, _rotated(w.data), k, 1, need_x, need_w)
+            gx, grot = _transposed_grads(g, xshape, xd, _rotated(wd), k, 1, need_x)
             gw = None if grot is None else np.ascontiguousarray(grot.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
         else:
-            wmat = w.data.reshape(co, ci * k * k)
+            wmat = wd.reshape(co, ci * k * k)
             gx = _col2im(wmat.T @ gmat, xshape, k, stride) if need_x else None
-            gw = (gmat @ _im2col(x.data, k, stride)[0].T).reshape(w.shape) if need_w else None
+            gw = (gmat @ _im2col(xd, k, stride)[0].T).reshape(wshape) if need_w else None
         return (gx, gw, gmat.sum(axis=1) if need_b else None)
 
     return _from_op(out, (x, w) if b is None else (x, w, b), back, "conv2d")
@@ -543,12 +583,14 @@ def deconv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
     ca, cb, k, _ = w.shape
     need_x, need_w, need_b = x.requires_grad, w.requires_grad, b is not None and b.requires_grad
     wmat = w.data.reshape(ca, cb * k * k)
-    out = _transposed(x.data, wmat, (cb, stride * x.shape[1], stride * x.shape[2]), k, stride)
+    xshape = x.shape
+    out = _transposed(x.data, wmat, (cb, stride * xshape[1], stride * xshape[2]), k, stride)
     if b is not None:
         out += b.data[:, None, None]
+    xd = x.data if need_w else None
 
     def back(g):
-        gx, gw = _transposed_grads(g, x.data, wmat, k, stride, need_x, need_w)
+        gx, gw = _transposed_grads(g, xshape, xd, wmat, k, stride, need_x)
         return (gx, gw, g.sum(axis=(1, 2)) if need_b else None)
 
     return _from_op(out, (x, w) if b is None else (x, w, b), back, "deconv2d")
@@ -647,6 +689,7 @@ def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
     if x.ndim != 3 or grid.ndim != 3 or grid.shape[-1] != 2:
         raise ShapeError(f"grid_sample expects (C,H,W) and (h,w,2), got {x.shape}, {grid.shape}")
     c, h, w = x.shape
+    gshape = grid.shape
     out, (v00, v01, v10, v11), flat_idx, fx, fy = _bilinear(x.data, grid.data)
 
     def back(g):
@@ -659,7 +702,7 @@ def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
         gimg = np.bincount(bins.ravel(), weights.ravel(), minlength=c * h * w).reshape(c, h, w)
         dpx = ((v01 - v00) * cy + (v11 - v10) * fy) * g
         dpy = ((v10 - v00) * cx + (v11 - v01) * fx) * g
-        ggrid = np.empty(grid.shape)
+        ggrid = np.empty(gshape)
         ggrid[..., 0] = dpx.sum(axis=0) * (w / 2.0)
         ggrid[..., 1] = dpy.sum(axis=0) * (h / 2.0)
         return (gimg, ggrid)

@@ -917,6 +917,59 @@ def test_single_output_failed_write_leaves_no_output(corpus, tmp_path, capsys, m
     assert list(out.iterdir()) == []  # no output and no temporary file
 
 
+@pytest.mark.parametrize("failing", [None, "image", "sidecar"])
+def test_pgt_writes_image_and_sidecar_all_or_nothing(corpus, tmp_path, capsys, monkeypatch, failing):
+    import fatkit.data
+    from fatkit import cli
+
+    out = tmp_path / "out"
+    out.mkdir()
+    if failing == "image":
+        monkeypatch.setattr(fatkit.data, "write_ppm", fill_the_disk)
+    elif failing == "sidecar":
+        monkeypatch.setattr(cli, "_write_text", fill_the_disk)
+    code = cli.main(["pgt", "--source", str(corpus / "0000.ppm"), "--ref", str(corpus / "0001.ppm"),
+                     "--mode", "hist", "--out", str(out / "p.ppm")])
+    err = capsys.readouterr().err.splitlines()
+    if failing is None:
+        assert code == 0 and err == []
+        assert sorted(p.name for p in out.iterdir()) == ["p.meta", "p.ppm"]  # no temporary file
+        assert (out / "p.meta").read_text().startswith("mode=histogram")
+        return
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("fatkit pgt: [Errno 28] No space left on device")
+    assert list(out.iterdir()) == []  # no image, no sidecar and no temporary file
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("outcome", ["ok", "error"])
+def test_bench_thread_cap_ends_with_main(monkeypatch, capsys, outcome):
+    import os
+
+    from fatkit import cli
+
+    monkeypatch.delenv("FAT_THREADS", raising=False)
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")  # a caller's own value is kept
+    seen = []
+
+    def handler(args):
+        seen.append({var: os.environ.get(var) for var in THREAD_VARS})
+        if outcome == "error":
+            raise ValueError("bad bench")
+        return 0
+
+    monkeypatch.setitem(cli._HANDLERS, "bench", handler)
+    assert cli.main(["bench"]) == (0 if outcome == "ok" else 2)
+    capsys.readouterr()
+    assert seen == [{"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "3"}]
+    assert {var: os.environ.get(var) for var in THREAD_VARS} == {
+        "OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": None, "MKL_NUM_THREADS": "3"}
+
+
 def run_cli_in_limited_memory(*argv):
     """`run_cli` in a child that caps its own address space at 1.5 GB, so an
     allocation far past it fails at once on any machine."""
@@ -938,6 +991,42 @@ def test_out_of_memory_is_one_line_data_error(corpus, tmp_path, command, argv):
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith(f"fatkit {command}: out of memory: Unable to allocate")
     assert not (tmp_path / "m.fatw").exists() and not (tmp_path / "l.csv").exists()
+
+
+def test_numeric_flag_sweep_ends_in_one_line(tmp_path):
+    # every numeric flag of synth, train and bench at 0, -1 and nan, each in
+    # its own address-space-limited child. The other arguments are valid but
+    # the output cannot be written, so a value the command accepts ends at
+    # that error: no run does any work, and each must end with one message
+    # line, never a traceback (argparse prints its usage lines first)
+    import argparse
+    from concurrent.futures import ThreadPoolExecutor
+
+    from fatkit.cli import _build_parser
+
+    (tmp_path / "file").write_text("")
+    missing = tmp_path / "missing"
+    fixed = {
+        "synth": ["--out", tmp_path / "file" / "corpus", "--count", 2, "--size", 8],
+        "train": ["--data", tmp_path, "--out", missing / "m.fatw", "--log", missing / "l.csv",
+                  "--size", 16, "--width", 4, "--steps", 1],
+        "bench": ["--size", 16, "--width", 4, "--iters", 1, "--csv", missing / "b.csv"],
+    }
+    subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    cases = [(command, action.option_strings[0], value)
+             for command in fixed
+             for action in subparsers.choices[command]._actions if action.type in (int, float)
+             for value in ("0", "-1", "nan")]
+    assert {case[0] for case in cases} == set(fixed) and ("train", "--lr", "nan") in cases
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(lambda case: run_cli_in_limited_memory(case[0], *fixed[case[0]], *case[1:]), cases))
+    for (command, flag, value), result in zip(cases, results):
+        lines = result.stderr.splitlines()
+        assert result.returncode in (1, 2) and "Traceback" not in result.stderr, (flag, value, result.stderr)
+        assert lines and lines[-1].startswith(f"fatkit {command}: "), (flag, value, result.stderr)
+        if result.returncode == 2 or not lines[0].startswith("usage: "):
+            assert len(lines) == 1, (flag, value, result.stderr)
+    assert not missing.exists() and (tmp_path / "file").read_text() == ""
 
 
 def test_train_replaces_its_outputs_and_leaves_no_temporary_file(corpus, tmp_path):

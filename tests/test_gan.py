@@ -296,6 +296,28 @@ def test_train_step_increments_and_changes_parameters():
     assert changed > len(before) * 0.5
 
 
+def test_train_step_memory_peak():
+    # a graph node keeps no value, so an activation that no backward reads
+    # (a conv output feeding instance_norm, attention logits feeding softmax)
+    # is freed in the forward. The second step of the default 64 px colour
+    # config peaked at 55.3 MB under tracemalloc while every interior value
+    # lived until the step ended, and at 36.0 MB since; the bound is midway
+    import tracemalloc
+
+    cfg = GeneratorConfig()
+    state = init_train_state(cfg, seed=5)
+    x, y = faces(size=cfg.size)
+    pair = prepare_pair(x, y, state.percep)
+    train_step(state, pair, LossWeights(), lr=2e-4)
+    tracemalloc.start()
+    try:
+        train_step(state, pair, LossWeights(), lr=2e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 45.7e6
+
+
 def test_train_bit_identical_across_runs():
     def run():
         cfg = tiny_config()

@@ -25,11 +25,14 @@ from fatkit.tensor import (
     matmul,
     mse_loss,
     pairwise_sqdist,
+    reshape,
     relu,
     save_tensors,
     softmax,
     softplus,
     tanh,
+    tensor_mean,
+    tensor_sum,
     transpose,
     xlogx,
     zero_grads,
@@ -620,6 +623,89 @@ def test_detach_blocks_gradient():
     x = Tensor([1.5], requires_grad=True)
     (x.detach() * 3.0).sum().backward()
     assert x.grad is None
+
+
+def test_graph_attributes_read_through_to_the_node(rng):
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    c = Tensor(rng.normal(size=(2, 3)))
+    for t in (x, c, x.detach()):
+        assert (t._parents, t._backward, t._op) == ((), None, "leaf")
+    y = x * c
+    # a leaf stands in the graph as itself, an interior tensor as its node
+    assert len(y._parents) == 2 and y._parents[0] is x and y._parents[1] is c
+    assert y._op == "mul" and y._backward is not None
+    z = tanh(y)
+    assert z._parents == (y._node,) and z._parents[0]._op == "mul" and z._parents[0].requires_grad
+    with pytest.raises(GraphError, match="leaf"):
+        x._backward = lambda g: (g,)
+    # a replaced interior backward is the one the walk runs
+    back = y._backward
+    y._backward = lambda g: tuple(2.0 * v for v in back(g))
+    assert z._parents[0]._backward is y._backward
+    z.sum().backward()
+    np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh(x.data * c.data) ** 2) * c.data, rtol=1e-14)
+
+
+@pytest.mark.parametrize("case", ["conv-norm-relu", "logits-softmax"])
+def test_activation_that_no_backward_reads_dies_with_its_tensor(rng, case):
+    import weakref
+
+    if case == "conv-norm-relu":
+        w = Tensor(rng.normal(size=(6, 4, 3, 3)), requires_grad=True)
+        operand = Tensor(rng.normal(size=(4, 8, 8)))
+
+        def forward(keep):
+            mid = conv2d(operand, w)
+            keep.append(mid)
+            return relu(instance_norm(mid))
+    else:
+        w = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+        operand = Tensor(rng.normal(size=(2, 3, 7)))
+
+        def forward(keep):
+            mid = matmul(w, operand)  # attention logits
+            keep.append(mid)
+            return softmax(mid)
+
+    g = Tensor(rng.normal(size=forward([]).shape))
+    grads = []
+    for drop in (False, True):
+        keep = []
+        out = forward(keep)
+        freed = weakref.ref(keep[0].data)
+        if drop:
+            keep.clear()
+            assert freed() is None  # neither the graph nor a backward holds it
+        zero_grads([w])
+        tensor_sum(out * g).backward()
+        grads.append(w.grad.tobytes())
+    assert grads[0] == grads[1]
+
+
+def test_no_backward_closure_holds_a_tensor(rng):
+    # each backward holds the arrays it reads, never an operand Tensor, so no
+    # closure keeps a whole value alive for the graph's sake
+    a, b = leaf(rng, 3, 4), leaf(rng, 3, 4)
+    img, grid = leaf(rng, 4, 6, 6), leaf(rng, 5, 5, 2, scale=0.5)
+    square = Tensor(rng.normal(size=(3, 3)) + 4.0 * np.eye(3), requires_grad=True)
+
+    def conv(co, ci, stride, bias=True):
+        w = leaf(rng, co, ci, 3, 3)
+        return conv2d(img if ci == 4 else concat([img, img]), w, leaf(rng, co) if bias else None, stride)
+
+    outs = [
+        a + b, a + 1.0, -a, a * b, a * 2.0, a / 2.0, a[1:, :2], a.sum(), tensor_mean(a),
+        relu(a), tanh(a), softplus(a), xlogx(a * a), l1_loss(a, b), mse_loss(a, b),
+        reshape(a, (4, 3)), transpose(a), concat([a, b], axis=1), matmul(a, transpose(b)),
+        linear_solve(square, a), pairwise_sqdist(a, b), softmax(a), instance_norm(img), avg_pool2d(img, 2),
+        conv(2, 4, 1), conv(6, 4, 1, bias=False), conv(6, 8, 2), deconv2d(img, leaf(rng, 4, 2, 3, 3), stride=2),
+        grid_sample(img, grid),
+    ]
+    for out in outs:
+        back = out._backward
+        held = [cell.cell_contents for cell in back.__closure__ or ()] + list(back.__defaults__ or ())
+        held += [v for h in held if isinstance(h, (tuple, list)) for v in h]
+        assert not any(isinstance(h, Tensor) for h in held), out._op
 
 
 @pytest.mark.parametrize("operand", ["number", "tensor"])
