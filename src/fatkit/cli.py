@@ -126,23 +126,6 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _write_all(outputs):
-    """Write each (path, write) output to a temporary file beside it, then
-    move them into place in order with `os.replace`. A failed write moves
-    nothing and leaves no temporary file behind."""
-    temps = []
-    try:
-        for path, write in outputs:
-            temps.append(f"{path}.{os.getpid()}.tmp")
-            write(temps[-1])
-        for (path, _), temp in zip(outputs, temps):
-            os.replace(temp, path)
-    finally:
-        for temp in temps:
-            if os.path.exists(temp):
-                os.remove(temp)
-
-
 # -- command handlers ---------------------------------------------------------
 
 
@@ -155,7 +138,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pgt(args) -> int:
-    from .data import load_sample, parse_active_labels, write_ppm
+    from .data import load_sample, parse_active_labels, write_all, write_ppm
     from .pseudo_gt import blend_pgt, histogram_pgt, pgt_sidecar, tps_pgt
 
     if args.spatial_part is not None and args.mode != "tps":
@@ -173,7 +156,7 @@ def _cmd_pgt(args) -> int:
     else:
         result = blend_pgt(source, reference) if args.alpha is None else blend_pgt(source, reference, args.alpha)
     sidecar, text = pgt_sidecar(args.out, result)
-    _write_all([
+    write_all([
         (args.out, lambda path: write_ppm(path, result.image)),
         (sidecar, lambda path: _write_text(path, text)),
     ])
@@ -215,6 +198,7 @@ def _read_config(path) -> dict:
 
 
 def _cmd_train(args) -> int:
+    from .data import write_all
     from .gan import (
         MODEL_KEYS,
         SETTINGS,
@@ -238,7 +222,7 @@ def _cmd_train(args) -> int:
     spatial_labels = config.warp_labels if config.spatial else ()
     pairs = [prepare_pair(x, y, state.percep, spatial_labels=spatial_labels) for x, y in couples]
     fit(state, pairs, weights, lr=settings["lr"], steps=settings["steps"])
-    _write_all([
+    write_all([
         (args.out + ".cfg", lambda path: _write_text(path, config_text({key: settings[key] for key in MODEL_KEYS}))),
         (args.out, lambda path: save_state(path, state)),
         (args.log, lambda path: _write_text(path, history_csv(state.history))),
@@ -248,7 +232,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
-    from .data import load_sample, read_ppm, write_ppm
+    from .data import load_sample, read_ppm, write_all, write_ppm
     from .gan import MODEL_KEYS, SETTINGS, configs_from_settings, generator_forward, load_generator
     from .tensor import FormatError
 
@@ -282,13 +266,13 @@ def _cmd_transfer(args) -> int:
         frame = read_ppm(args.highres)
         pair = crop_and_resize(frame, box, low_size=config.size)
         z = pyramid_reconstruct(pair, z)
-    _write_all([(args.out, lambda path: write_ppm(path, z))])
+    write_all([(args.out, lambda path: write_ppm(path, z))])
     print(args.out)
     return EXIT_OK
 
 
 def _cmd_warp(args) -> int:
-    from .data import read_ppm, write_ppm
+    from .data import read_ppm, write_all, write_ppm
     from .tensor import ParameterError
     from .tps import read_points, tps_grid, tps_solve, warp_image
 
@@ -302,7 +286,7 @@ def _cmd_warp(args) -> int:
     # sampling transform runs target -> source
     transform = tps_solve(dst, src)
     grid = tps_grid(transform, image.shape[1], image.shape[2])
-    _write_all([(args.out, lambda path: write_ppm(path, warp_image(image, grid)))])
+    write_all([(args.out, lambda path: write_ppm(path, warp_image(image, grid)))])
     print(args.out)
     return EXIT_OK
 
@@ -326,10 +310,12 @@ def _cmd_bench(args) -> int:
         transfer_attributes,
         unflatten_map,
     )
-    from .data import LANDMARK_COUNT
+    from .data import LANDMARK_COUNT, write_all
     from .gan import GeneratorConfig
-    from .tensor import Tensor
+    from .tensor import ParameterError, Tensor
 
+    if args.seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {args.seed}")
     config = GeneratorConfig(args.size, base_width=args.width, heads=args.heads)
     _check_out_dirs(args.csv)
     d, hb = config.feature_dim, config.bottleneck
@@ -378,7 +364,7 @@ def _cmd_bench(args) -> int:
     print(f"sequential_ms={sequential_ms:.3f}")
     if args.csv:
         table = f"kind,mean_ms\nfat,{fat_ms:.6f}\nsequential,{sequential_ms:.6f}\n"
-        _write_all([(args.csv, lambda path: _write_text(path, table))])
+        write_all([(args.csv, lambda path: _write_text(path, table))])
     return EXIT_OK
 
 

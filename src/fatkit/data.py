@@ -38,6 +38,7 @@ __all__ = [
     "synth_face",
     "random_face_params",
     "make_corpus",
+    "write_all",
     "read_manifest",
     "open_ascii",
     "write_ppm",
@@ -400,28 +401,64 @@ def make_corpus(out_dir, count: int, size: int, seed: int):
     """Generate `count` samples split into alternating plain/makeup groups.
 
     Writes <id>.ppm/.lm/.pgm triples plus manifest.txt with one line per
-    sample: `id group image landmarks mask`. Returns the manifest path.
+    sample: `id group image landmarks mask`. Returns the manifest path. The
+    files are written all or nothing through `write_all`: a failed write
+    leaves no file of this run, and removes `out_dir` if it made it.
     """
     if count < 2:
         raise ParameterError(f"corpus needs at least 2 samples, got {count}")
     if size < 1:
         raise ParameterError(f"size must be at least 1, got {size}")
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
+    made = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    children = np.random.SeedSequence(seed).spawn(count)
+    manifest = os.path.join(out_dir, "manifest.txt")
+    try:
+        write_all(_corpus_files(out_dir, manifest, count, size, seed))
+    except BaseException:
+        if made and not os.listdir(out_dir):
+            os.rmdir(out_dir)
+        raise
+    return manifest
+
+
+def _corpus_files(out_dir, manifest, count, size, seed):
+    """The (path, write) outputs of `make_corpus`, each sample drawn as its
+    files are reached and the manifest last."""
     lines = []
-    for i, child in enumerate(children):
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(count)):
         group = "plain" if i % 2 == 0 else "makeup"
         rng = np.random.default_rng(child)
         sample_seed = int(rng.integers(0, 2**31 - 1))
-        params = random_face_params(rng, group, seed=sample_seed)
-        sample = synth_face(params, size)
+        sample = synth_face(random_face_params(rng, group, seed=sample_seed), size)
         stem = f"{i:04d}"
-        save_sample(out_dir, stem, sample)
+        yield from _sample_files(out_dir, stem, sample)
         lines.append(f"{stem} {group} {stem}.ppm {stem}.lm {stem}.pgm")
-    manifest = os.path.join(out_dir, "manifest.txt")
-    with open(manifest, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return manifest
+
+    def write_manifest(path):
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+    yield manifest, write_manifest
+
+
+def write_all(outputs):
+    """Write each (path, write) output to a temporary file beside it, then
+    move them into place in order with `os.replace`. A failed write moves
+    nothing and leaves no temporary file behind. `outputs` may be a
+    generator: each output is made only when the one before it is written."""
+    temps = []
+    try:
+        for path, write in outputs:
+            temps.append((f"{path}.{os.getpid()}.tmp", path))
+            write(temps[-1][0])
+        for temp, path in temps:
+            os.replace(temp, path)
+    finally:
+        for temp, _ in temps:
+            if os.path.exists(temp):
+                os.remove(temp)
 
 
 def read_manifest(path):
@@ -577,10 +614,19 @@ def read_landmarks(path) -> np.ndarray:
     return read_point_text(path, "FATLM", LANDMARK_COUNT, 0.0, 1.0)
 
 
+def _sample_files(directory, stem: str, sample: FaceSample):
+    """The (path, write) outputs of a sample's .ppm/.lm/.pgm triple."""
+    base = os.path.join(directory, stem)
+    return [
+        (base + ".ppm", lambda path: write_ppm(path, sample.image)),
+        (base + ".lm", lambda path: write_landmarks(path, sample.landmarks)),
+        (base + ".pgm", lambda path: write_pgm(path, sample.mask)),
+    ]
+
+
 def save_sample(directory, stem: str, sample: FaceSample):
-    write_ppm(os.path.join(directory, stem + ".ppm"), sample.image)
-    write_landmarks(os.path.join(directory, stem + ".lm"), sample.landmarks)
-    write_pgm(os.path.join(directory, stem + ".pgm"), sample.mask)
+    for path, write in _sample_files(directory, stem, sample):
+        write(path)
 
 
 def load_sample(image_path) -> FaceSample:

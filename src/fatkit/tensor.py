@@ -70,15 +70,18 @@ class FormatError(ValueError):
 class _Node:
     """The graph side of an interior tensor: its backward closure, the nodes
     of its parents and its op name. It holds no value, so an interior value
-    lives only while the caller or some backward closure holds its array."""
+    lives only while the caller or some backward closure holds its array.
+    `_rebuild` is None or a function that remakes the value, bit for bit,
+    from arrays the node's own backward already holds (see `_kept`)."""
 
-    __slots__ = ("_parents", "_backward", "_op")
+    __slots__ = ("_parents", "_backward", "_op", "_rebuild")
     requires_grad = True
 
-    def __init__(self, parents, backward, op):
+    def __init__(self, parents, backward, op, rebuild):
         self._parents = parents
         self._backward = backward
         self._op = op
+        self._rebuild = rebuild
 
 
 class Tensor:
@@ -89,11 +92,14 @@ class Tensor:
     `_Node` apart from its value: `_parents` links nodes, a leaf standing as
     itself, and each backward closure holds only the arrays it reads. So an
     activation that no backward reads, such as a conv output that feeds
-    `instance_norm`, is freed as soon as the caller drops it. `_parents`,
-    `_backward` and `_op` read through to the node; a leaf reads `()`,
-    `None` and "leaf". Calling `backward()` on a scalar result accumulates
-    d(result)/d(leaf) into every `requires_grad` leaf. Repeated backward
-    calls accumulate; `zero_grads` resets.
+    `instance_norm`, is freed as soon as the caller drops it. A node may
+    also say how to rebuild its value from an array its own backward holds;
+    `relu` does, so a backward that reads a ReLU output (a conv's weight
+    gradient) keeps the recipe and the output dies with its caller too.
+    `_parents`, `_backward` and `_op` read through to the node; a leaf reads
+    `()`, `None` and "leaf". Calling `backward()` on a scalar result
+    accumulates d(result)/d(leaf) into every `requires_grad` leaf. Repeated
+    backward calls accumulate; `zero_grads` resets.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_node")
@@ -221,12 +227,27 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _from_op(data, parents, backward, op) -> Tensor:
+def _from_op(data, parents, backward, op, rebuild=None) -> Tensor:
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._node = _Node(tuple(p._node or p for p in parents), backward, op)
+        out._node = _Node(tuple(p._node or p for p in parents), backward, op, rebuild)
     return out
+
+
+def _kept(t: Tensor):
+    """A function that gives `t`'s value to a backward that reads it.
+
+    It is `t`'s rebuild recipe when its node has one, so the backward keeps
+    no second copy of a value its node can remake; otherwise it returns the
+    array itself. Every backward that reads an operand's value holds it
+    through this.
+    """
+    rebuild = None if t._node is None else t._node._rebuild
+    if rebuild is not None:
+        return rebuild
+    data = t.data
+    return lambda: data
 
 
 def _toposort(root):
@@ -265,16 +286,34 @@ def _mul(a: Tensor, other) -> Tensor:
         return _from_op(a.data * s, (a,), lambda g: (g * s,), "scale")
     if a.shape != other.shape:
         raise ShapeError(f"mul needs matching shapes, got {a.shape} and {other.shape}")
-    ad, bd = a.data, other.data
-    return _from_op(ad * bd, (a, other), lambda g: (g * bd, g * ad), "mul")
+    av, bv = _kept(a), _kept(other)
+    return _from_op(a.data * other.data, (a, other), lambda g: (g * bv(), g * av()), "mul")
+
+
+def _relu_body(x: np.ndarray) -> np.ndarray:
+    # fmax maps NaN to 0; adding +0.0 turns the -0.0 that fmax keeps in its
+    # non-vector tail into +0.0, so the output equals where(x > 0, x, 0)
+    y = np.fmax(x, 0.0)
+    y += 0.0
+    return y
 
 
 def relu(x: Tensor) -> Tensor:
-    # fmax maps NaN to 0; adding +0.0 turns the -0.0 that fmax keeps in its
-    # non-vector tail into +0.0, so the output equals where(x > 0, x, 0)
-    y = np.fmax(x.data, 0.0)
-    y += 0.0
-    return _from_op(y, (x,), lambda g: (g * (y > 0),), "relu")  # subgradient at 0 is 0
+    """max(x, 0), with NaN mapped to 0 and subgradient 0 at 0.
+
+    The backward keeps the input, not the output: `x > 0` is the same mask
+    as `y > 0`, NaN included. The node's rebuild recipe is the relu body on
+    that input, so a backward that reads this output (a conv's weight
+    gradient) rebuilds it and the output itself dies with its caller. After
+    `instance_norm` the input is the normalized map the norm's backward
+    holds anyway, so a conv-norm-ReLU block keeps one map, not two.
+    """
+    xv = _kept(x)
+
+    def back(g):
+        return (g * (xv() > 0),)  # subgradient at 0 is 0
+
+    return _from_op(_relu_body(x.data), (x,), back, "relu", lambda: _relu_body(xv()))
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -375,12 +414,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs 2D or 3D pairs, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2] or (a.ndim == 3 and a.shape[0] != b.shape[0]):
         raise ShapeError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
+    av, bv = _kept(a), _kept(b)
 
     def back(g):
-        return (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
+        return (g @ bv().swapaxes(-1, -2), av().swapaxes(-1, -2) @ g)
 
-    return _from_op(ad @ bd, (a, b), back, "matmul")
+    return _from_op(a.data @ b.data, (a, b), back, "matmul")
 
 
 def linear_solve(a: Tensor, b: Tensor) -> Tensor:
@@ -389,10 +428,10 @@ def linear_solve(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != a.shape[0]:
         raise ShapeError(f"solve needs (n,n) and (n,m), got {a.shape} and {b.shape}")
     x = np.linalg.solve(a.data, b.data)
-    at = a.data.T
+    av = _kept(a)
 
     def back(g):
-        gb = np.linalg.solve(at, g)
+        gb = np.linalg.solve(av().T, g)
         return (-gb @ x.T, gb)
 
     return _from_op(x, (a, b), back, "solve")
@@ -409,10 +448,11 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
         d = np.subtract.outer(a.data[:, k], b.data[:, k])
         d *= d
         y += d
-    ad, bd = a.data, b.data
+    av, bv = _kept(a), _kept(b)
 
     def back(g):
         # sum_j g_ij (a_i - b_j) = a_i sum_j g_ij - (g @ b)_i, and likewise for b
+        ad, bd = av(), bv()
         ga = 2.0 * (g.sum(axis=1)[:, None] * ad - g @ bd)
         gb = -2.0 * (g.T @ ad - g.sum(axis=0)[:, None] * bd)
         return (ga, gb)
@@ -534,8 +574,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
     it widens, and at larger strides, it rebuilds the im2col matrix of x for
     the weight gradient and scatters the input gradient with `_col2im`. The
     graph keeps no column matrix between forward and backward, so `x` must
-    not be written in place until the backward has run. The backward holds
-    `x`'s array only when it builds the weight gradient.
+    not be written in place until the backward has run. The backward keeps
+    `x` only when it builds the weight gradient, and then through `_kept`:
+    a ReLU output is kept as its recipe and rebuilt from the ReLU's input.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     b = None if b is None else _as_tensor(b)
@@ -550,10 +591,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
         out = (wd.reshape(co, ci * k * k) @ cols).reshape(co, ho, wo)
     if b is not None:
         out += b.data[:, None, None]
-    xd = x.data if need_w else None
+    xv = _kept(x) if need_w else None
 
     def back(g):
         gmat = g.reshape(co, -1)
+        xd = None if xv is None else xv()
         if stride == 1 and co <= ci:
             gx, grot = _transposed_grads(g, xshape, xd, _rotated(wd), k, 1, need_x)
             gw = None if grot is None else np.ascontiguousarray(grot.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
@@ -573,7 +615,8 @@ def deconv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
     (C_b, stride*h, stride*w), so <conv2d(u; w), x> == <u, deconv2d(x; w)>
     holds exactly without biases. The forward is a `_col2im` scatter; the
     backward takes both gradients from one im2col matrix of the output
-    gradient.
+    gradient. It keeps `x` only for the weight gradient, through `_kept`, so
+    a ReLU output is rebuilt from the ReLU's input, as in `conv2d`.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     b = None if b is None else _as_tensor(b)
@@ -587,10 +630,10 @@ def deconv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
     out = _transposed(x.data, wmat, (cb, stride * xshape[1], stride * xshape[2]), k, stride)
     if b is not None:
         out += b.data[:, None, None]
-    xd = x.data if need_w else None
+    xv = _kept(x) if need_w else None
 
     def back(g):
-        gx, gw = _transposed_grads(g, xshape, xd, wmat, k, stride, need_x)
+        gx, gw = _transposed_grads(g, xshape, None if xv is None else xv(), wmat, k, stride, need_x)
         return (gx, gw, g.sum(axis=(1, 2)) if need_b else None)
 
     return _from_op(out, (x, w) if b is None else (x, w, b), back, "deconv2d")

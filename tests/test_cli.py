@@ -61,6 +61,50 @@ def test_synth_nonpositive_size_exit_2(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("synth", ["--count", 2, "--size", 8]),
+    ("bench", ["--size", 16, "--width", 4, "--iters", 1]),
+])
+def test_negative_seed_is_one_line_data_error_that_creates_nothing(tmp_path, command, argv):
+    out = {"synth": ["--out", tmp_path / "corpus"], "bench": ["--csv", tmp_path / "b.csv"]}[command]
+    result = run_cli(command, *argv, *out, "--seed", -1)
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [f"fatkit {command}: seed must be nonnegative, got -1"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("failing, existing", [
+    (None, False), ("write_ppm", True), ("write_landmarks", False), ("write_pgm", True),
+])
+def test_synth_writes_samples_and_manifest_all_or_nothing(tmp_path, capsys, monkeypatch, failing, existing):
+    # each writer fails on its second call, after the first sample's files
+    import fatkit.data
+    from fatkit import cli
+
+    out = tmp_path / "corpus"
+    if existing:
+        out.mkdir()
+    if failing is not None:
+        real, calls = getattr(fatkit.data, failing), []
+
+        def fails_second(path, *args):
+            calls.append(path)
+            (fill_the_disk if len(calls) == 2 else real)(path, *args)
+
+        monkeypatch.setattr(fatkit.data, failing, fails_second)
+    code = cli.main(["synth", "--out", str(out), "--count", "4", "--size", "16"])
+    err = capsys.readouterr().err.splitlines()
+    if failing is None:
+        assert code == 0 and err == []
+        names = [f"{i:04d}{ext}" for i in range(4) for ext in (".lm", ".pgm", ".ppm")]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names + ["manifest.txt"])  # no temporary file
+        return
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("fatkit synth: [Errno 28] No space left on device")
+    # no sample, no manifest and no temporary file; a directory synth made is gone
+    assert list(out.iterdir()) == [] if existing else not out.exists()
+
+
 def test_synth_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli("synth", "--out", a, "--count", 4, "--size", 32, "--seed", 9).returncode == 0
@@ -993,20 +1037,25 @@ def test_out_of_memory_is_one_line_data_error(corpus, tmp_path, command, argv):
     assert not (tmp_path / "m.fatw").exists() and not (tmp_path / "l.csv").exists()
 
 
-def test_numeric_flag_sweep_ends_in_one_line(tmp_path):
-    # every numeric flag of synth, train and bench at 0, -1 and nan, each in
-    # its own address-space-limited child. The other arguments are valid but
-    # the output cannot be written, so a value the command accepts ends at
-    # that error: no run does any work, and each must end with one message
-    # line, never a traceback (argparse prints its usage lines first)
+def test_numeric_flag_sweep_ends_in_one_line(corpus, tmp_path):
+    # every numeric flag of synth, pgt, train and bench at 0, -1 and nan, each
+    # in its own address-space-limited child. The other arguments are valid
+    # but the output cannot be written, so a value the command accepts ends
+    # at that error: no run but pgt does any work, and each must end with one
+    # message line, never a traceback (argparse prints its usage lines
+    # first). pgt checks --alpha only after its output directory, so its
+    # output is a directory, which only the final move finds
     import argparse
     from concurrent.futures import ThreadPoolExecutor
 
     from fatkit.cli import _build_parser
 
     (tmp_path / "file").write_text("")
+    (tmp_path / "p.ppm").mkdir()
     missing = tmp_path / "missing"
     fixed = {
+        "pgt": ["--source", corpus / "0000.ppm", "--ref", corpus / "0001.ppm", "--mode", "blend",
+                "--out", tmp_path / "p.ppm"],
         "synth": ["--out", tmp_path / "file" / "corpus", "--count", 2, "--size", 8],
         "train": ["--data", tmp_path, "--out", missing / "m.fatw", "--log", missing / "l.csv",
                   "--size", 16, "--width", 4, "--steps", 1],
@@ -1018,6 +1067,7 @@ def test_numeric_flag_sweep_ends_in_one_line(tmp_path):
              for action in subparsers.choices[command]._actions if action.type in (int, float)
              for value in ("0", "-1", "nan")]
     assert {case[0] for case in cases} == set(fixed) and ("train", "--lr", "nan") in cases
+    assert ("pgt", "--alpha", "nan") in cases
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(lambda case: run_cli_in_limited_memory(case[0], *fixed[case[0]], *case[1:]), cases))
     for (command, flag, value), result in zip(cases, results):
@@ -1027,6 +1077,7 @@ def test_numeric_flag_sweep_ends_in_one_line(tmp_path):
         if result.returncode == 2 or not lines[0].startswith("usage: "):
             assert len(lines) == 1, (flag, value, result.stderr)
     assert not missing.exists() and (tmp_path / "file").read_text() == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "p.ppm"] and not any((tmp_path / "p.ppm").iterdir())
 
 
 def test_train_replaces_its_outputs_and_leaves_no_temporary_file(corpus, tmp_path):

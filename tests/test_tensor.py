@@ -646,7 +646,7 @@ def test_graph_attributes_read_through_to_the_node(rng):
     np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh(x.data * c.data) ** 2) * c.data, rtol=1e-14)
 
 
-@pytest.mark.parametrize("case", ["conv-norm-relu", "logits-softmax"])
+@pytest.mark.parametrize("case", ["conv-norm-relu", "norm-relu-conv", "logits-softmax"])
 def test_activation_that_no_backward_reads_dies_with_its_tensor(rng, case):
     import weakref
 
@@ -658,6 +658,16 @@ def test_activation_that_no_backward_reads_dies_with_its_tensor(rng, case):
             mid = conv2d(operand, w)
             keep.append(mid)
             return relu(instance_norm(mid))
+    elif case == "norm-relu-conv":
+        # the second conv's weight gradient reads the ReLU output, which it
+        # rebuilds from the normalized map the norm's backward holds
+        w = Tensor(rng.normal(size=(4, 4, 3, 3)), requires_grad=True)
+        operand = Tensor(rng.normal(size=(4, 8, 8)))
+
+        def forward(keep):
+            mid = relu(instance_norm(conv2d(operand, w)))
+            keep.append(mid)
+            return conv2d(mid, w)
     else:
         w = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
         operand = Tensor(rng.normal(size=(2, 3, 7)))
@@ -680,6 +690,35 @@ def test_activation_that_no_backward_reads_dies_with_its_tensor(rng, case):
         tensor_sum(out * g).backward()
         grads.append(w.grad.tobytes())
     assert grads[0] == grads[1]
+
+
+def test_relu_keeps_its_input_and_rebuilds_its_output_bits(rng):
+    values = np.array([np.nan, -np.inf, -1.5, -1e-300, -0.0, 0.0, 1e-300, 2.5, np.inf])
+    x = Tensor(np.concatenate([values, rng.normal(size=70)]), requires_grad=True)
+    y = relu(x)
+    g = rng.normal(size=y.shape)
+    # the mask read from the input is the mask of the kept-output reference
+    assert y._backward(g)[0].tobytes() == (g * (y.data > 0)).tobytes()
+    assert y._node._rebuild().tobytes() == y.data.tobytes()
+
+
+@pytest.mark.parametrize("op, wshape, stride", [
+    (conv2d, (6, 4, 3, 3), 1), (conv2d, (4, 4, 3, 3), 1), (conv2d, (2, 4, 3, 3), 1),
+    (conv2d, (6, 4, 3, 3), 2), (conv2d, (3, 4, 1, 1), 1),
+    (deconv2d, (4, 2, 3, 3), 1), (deconv2d, (4, 6, 3, 3), 2),
+])
+def test_weight_gradient_of_a_relu_output_equals_kept_output_bits(rng, op, wshape, stride):
+    # a conv that rebuilds its ReLU'd input gives the gradients of one that
+    # reads a kept copy of it, bit for bit
+    x = relu(instance_norm(leaf(rng, 4, 8, 8)))
+    w = leaf(rng, *wshape)
+    b = leaf(rng, wshape[1] if op is deconv2d else wshape[0])
+    out = op(x, w, b, stride=stride)
+    g = rng.normal(size=out.shape)
+    kept = op(Tensor(x.data.copy(), requires_grad=True), w, b, stride=stride)
+    assert out.data.tobytes() == kept.data.tobytes()
+    for got, ref in zip(out._backward(g), kept._backward(g)):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_no_backward_closure_holds_a_tensor(rng):
