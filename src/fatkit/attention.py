@@ -25,6 +25,7 @@ from .tensor import (
     concat,
     conv2d,
     matmul,
+    mixed_attention,
     reshape,
     softmax,
     transpose,
@@ -141,22 +142,22 @@ def _reference_keys(y_flat: Tensor, le_y, params: FatParams) -> Tensor:
 
 
 def _attend(x_flat: Tensor, le_x, keys: Tensor, params: FatParams) -> Tensor:
-    """The query side of `multi_head`, against prebuilt `_reference_keys`."""
-    k, dk = params.heads, params.dk
-    q = matmul(_augment(x_flat, le_x), params.w_query * (1.0 / math.sqrt(dk)))  # (M, k*dk)
-    m, mp = q.shape[0], keys.shape[0]
-    qh = transpose(reshape(q, (m, k, dk)), (1, 0, 2))  # (k, M, dk)
-    rh = transpose(reshape(keys, (mp, k, dk)), (1, 2, 0))  # (k, dk, M')
-    heads = softmax(matmul(qh, rh), axis=2)  # (k, M, M')
-    mix = reshape(softmax(params.w_mix, axis=0), (1, k))
-    return reshape(matmul(mix, reshape(heads, (k, m * mp))), (m, mp))
+    """The query side of `multi_head`, against prebuilt `_reference_keys`.
+
+    The scaled query projection and the keys go to `mixed_attention`, which
+    keeps them in place of the (k, M, M') per-head scores and recomputes
+    those in the backward.
+    """
+    q = matmul(_augment(x_flat, le_x), params.w_query * (1.0 / math.sqrt(params.dk)))  # (M, k*dk)
+    return mixed_attention(q, keys, params.w_mix)
 
 
 def multi_head(x_flat: Tensor, y_flat: Tensor, le_x, le_y, params: FatParams) -> Tensor:
     """Softmax-weighted convex combination of all heads, computed batched.
 
-    The per-head attentions are evaluated in a single 3D matmul rather than a
-    loop, and their mixture stays row-stochastic by construction.
+    All heads run in one `mixed_attention` op, a single batched GEMM rather
+    than a loop; their mixture stays row-stochastic by construction, and
+    the graph keeps the projections, not the per-head scores.
     """
     return _attend(x_flat, le_x, _reference_keys(y_flat, le_y, params), params)
 
@@ -196,6 +197,8 @@ class FatReference(NamedTuple):
     block's weights, so one build serves every query of that reference, as
     a Transformer projects its keys and values once per source sequence.
     The embedding is also the face's query embedding, in a transfer onto it.
+    Each query's `mixed_attention` node keeps the one `keys` array, not a
+    copy, and rebuilds its per-head scores from it in the backward.
     """
 
     embedding: np.ndarray  # (M', 2N) landmark embedding of the reference

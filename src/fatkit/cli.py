@@ -114,11 +114,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out_dirs(*paths):
-    """Raise, before any work, the error that writing an output whose
-    directory does not exist would raise at the end; None paths are unset."""
+    """Raise, before any work, the error that writing an output file would
+    raise at the end, naming its path: its directory does not exist, or the
+    path is a directory itself. None paths are unset."""
     for path in filter(None, paths):
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _write_text(path, text):
@@ -139,13 +142,15 @@ def _cmd_synth(args) -> int:
 
 def _cmd_pgt(args) -> int:
     from .data import load_sample, parse_active_labels, write_all, write_ppm
-    from .pseudo_gt import blend_pgt, histogram_pgt, pgt_sidecar, tps_pgt
+    from .pseudo_gt import blend_pgt, check_blend_alpha, histogram_pgt, pgt_sidecar, tps_pgt
 
     if args.spatial_part is not None and args.mode != "tps":
         raise _UsageError(f"--spatial-part needs --mode tps, got --mode {args.mode}")
     if args.alpha is not None and args.mode != "blend":
         raise _UsageError(f"--alpha needs --mode blend, got --mode {args.mode}")
     labels = () if args.spatial_part is None else parse_active_labels(args.spatial_part, "--spatial-part")
+    if args.alpha is not None:
+        check_blend_alpha(args.alpha)
     _check_out_dirs(args.out)
     source = load_sample(args.source)
     reference = load_sample(args.ref)

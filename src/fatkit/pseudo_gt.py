@@ -41,6 +41,7 @@ __all__ = [
     "tps_pgt",
     "histogram_pgt",
     "blend_pgt",
+    "check_blend_alpha",
     "HISTOGRAM_REGIONS",
     "pgt_sidecar",
     "write_pgt",
@@ -264,10 +265,15 @@ def histogram_pgt(source: FaceSample, reference: FaceSample) -> PseudoGT:
     )
 
 
-def blend_pgt(source: FaceSample, reference: FaceSample, alpha: float = 0.8) -> PseudoGT:
-    """Coarse-warped reference alpha-blended over the source's face region."""
+def check_blend_alpha(alpha: float):
+    """Raise ParameterError unless `alpha` is a `blend_pgt` weight in [0,1]."""
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"alpha must lie in [0,1], got {alpha}")
+
+
+def blend_pgt(source: FaceSample, reference: FaceSample, alpha: float = 0.8) -> PseudoGT:
+    """Coarse-warped reference alpha-blended over the source's face region."""
+    check_blend_alpha(alpha)
     warped = _coarse_warp(source, reference)
     face = np.isin(source.mask, _FACE_LABELS)[None, :, :]
     out = np.where(face, alpha * warped + (1.0 - alpha) * source.image, source.image)

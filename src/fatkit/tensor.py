@@ -29,6 +29,7 @@ __all__ = [
     "tanh",
     "softplus",
     "softmax",
+    "mixed_attention",
     "instance_norm",
     "conv2d",
     "deconv2d",
@@ -460,17 +461,68 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(y, (a, b), back, "sqdist")
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax; slices along `axis` sum to 1."""
-    y = x.data - np.max(x.data, axis=axis, keepdims=True)
+def _softmax_body(x: np.ndarray, axis: int) -> np.ndarray:
+    """Max-subtracted softmax along `axis`: the one body of `softmax` and
+    `mixed_attention`."""
+    y = x - np.max(x, axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= np.sum(y, axis=axis, keepdims=True)
+    return y
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    """The input gradient of a softmax with output y along `axis`."""
+    inner = np.sum(g * y, axis=axis, keepdims=True)
+    return (g - inner) * y
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Max-subtracted softmax; slices along `axis` sum to 1."""
+    y = _softmax_body(x.data, axis)
+    return _from_op(y, (x,), lambda g: (_softmax_grad(g, y, axis),), "softmax")
+
+
+def mixed_attention(q: Tensor, keys: Tensor, w_mix: Tensor) -> Tensor:
+    """k-head scaled dot-product attention, heads mixed by softmax(w_mix).
+
+    q: (M, k*dk) and keys: (M', k*dk) hold each head's query and key rows
+    side by side, the queries already scaled; w_mix: (k,). Returns the
+    (M, M') matrix sum_h softmax(w_mix)_h * softmax_rows(q_h @ keys_h.T),
+    row-stochastic like each head. One batched GEMM and one max-subtracted
+    softmax give all k heads' (k, M, M') attention at once.
+
+    The node keeps q, keys and the k mix weights, never the per-head scores:
+    the backward recomputes them from q and keys, as FlashAttention does
+    (Dao et al., NeurIPS 2022), so a call keeps (M + M') * k*dk floats and
+    not k*M*M'. Forward and gradients equal, bit for bit, those of the same
+    attention composed from `matmul`, `softmax`, `reshape` and `transpose`.
+    """
+    q, keys, w_mix = _as_tensor(q), _as_tensor(keys), _as_tensor(w_mix)
+    if q.ndim != 2 or keys.ndim != 2 or w_mix.ndim != 1 or not w_mix.size or q.shape[1] != keys.shape[1] \
+            or q.shape[1] % w_mix.size:
+        raise ShapeError(f"attention needs (M,k*dk), (M',k*dk) and (k,), got {q.shape}, {keys.shape}, {w_mix.shape}")
+    k = w_mix.shape[0]
+    m, mp, dk = q.shape[0], keys.shape[0], q.shape[1] // k
+
+    def scores(qd, kd):
+        qh = np.ascontiguousarray(qd.reshape(m, k, dk).transpose(1, 0, 2))  # (k, M, dk)
+        rh = np.ascontiguousarray(kd.reshape(mp, k, dk).transpose(1, 2, 0))  # (k, dk, M')
+        return qh, rh, _softmax_body(qh @ rh, 2)
+
+    mix = _softmax_body(w_mix.data, 0).reshape(1, k)
+    out = (mix @ scores(q.data, keys.data)[2].reshape(k, m * mp)).reshape(m, mp)
+    qv, kv = _kept(q), _kept(keys)
 
     def back(g):
-        inner = np.sum(g * y, axis=axis, keepdims=True)
-        return ((g - inner) * y,)
+        qh, rh, heads = scores(qv(), kv())
+        g = g.reshape(1, m * mp)
+        gmix = g @ heads.reshape(k, m * mp).T
+        gs = _softmax_grad((mix.T * g).reshape(k, m, mp), heads, 2)  # K=1: a product, not a GEMM
+        gq = np.transpose(gs @ rh.swapaxes(-1, -2), (1, 0, 2)).reshape(m, k * dk)
+        gkeys = np.transpose(qh.swapaxes(-1, -2) @ gs, (2, 0, 1)).reshape(mp, k * dk)
+        return (gq, gkeys, _softmax_grad(gmix.reshape(k), mix.reshape(k), 0))
 
-    return _from_op(y, (x,), back, "softmax")
+    return _from_op(out, (q, keys, w_mix), back, "attention")
 
 
 # -- spatial operators -------------------------------------------------------

@@ -236,6 +236,36 @@ def test_fat_forward_gradients(rng):
     check_grads(f, leaves, tol=1e-4)
 
 
+def closure_arrays(fn):
+    """Every array a backward closure holds, through the functions it holds."""
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield item
+            elif callable(item) and getattr(item, "__closure__", None):
+                yield from closure_arrays(item)
+
+
+def test_fat_forward_keeps_no_per_head_scores(rng):
+    # the attention node recomputes its (k, M, M') scores in the backward,
+    # so no closure of the block's graph holds an array of that size
+    k, m, mp = 2, 16, 9
+    x, _, le_x, _ = random_case(rng, h=4, w=4)
+    _, y, _, le_y = random_case(rng, h=3, w=3)
+    out = fat_forward(x, y, le_x, le_y, make_params(rng, heads=k))
+    stack, seen, ops, sizes = [out._node], set(), set(), set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        ops.add(node._op)
+        sizes.update(a.size for a in closure_arrays(node._backward))
+        stack.extend(node._parents)
+    assert "attention" in ops and k * m * mp not in sizes
+
+
 def test_permutation_equivariance_of_transfer(rng):
     # permuting reference rows consistently leaves transferred attributes unchanged
     x, y, le_x, le_y = random_case(rng)

@@ -906,6 +906,29 @@ def test_missing_output_directory_fails_before_any_work(corpus, tmp_path):
     assert list(tmp_path.iterdir()) == []  # no log, checkpoint or sidecar
 
 
+@pytest.mark.parametrize("command", ["transfer", "warp", "pgt", "train --out", "train --log", "bench"])
+def test_output_that_is_a_directory_fails_before_any_work(tmp_path, command):
+    # the inputs are absent, so a run that read any of them would fail
+    # otherwise; the message names the user's path, not a temporary file
+    taken, absent = tmp_path / "taken", tmp_path / "absent"
+    taken.mkdir()
+    pair = ["--source", absent, "--ref", absent]
+    argv = {
+        "transfer": ["--model", absent, *pair, "--out", taken],
+        "warp": ["--image", absent, "--src-pts", absent, "--dst-pts", absent, "--out", taken],
+        "pgt": [*pair, "--mode", "blend", "--alpha", 0.5, "--out", taken],
+        "train --out": ["--data", absent, "--out", taken, "--log", tmp_path / "l.csv"],
+        "train --log": ["--data", absent, "--out", tmp_path / "m.fatw", "--log", taken],
+        "bench": ["--size", 16, "--width", 4, "--iters", 1, "--csv", taken],
+    }[command]
+    name = command.split()[0]
+    result = run_cli(name, *argv)
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [f"fatkit {name}: [Errno 21] Is a directory: {str(taken)!r}"]
+    assert result.stdout == ""
+    assert list(tmp_path.iterdir()) == [taken] and list(taken.iterdir()) == []
+
+
 def test_train_failed_checkpoint_write_leaves_no_output(corpus, tmp_path, capsys, monkeypatch):
     import fatkit.gan
 
@@ -1038,13 +1061,13 @@ def test_out_of_memory_is_one_line_data_error(corpus, tmp_path, command, argv):
 
 
 def test_numeric_flag_sweep_ends_in_one_line(corpus, tmp_path):
-    # every numeric flag of synth, pgt, train and bench at 0, -1 and nan, each
-    # in its own address-space-limited child. The other arguments are valid
-    # but the output cannot be written, so a value the command accepts ends
-    # at that error: no run but pgt does any work, and each must end with one
-    # message line, never a traceback (argparse prints its usage lines
-    # first). pgt checks --alpha only after its output directory, so its
-    # output is a directory, which only the final move finds
+    # every numeric flag of synth, pgt, train and bench at 0, -1, nan and a
+    # huge value (1e300 too for a float flag), each in its own
+    # address-space-limited child. The other arguments are valid but the
+    # output cannot be written, so a value the command accepts ends at that
+    # error, and each run must end with one message line, never a traceback
+    # (argparse prints its usage lines first). pgt checks --alpha before its
+    # output path, which is a directory
     import argparse
     from concurrent.futures import ThreadPoolExecutor
 
@@ -1065,7 +1088,7 @@ def test_numeric_flag_sweep_ends_in_one_line(corpus, tmp_path):
     cases = [(command, action.option_strings[0], value)
              for command in fixed
              for action in subparsers.choices[command]._actions if action.type in (int, float)
-             for value in ("0", "-1", "nan")]
+             for value in ("0", "-1", "nan", "1000000000000") + (("1e300",) if action.type is float else ())]
     assert {case[0] for case in cases} == set(fixed) and ("train", "--lr", "nan") in cases
     assert ("pgt", "--alpha", "nan") in cases
     with ThreadPoolExecutor(max_workers=4) as pool:

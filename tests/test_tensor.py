@@ -23,6 +23,7 @@ from fatkit.tensor import (
     linear_solve,
     load_tensors,
     matmul,
+    mixed_attention,
     mse_loss,
     pairwise_sqdist,
     reshape,
@@ -433,6 +434,48 @@ def test_softmax_rows_sum_to_one_at_large_magnitude(rng):
     assert np.all((moderate.data > 0.0) & (moderate.data < 1.0))
 
 
+def composed_attention(q, keys, w_mix):
+    """`mixed_attention` built from the general ops: the reference graph."""
+    k = w_mix.shape[0]
+    (m, width), mp = q.shape, keys.shape[0]
+    qh = transpose(reshape(q, (m, k, width // k)), (1, 0, 2))
+    rh = transpose(reshape(keys, (mp, k, width // k)), (1, 2, 0))
+    heads = softmax(matmul(qh, rh), axis=2)
+    mix = reshape(softmax(w_mix, axis=0), (1, k))
+    return reshape(matmul(mix, reshape(heads, (k, m * mp))), (m, mp))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_mixed_attention_equals_the_composed_graph_bit_for_bit(rng, heads):
+    # the fused op recomputes the per-head scores in its backward; its
+    # value and its q, keys and w_mix gradients are those of the composed
+    # graph that keeps them
+    q, keys, w_mix = leaf(rng, 7, 4 * heads, scale=2.0), leaf(rng, 5, 4 * heads, scale=2.0), leaf(rng, heads)
+    g = Tensor(rng.normal(size=(7, 5)))
+    runs = []
+    for op in (mixed_attention, composed_attention):
+        zero_grads([q, keys, w_mix])
+        out = op(q, keys, w_mix)
+        (out * g).sum().backward()
+        runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in (q, keys, w_mix)])
+    assert runs[0] == runs[1]
+
+
+def test_mixed_attention_gradient(rng):
+    # weighted, since each row of the output sums to 1 whatever the inputs
+    p = Tensor(rng.normal(size=(4, 3)))
+    check_grads(lambda q, keys, w: (mixed_attention(q, keys, w) * p).sum(),
+                [leaf(rng, 4, 6), leaf(rng, 3, 6), leaf(rng, 2)], tol=1e-5)
+
+
+def test_mixed_attention_rejects_mismatched_shapes(rng):
+    with pytest.raises(ShapeError):
+        mixed_attention(leaf(rng, 4, 6), leaf(rng, 3, 4), leaf(rng, 2))
+    for w_mix in (leaf(rng, 4), leaf(rng, 0)):
+        with pytest.raises(ShapeError):
+            mixed_attention(leaf(rng, 4, 6), leaf(rng, 3, 6), w_mix)
+
+
 @pytest.mark.parametrize("n", [1, 3, 9, 70])
 def test_relu_special_values(n):
     # the lengths cover both the vector body and the scalar tail of the kernel
@@ -736,7 +779,8 @@ def test_no_backward_closure_holds_a_tensor(rng):
         a + b, a + 1.0, -a, a * b, a * 2.0, a / 2.0, a[1:, :2], a.sum(), tensor_mean(a),
         relu(a), tanh(a), softplus(a), xlogx(a * a), l1_loss(a, b), mse_loss(a, b),
         reshape(a, (4, 3)), transpose(a), concat([a, b], axis=1), matmul(a, transpose(b)),
-        linear_solve(square, a), pairwise_sqdist(a, b), softmax(a), instance_norm(img), avg_pool2d(img, 2),
+        linear_solve(square, a), pairwise_sqdist(a, b), softmax(a), mixed_attention(a, b, leaf(rng, 2)),
+        instance_norm(img), avg_pool2d(img, 2),
         conv(2, 4, 1), conv(6, 4, 1, bias=False), conv(6, 8, 2), deconv2d(img, leaf(rng, 4, 2, 3, 3), stride=2),
         grid_sample(img, grid),
     ]
