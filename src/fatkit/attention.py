@@ -141,15 +141,17 @@ def _reference_keys(y_flat: Tensor, le_y, params: FatParams) -> Tensor:
     return matmul(_augment(y_flat, le_y), params.w_ref)
 
 
-def _attend(x_flat: Tensor, le_x, keys: Tensor, params: FatParams) -> Tensor:
+def _attend(x_flat: Tensor, le_x, keys: Tensor, params: FatParams, values: Tensor = None) -> Tensor:
     """The query side of `multi_head`, against prebuilt `_reference_keys`.
 
     The scaled query projection and the keys go to `mixed_attention`, which
     keeps them in place of the (k, M, M') per-head scores and recomputes
-    those in the backward.
+    those in the backward. Without `values` it returns the (M, M') attention;
+    with (M', dv) values it returns the attention times them, and no M x M'
+    array outlives the op.
     """
     q = matmul(_augment(x_flat, le_x), params.w_query * (1.0 / math.sqrt(params.dk)))  # (M, k*dk)
-    return mixed_attention(q, keys, params.w_mix)
+    return mixed_attention(q, keys, params.w_mix, values)
 
 
 def multi_head(x_flat: Tensor, y_flat: Tensor, le_x, le_y, params: FatParams) -> Tensor:
@@ -173,7 +175,12 @@ def estimate_attributes(y_map: Tensor, params: FatParams) -> Tensor:
 
 
 def transfer_attributes(attn: Tensor, gamma_ref: Tensor) -> Tensor:
-    """Resample reference attribute rows onto query positions: A @ gamma."""
+    """Resample reference attribute rows onto query positions: A @ gamma.
+
+    For an attention matrix built on its own, such as `static_attention`'s.
+    `fat_forward` does not call it: `mixed_attention` takes the attribute
+    rows as its values, so its graph keeps no A for this product.
+    """
     if attn.shape[1] != gamma_ref.shape[0]:
         raise ShapeError(f"attention {attn.shape} does not match attributes {gamma_ref.shape}")
     return matmul(attn, gamma_ref)
@@ -197,8 +204,9 @@ class FatReference(NamedTuple):
     block's weights, so one build serves every query of that reference, as
     a Transformer projects its keys and values once per source sequence.
     The embedding is also the face's query embedding, in a transfer onto it.
-    Each query's `mixed_attention` node keeps the one `keys` array, not a
-    copy, and rebuilds its per-head scores from it in the backward.
+    Each query's `mixed_attention` node keeps the one `keys` and `attributes`
+    arrays, not copies, and rebuilds its per-head scores and its attention
+    from them in the backward.
     """
 
     embedding: np.ndarray  # (M', 2N) landmark embedding of the reference
@@ -217,13 +225,15 @@ def fat_forward(x_map: Tensor, y_map: Tensor, le_x, le_y, params: FatParams,
     """Full attribute-transfer pass; output matches the query map's shape.
 
     `ref` is `fat_reference(y_map, le_y, params)` when the caller built it
-    already, to share it between the queries of one reference.
+    already, to share it between the queries of one reference. The attribute
+    rows are the attention op's values, so the transfer A @ gamma happens
+    inside `mixed_attention` and the graph keeps no (M, M') matrix.
     """
     if ref is None:
         ref = fat_reference(y_map, le_y, params)
     _, h, w = x_map.shape
     x_flat = flatten_map(x_map)
-    gamma = transfer_attributes(_attend(x_flat, le_x, ref.keys, params), ref.attributes)
+    gamma = _attend(x_flat, le_x, ref.keys, params, ref.attributes)
     return unflatten_map(color_transform(x_flat, gamma), h, w)
 
 

@@ -18,6 +18,7 @@ corpus seed, so regeneration is byte-identical.
 
 from __future__ import annotations
 
+import errno
 import io
 import math
 import os
@@ -446,13 +447,18 @@ def _corpus_files(out_dir, manifest, count, size, seed):
 def write_all(outputs):
     """Write each (path, write) output to a temporary file beside it, then
     move them into place in order with `os.replace`. A failed write moves
-    nothing and leaves no temporary file behind. `outputs` may be a
-    generator: each output is made only when the one before it is written."""
+    nothing and leaves no temporary file behind, and neither does a target
+    that is an existing directory: it raises IsADirectoryError naming the
+    target before any file is moved. `outputs` may be a generator: each
+    output is made only when the one before it is written."""
     temps = []
     try:
         for path, write in outputs:
             temps.append((f"{path}.{os.getpid()}.tmp", path))
             write(temps[-1][0])
+        for _, path in temps:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for temp, path in temps:
             os.replace(temp, path)
     finally:

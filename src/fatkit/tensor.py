@@ -212,10 +212,17 @@ class Tensor:
 
     def __getitem__(self, key):
         out = self.data[key]
+        parts = key if isinstance(key, tuple) else (key,)
+        # a basic key picks each element once; an array key may pick one
+        # element several times, and each pick adds its gradient
+        basic = all(isinstance(p, (int, np.integer, slice)) or p is None or p is Ellipsis for p in parts)
 
         def back(g, key=key, shape=self.data.shape):
             buf = np.zeros(shape)
-            buf[key] += g
+            if basic:
+                buf[key] += g
+            else:
+                np.add.at(buf, key, g)
             return (buf,)
 
         return _from_op(np.array(out, copy=True), (self,), back, "getitem")
@@ -461,19 +468,23 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(y, (a, b), back, "sqdist")
 
 
-def _softmax_body(x: np.ndarray, axis: int) -> np.ndarray:
+def _softmax_body(x: np.ndarray, axis: int, out=None) -> np.ndarray:
     """Max-subtracted softmax along `axis`: the one body of `softmax` and
-    `mixed_attention`."""
-    y = x - np.max(x, axis=axis, keepdims=True)
+    `mixed_attention`. The result goes to `out`, which may be `x` itself,
+    or to a new array."""
+    y = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
     np.exp(y, out=y)
     y /= np.sum(y, axis=axis, keepdims=True)
     return y
 
 
-def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
-    """The input gradient of a softmax with output y along `axis`."""
+def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """The input gradient of a softmax with output y along `axis`, written
+    to `out` (which may be `g` itself) or to a new array."""
     inner = np.sum(g * y, axis=axis, keepdims=True)
-    return (g - inner) * y
+    gs = np.subtract(g, inner, out=out)
+    gs *= y
+    return gs
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -482,47 +493,69 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _from_op(y, (x,), lambda g: (_softmax_grad(g, y, axis),), "softmax")
 
 
-def mixed_attention(q: Tensor, keys: Tensor, w_mix: Tensor) -> Tensor:
+def mixed_attention(q: Tensor, keys: Tensor, w_mix: Tensor, values: Tensor = None) -> Tensor:
     """k-head scaled dot-product attention, heads mixed by softmax(w_mix).
 
     q: (M, k*dk) and keys: (M', k*dk) hold each head's query and key rows
-    side by side, the queries already scaled; w_mix: (k,). Returns the
-    (M, M') matrix sum_h softmax(w_mix)_h * softmax_rows(q_h @ keys_h.T),
+    side by side, the queries already scaled; w_mix: (k,). The attention is
+    the (M, M') matrix A = sum_h softmax(w_mix)_h * softmax_rows(q_h @ keys_h.T),
     row-stochastic like each head. One batched GEMM and one max-subtracted
-    softmax give all k heads' (k, M, M') attention at once.
+    softmax, in place on the fresh scores, give all k heads' (k, M, M')
+    attention at once. With `values` (M', dv), the op returns A @ values,
+    as a Transformer moves its values; without, it returns A.
 
-    The node keeps q, keys and the k mix weights, never the per-head scores:
-    the backward recomputes them from q and keys, as FlashAttention does
-    (Dao et al., NeurIPS 2022), so a call keeps (M + M') * k*dk floats and
-    not k*M*M'. Forward and gradients equal, bit for bit, those of the same
-    attention composed from `matmul`, `softmax`, `reshape` and `transpose`.
+    The node keeps q, keys, values and the k mix weights, never the per-head
+    scores or A: the one backward recomputes the scores from q and keys and
+    rebuilds A from them, so the value product shares the recompute, as in
+    FlashAttention (Dao et al., NeurIPS 2022). A call keeps (M + M') * k*dk
+    floats and the values, not k*M*M'. Forward and gradients equal, bit for
+    bit, those of the same attention composed from `matmul`, `softmax`,
+    `reshape` and `transpose`, with a `matmul` by the values.
     """
     q, keys, w_mix = _as_tensor(q), _as_tensor(keys), _as_tensor(w_mix)
     if q.ndim != 2 or keys.ndim != 2 or w_mix.ndim != 1 or not w_mix.size or q.shape[1] != keys.shape[1] \
             or q.shape[1] % w_mix.size:
         raise ShapeError(f"attention needs (M,k*dk), (M',k*dk) and (k,), got {q.shape}, {keys.shape}, {w_mix.shape}")
+    parents = (q, keys, w_mix)
+    if values is not None:
+        values = _as_tensor(values)
+        if values.ndim != 2 or values.shape[0] != keys.shape[0]:
+            raise ShapeError(f"attention values need (M',dv) rows for keys {keys.shape}, got {values.shape}")
+        parents += (values,)
     k = w_mix.shape[0]
     m, mp, dk = q.shape[0], keys.shape[0], q.shape[1] // k
 
     def scores(qd, kd):
         qh = np.ascontiguousarray(qd.reshape(m, k, dk).transpose(1, 0, 2))  # (k, M, dk)
         rh = np.ascontiguousarray(kd.reshape(mp, k, dk).transpose(1, 2, 0))  # (k, dk, M')
-        return qh, rh, _softmax_body(qh @ rh, 2)
+        s = qh @ rh
+        return qh, rh, _softmax_body(s, 2, out=s)
+
+    def mixed(heads):
+        return (mix @ heads.reshape(k, m * mp)).reshape(m, mp)
 
     mix = _softmax_body(w_mix.data, 0).reshape(1, k)
-    out = (mix @ scores(q.data, keys.data)[2].reshape(k, m * mp)).reshape(m, mp)
+    out = mixed(scores(q.data, keys.data)[2])
+    if values is not None:
+        out = out @ values.data
     qv, kv = _kept(q), _kept(keys)
+    vv = None if values is None else _kept(values)
 
     def back(g):
         qh, rh, heads = scores(qv(), kv())
+        if vv is not None:
+            gvalues = mixed(heads).T @ g
+            g = g @ vv().T
         g = g.reshape(1, m * mp)
         gmix = g @ heads.reshape(k, m * mp).T
-        gs = _softmax_grad((mix.T * g).reshape(k, m, mp), heads, 2)  # K=1: a product, not a GEMM
+        gs = (mix.T * g).reshape(k, m, mp)  # K=1: a product, not a GEMM
+        _softmax_grad(gs, heads, 2, out=gs)
         gq = np.transpose(gs @ rh.swapaxes(-1, -2), (1, 0, 2)).reshape(m, k * dk)
         gkeys = np.transpose(qh.swapaxes(-1, -2) @ gs, (2, 0, 1)).reshape(mp, k * dk)
-        return (gq, gkeys, _softmax_grad(gmix.reshape(k), mix.reshape(k), 0))
+        grads = (gq, gkeys, _softmax_grad(gmix.reshape(k), mix.reshape(k), 0))
+        return grads if vv is None else grads + (gvalues,)
 
-    return _from_op(out, (q, keys, w_mix), back, "attention")
+    return _from_op(out, parents, back, "attention")
 
 
 # -- spatial operators -------------------------------------------------------

@@ -247,13 +247,9 @@ def closure_arrays(fn):
                 yield from closure_arrays(item)
 
 
-def test_fat_forward_keeps_no_per_head_scores(rng):
-    # the attention node recomputes its (k, M, M') scores in the backward,
-    # so no closure of the block's graph holds an array of that size
-    k, m, mp = 2, 16, 9
-    x, _, le_x, _ = random_case(rng, h=4, w=4)
-    _, y, _, le_y = random_case(rng, h=3, w=3)
-    out = fat_forward(x, y, le_x, le_y, make_params(rng, heads=k))
+def graph_ops_and_held_sizes(out):
+    """The op names of `out`'s graph and the sizes of every array its
+    backward closures hold."""
     stack, seen, ops, sizes = [out._node], set(), set(), set()
     while stack:
         node = stack.pop()
@@ -263,7 +259,29 @@ def test_fat_forward_keeps_no_per_head_scores(rng):
         ops.add(node._op)
         sizes.update(a.size for a in closure_arrays(node._backward))
         stack.extend(node._parents)
+    return ops, sizes
+
+
+def test_fat_forward_keeps_no_per_head_scores(rng):
+    # the attention node recomputes its (k, M, M') scores in the backward,
+    # so no closure of the block's graph holds an array of that size
+    k, m, mp = 2, 16, 9
+    x, _, le_x, _ = random_case(rng, h=4, w=4)
+    _, y, _, le_y = random_case(rng, h=3, w=3)
+    ops, sizes = graph_ops_and_held_sizes(fat_forward(x, y, le_x, le_y, make_params(rng, heads=k)))
     assert "attention" in ops and k * m * mp not in sizes
+
+
+def test_fat_forward_keeps_no_attention_matrix(rng):
+    # the attribute rows are the attention op's values, so the (M, M')
+    # matrix is rebuilt in the backward too. The maps are large enough that
+    # every other array of the graph, the block's weights included, is
+    # smaller than M * M'
+    m, mp = 64, 36
+    x, _, le_x, _ = random_case(rng, h=8, w=8)
+    _, y, _, le_y = random_case(rng, h=6, w=6)
+    ops, sizes = graph_ops_and_held_sizes(fat_forward(x, y, le_x, le_y, make_params(rng)))
+    assert "attention" in ops and "matmul" in ops and max(sizes) < m * mp
 
 
 def test_permutation_equivariance_of_transfer(rng):

@@ -78,6 +78,9 @@ def test_traced_train_step_reads_the_training_path(tmp_path, name):
     metrics = {key: value for key, (value, _) in spans.layer_metrics(tracer, [0]).items()}
     assert metrics["attention.fat_forward.calls"] > 0
     assert metrics["tensor.conv2d.calls"] == (82 if spatial else 70)
+    # the attribute transfer runs inside the attention op, so it adds no
+    # matmul to a pass
+    assert metrics["tensor.matmul.calls"] == (18 if spatial else 6)
     step = [s for s in tracer.spans if s[2] == 0]
     parents = [tracer.spans[s[1]][0] for s in step if s[0] == "attention.estimate_attributes"]
     # the alignment block's reference is the query code, new in every pass

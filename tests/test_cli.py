@@ -1008,6 +1008,32 @@ def test_pgt_writes_image_and_sidecar_all_or_nothing(corpus, tmp_path, capsys, m
     assert list(out.iterdir()) == []  # no image, no sidecar and no temporary file
 
 
+@pytest.mark.parametrize("command", ["pgt", "train"])
+def test_sidecar_that_is_a_directory_moves_no_output(corpus, tmp_path, capsys, command):
+    # the sidecar path is known only once the run is done; every target is
+    # checked before the first one is moved, so the older outputs stay whole
+    from fatkit.cli import main
+
+    if command == "pgt":
+        argv = ["--source", corpus / "0000.ppm", "--ref", corpus / "0001.ppm", "--mode", "hist",
+                "--out", tmp_path / "p.ppm"]
+        older, sidecar = ["p.ppm"], tmp_path / "p.meta"
+    else:
+        argv = ["--data", corpus, "--steps", 1, "--size", 48, "--width", 4,
+                "--out", tmp_path / "m.fatw", "--log", tmp_path / "l.csv"]
+        older, sidecar = ["m.fatw", "l.csv"], tmp_path / "m.fatw.cfg"
+    for name in older:
+        (tmp_path / name).write_bytes(b"older " + name.encode())
+    sidecar.mkdir()
+    code = main([command, *map(str, argv)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"fatkit {command}: [Errno 21] Is a directory: {str(sidecar)!r}"]
+    for name in older:
+        assert (tmp_path / name).read_bytes() == b"older " + name.encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(older + [sidecar.name])  # no temporary file
+    assert list(sidecar.iterdir()) == []
+
+
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 

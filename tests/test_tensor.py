@@ -474,6 +474,41 @@ def test_mixed_attention_rejects_mismatched_shapes(rng):
     for w_mix in (leaf(rng, 4), leaf(rng, 0)):
         with pytest.raises(ShapeError):
             mixed_attention(leaf(rng, 4, 6), leaf(rng, 3, 6), w_mix)
+    for values in (leaf(rng, 4, 5), leaf(rng, 3)):  # one row per key, as a matrix
+        with pytest.raises(ShapeError):
+            mixed_attention(leaf(rng, 4, 6), leaf(rng, 3, 6), leaf(rng, 2), values)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_mixed_attention_with_values_equals_the_composed_product_bit_for_bit(rng, heads):
+    # the fused op rebuilds A in its backward in place of keeping it; its
+    # value and all four gradients are those of A @ values with A kept
+    q, keys, w_mix = leaf(rng, 7, 4 * heads, scale=2.0), leaf(rng, 5, 4 * heads, scale=2.0), leaf(rng, heads)
+    values = leaf(rng, 5, 6)
+    g = Tensor(rng.normal(size=(7, 6)))
+    runs = []
+    for op in (mixed_attention, lambda *a: matmul(composed_attention(*a[:3]), a[3])):
+        zero_grads([q, keys, w_mix, values])
+        out = op(q, keys, w_mix, values)
+        (out * g).sum().backward()
+        runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in (q, keys, w_mix, values)])
+    assert runs[0] == runs[1]
+
+
+def test_mixed_attention_with_values_gradient(rng):
+    p = Tensor(rng.normal(size=(4, 2)))
+    check_grads(lambda q, keys, w, v: (mixed_attention(q, keys, w, v) * p).sum(),
+                [leaf(rng, 4, 6), leaf(rng, 3, 6), leaf(rng, 2), leaf(rng, 3, 2)], tol=1e-5)
+
+
+def test_getitem_gradient_counts_repeated_indices(rng):
+    # an integer-array key may pick one element several times; each pick
+    # adds its share of the gradient
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    x[np.array([0, 0, 1])].sum().backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 1.0, 0.0])
+    p = Tensor(rng.normal(size=(2, 4)))
+    check_grads(lambda a: (a[:, np.array([2, 0, 2, 2])] * p).sum(), [leaf(rng, 2, 3)])
 
 
 @pytest.mark.parametrize("n", [1, 3, 9, 70])
@@ -780,6 +815,7 @@ def test_no_backward_closure_holds_a_tensor(rng):
         relu(a), tanh(a), softplus(a), xlogx(a * a), l1_loss(a, b), mse_loss(a, b),
         reshape(a, (4, 3)), transpose(a), concat([a, b], axis=1), matmul(a, transpose(b)),
         linear_solve(square, a), pairwise_sqdist(a, b), softmax(a), mixed_attention(a, b, leaf(rng, 2)),
+        mixed_attention(a, b, leaf(rng, 2), leaf(rng, 3, 5)),
         instance_norm(img), avg_pool2d(img, 2),
         conv(2, 4, 1), conv(6, 4, 1, bias=False), conv(6, 8, 2), deconv2d(img, leaf(rng, 4, 2, 3, 3), stride=2),
         grid_sample(img, grid),
