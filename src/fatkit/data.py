@@ -449,16 +449,16 @@ def write_all(outputs):
     move them into place in order with `os.replace`. A failed write moves
     nothing and leaves no temporary file behind, and neither does a target
     that is an existing directory: it raises IsADirectoryError naming the
-    target before any file is moved. `outputs` may be a generator: each
-    output is made only when the one before it is written."""
+    target before its output is made. A symlink target is replaced, as
+    `os.replace` does. `outputs` may be a generator: each output is made
+    only when the one before it is written."""
     temps = []
     try:
         for path, write in outputs:
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             temps.append((f"{path}.{os.getpid()}.tmp", path))
             write(temps[-1][0])
-        for _, path in temps:
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for temp, path in temps:
             os.replace(temp, path)
     finally:

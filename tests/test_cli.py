@@ -1010,8 +1010,9 @@ def test_pgt_writes_image_and_sidecar_all_or_nothing(corpus, tmp_path, capsys, m
 
 @pytest.mark.parametrize("command", ["pgt", "train"])
 def test_sidecar_that_is_a_directory_moves_no_output(corpus, tmp_path, capsys, command):
-    # the sidecar path is known only once the run is done; every target is
-    # checked before the first one is moved, so the older outputs stay whole
+    # each target is checked before its output is written, so a sidecar
+    # that is a directory stops the run before any move and the older
+    # outputs stay whole
     from fatkit.cli import main
 
     if command == "pgt":

@@ -21,6 +21,7 @@ from fatkit.data import (
     read_pgm,
     read_ppm,
     synth_face,
+    write_all,
     write_landmarks,
     write_pgm,
     write_ppm,
@@ -304,6 +305,22 @@ def test_netpbm_writers_exact_bytes(tmp_path):
     assert (tmp_path / "i.ppm").read_bytes() == b"P6\n2 1\n255\n" + bytes([0, 0, 0, 255, 128, 51])
     write_pgm(tmp_path / "m.pgm", np.array([[1, 7], [0, 6]]))
     assert (tmp_path / "m.pgm").read_bytes() == b"P5\n2 2\n255\n" + bytes([1, 7, 0, 6])
+
+
+def test_write_all_replaces_a_symlink_but_refuses_a_directory(tmp_path):
+    # os.replace swaps a symlink for the file and leaves what it pointed to;
+    # a real directory cannot be replaced, so it stops the run before any move
+    (tmp_path / "d").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "d")
+    write_all([(tmp_path / "link", lambda path: write_pgm(path, np.zeros((1, 1))))])
+    assert not (tmp_path / "link").is_symlink() and read_pgm(tmp_path / "link").shape == (1, 1)
+    (tmp_path / "a.pgm").write_bytes(b"older")
+    with pytest.raises(IsADirectoryError, match=re.escape(repr(str(tmp_path / "d")))):
+        write_all([(tmp_path / "a.pgm", lambda path: write_pgm(path, np.zeros((1, 1)))),
+                   (str(tmp_path / "d"), lambda path: write_pgm(path, np.zeros((1, 1))))])
+    assert (tmp_path / "a.pgm").read_bytes() == b"older"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "d", "link"]
+    assert list((tmp_path / "d").iterdir()) == []
 
 
 def test_pgm_truncated_payload(tmp_path):

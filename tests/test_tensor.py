@@ -445,27 +445,37 @@ def composed_attention(q, keys, w_mix):
     return reshape(matmul(mix, reshape(heads, (k, m * mp))), (m, mp))
 
 
+def composed_product(q, keys, w_mix, values=None):
+    """`mixed_attention`, with or without values, from the general ops."""
+    a = composed_attention(q, keys, w_mix)
+    return a if values is None else matmul(a, values)
+
+
 @pytest.mark.parametrize("heads", [1, 2, 3])
 def test_mixed_attention_equals_the_composed_graph_bit_for_bit(rng, heads):
-    # the fused op recomputes the per-head scores in its backward; its
-    # value and its q, keys and w_mix gradients are those of the composed
-    # graph that keeps them
+    # the fused op recomputes the per-head scores in its backward, and with
+    # values it rebuilds A there in place of keeping it; its value and its
+    # gradients are those of the composed graph that keeps them
     q, keys, w_mix = leaf(rng, 7, 4 * heads, scale=2.0), leaf(rng, 5, 4 * heads, scale=2.0), leaf(rng, heads)
-    g = Tensor(rng.normal(size=(7, 5)))
-    runs = []
-    for op in (mixed_attention, composed_attention):
-        zero_grads([q, keys, w_mix])
-        out = op(q, keys, w_mix)
-        (out * g).sum().backward()
-        runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in (q, keys, w_mix)])
-    assert runs[0] == runs[1]
+    for columns in (None, 6):  # A itself, then A @ values
+        inputs = [q, keys, w_mix] + ([leaf(rng, 5, columns)] if columns else [])
+        g = Tensor(rng.normal(size=(7, columns or 5)))
+        runs = []
+        for op in (mixed_attention, composed_product):
+            zero_grads(inputs)
+            out = op(*inputs)
+            (out * g).sum().backward()
+            runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in inputs])
+        assert runs[0] == runs[1]
 
 
 def test_mixed_attention_gradient(rng):
-    # weighted, since each row of the output sums to 1 whatever the inputs
-    p = Tensor(rng.normal(size=(4, 3)))
-    check_grads(lambda q, keys, w: (mixed_attention(q, keys, w) * p).sum(),
-                [leaf(rng, 4, 6), leaf(rng, 3, 6), leaf(rng, 2)], tol=1e-5)
+    # weighted, since each row of A sums to 1 whatever the inputs
+    for columns in (None, 2):
+        p = Tensor(rng.normal(size=(4, columns or 3)))
+        inputs = [leaf(rng, 4, 6), leaf(rng, 3, 6), leaf(rng, 2)]
+        check_grads(lambda *a: (mixed_attention(*a) * p).sum(),
+                    inputs + ([leaf(rng, 3, columns)] if columns else []), tol=1e-5)
 
 
 def test_mixed_attention_rejects_mismatched_shapes(rng):
@@ -477,28 +487,6 @@ def test_mixed_attention_rejects_mismatched_shapes(rng):
     for values in (leaf(rng, 4, 5), leaf(rng, 3)):  # one row per key, as a matrix
         with pytest.raises(ShapeError):
             mixed_attention(leaf(rng, 4, 6), leaf(rng, 3, 6), leaf(rng, 2), values)
-
-
-@pytest.mark.parametrize("heads", [1, 2, 3])
-def test_mixed_attention_with_values_equals_the_composed_product_bit_for_bit(rng, heads):
-    # the fused op rebuilds A in its backward in place of keeping it; its
-    # value and all four gradients are those of A @ values with A kept
-    q, keys, w_mix = leaf(rng, 7, 4 * heads, scale=2.0), leaf(rng, 5, 4 * heads, scale=2.0), leaf(rng, heads)
-    values = leaf(rng, 5, 6)
-    g = Tensor(rng.normal(size=(7, 6)))
-    runs = []
-    for op in (mixed_attention, lambda *a: matmul(composed_attention(*a[:3]), a[3])):
-        zero_grads([q, keys, w_mix, values])
-        out = op(q, keys, w_mix, values)
-        (out * g).sum().backward()
-        runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in (q, keys, w_mix, values)])
-    assert runs[0] == runs[1]
-
-
-def test_mixed_attention_with_values_gradient(rng):
-    p = Tensor(rng.normal(size=(4, 2)))
-    check_grads(lambda q, keys, w, v: (mixed_attention(q, keys, w, v) * p).sum(),
-                [leaf(rng, 4, 6), leaf(rng, 3, 6), leaf(rng, 2), leaf(rng, 3, 2)], tol=1e-5)
 
 
 def test_getitem_gradient_counts_repeated_indices(rng):
