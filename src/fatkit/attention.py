@@ -141,14 +141,14 @@ def _reference_keys(y_flat: Tensor, le_y, params: FatParams) -> Tensor:
     return matmul(_augment(y_flat, le_y), params.w_ref)
 
 
-def _attend(x_flat: Tensor, le_x, keys: Tensor, params: FatParams, values: Tensor = None) -> Tensor:
-    """The query side of `multi_head`, against prebuilt `_reference_keys`.
+def _attend(x_flat: Tensor, le_x, keys: Tensor, params: FatParams, values: Tensor) -> Tensor:
+    """The query side of `multi_head`, against prebuilt `_reference_keys`,
+    times the (M', dv) values.
 
     The scaled query projection and the keys go to `mixed_attention`, which
     keeps them in place of the (k, M, M') per-head scores and recomputes
-    those in the backward. Without `values` it returns the (M, M') attention;
-    with (M', dv) values it returns the attention times them, and no M x M'
-    array outlives the op.
+    those in the backward, and returns the attention times the values, so
+    no M x M' array outlives the op.
     """
     q = matmul(_augment(x_flat, le_x), params.w_query * (1.0 / math.sqrt(params.dk)))  # (M, k*dk)
     return mixed_attention(q, keys, params.w_mix, values)
@@ -159,9 +159,12 @@ def multi_head(x_flat: Tensor, y_flat: Tensor, le_x, le_y, params: FatParams) ->
 
     All heads run in one `mixed_attention` op, a single batched GEMM rather
     than a loop; their mixture stays row-stochastic by construction, and
-    the graph keeps the projections, not the per-head scores.
+    the graph keeps the projections, not the per-head scores. The op's
+    values are the (M', M') identity, so it returns the attention itself:
+    each row of A is finite in [0, 1] or all NaN, and A @ I is A bit for bit.
     """
-    return _attend(x_flat, le_x, _reference_keys(y_flat, le_y, params), params)
+    keys = _reference_keys(y_flat, le_y, params)
+    return _attend(x_flat, le_x, keys, params, Tensor(np.eye(keys.shape[0])))
 
 
 def estimate_attributes(y_map: Tensor, params: FatParams) -> Tensor:
@@ -177,9 +180,9 @@ def estimate_attributes(y_map: Tensor, params: FatParams) -> Tensor:
 def transfer_attributes(attn: Tensor, gamma_ref: Tensor) -> Tensor:
     """Resample reference attribute rows onto query positions: A @ gamma.
 
-    For an attention matrix built on its own, such as `static_attention`'s.
-    `fat_forward` does not call it: `mixed_attention` takes the attribute
-    rows as its values, so its graph keeps no A for this product.
+    For an attention matrix built on its own, such as `multi_head`'s or
+    `static_attention`'s. `fat_forward` does not call it: `mixed_attention`
+    takes the attribute rows as its values, so its graph keeps no A.
     """
     if attn.shape[1] != gamma_ref.shape[0]:
         raise ShapeError(f"attention {attn.shape} does not match attributes {gamma_ref.shape}")

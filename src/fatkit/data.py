@@ -587,25 +587,34 @@ def read_point_text(path, magic: str, count, lo: float, hi: float) -> np.ndarray
     """Parse a '<magic> 1 <K>' point file into a (K,2) array.
 
     `count` pins K (None accepts any K); every coordinate must be a finite
-    number in [lo, hi]. Any deviation raises FormatError.
+    number in [lo, hi]. Lines after the K-th are ignored. Any deviation
+    raises FormatError; a bad point line is named as `{path}:{line}`.
     """
     expected = "<K>" if count is None else count
     with open_ascii(path) as fh:
         header = fh.readline().split()
-        if len(header) != 3 or header[0] != magic or header[1] != "1":
-            raise FormatError(f"{path}: expected '{magic} 1 {expected}' header, got {' '.join(header)!r}")
-        if count is not None and header[2] != str(count):
-            raise FormatError(f"{path}: schema requires {count} points, header says {header[2]}")
+        lines = fh.readlines()
+    if len(header) != 3 or header[0] != magic or header[1] != "1":
+        raise FormatError(f"{path}: expected '{magic} 1 {expected}' header, got {' '.join(header)!r}")
+    if count is not None and header[2] != str(count):
+        raise FormatError(f"{path}: schema requires {count} points, header says {header[2]}")
+    try:
+        k = int(header[2]) if header[2].isdigit() else -1
+    except ValueError:  # more digits than int() converts
+        k = -1
+    # checked before any point is read, so a huge header count costs nothing
+    if not 0 <= k <= len(lines):
+        raise FormatError(f"{path}: header says {header[2]!r:.40} points, the file holds {len(lines)} point lines")
+    pts = np.empty((k, 2))
+    for i, line in enumerate(lines[: len(pts)]):
         try:
-            k = int(header[2])
-            pts = np.array([[float(v) for v in fh.readline().split()] for _ in range(k)])
-        except ValueError as exc:
-            raise FormatError(f"{path}: malformed point line: {exc}") from exc
-    if pts.shape != (k, 2):
-        raise FormatError(f"{path}: expected {k} 'x y' lines, got shape {pts.shape}")
-    # written as a negated in-range test so that NaN fails it too
-    if not np.all((pts >= lo) & (pts <= hi)):
-        raise FormatError(f"{path}: coordinates must be finite and lie in [{lo:g},{hi:g}]")
+            x, y = (float(v) for v in line.split())
+        except ValueError:
+            raise FormatError(f"{path}:{i + 2}: expected two numbers 'x y', got {line.strip()!r:.60}") from None
+        # written as a negated in-range test so that NaN fails it too
+        if not (lo <= x <= hi and lo <= y <= hi):
+            raise FormatError(f"{path}:{i + 2}: coordinates must be finite and lie in [{lo:g},{hi:g}], got {x:g} {y:g}")
+        pts[i] = x, y
     return pts
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ACTIVE_LABEL_SETS, PART_LANDMARKS, FaceSample, write_ppm
+from .data import ACTIVE_LABEL_SETS, PART_LANDMARKS, FaceSample
 from .tensor import ParameterError
 from .tps import (
     DegenerateGeometryError,
@@ -44,7 +44,6 @@ __all__ = [
     "check_blend_alpha",
     "HISTOGRAM_REGIONS",
     "pgt_sidecar",
-    "write_pgt",
 ]
 
 # anchor points stabilizing the small part-subset solves
@@ -291,11 +290,3 @@ def pgt_sidecar(path, pgt: PseudoGT):
         line += " parts=" + ",".join(str(p) for p in pgt.parts_refined)
     return os.path.splitext(str(path))[0] + ".meta", line + "\n"
 
-
-def write_pgt(path, pgt: PseudoGT):
-    """Write the image as PPM, then its `pgt_sidecar`. `fatkit pgt` writes
-    the same pair all or nothing."""
-    write_ppm(path, pgt.image)
-    sidecar, text = pgt_sidecar(path, pgt)
-    with open(sidecar, "w", encoding="ascii") as fh:
-        fh.write(text)

@@ -495,16 +495,17 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _from_op(y, (x,), lambda g: (_softmax_grad(g, y, axis),), "softmax")
 
 
-def mixed_attention(q: Tensor, keys: Tensor, w_mix: Tensor, values: Tensor = None) -> Tensor:
-    """k-head scaled dot-product attention, heads mixed by softmax(w_mix).
+def mixed_attention(q: Tensor, keys: Tensor, w_mix: Tensor, values: Tensor) -> Tensor:
+    """k-head scaled dot-product attention, heads mixed by softmax(w_mix),
+    times the values.
 
     q: (M, k*dk) and keys: (M', k*dk) hold each head's query and key rows
-    side by side, the queries already scaled; w_mix: (k,). The attention is
-    the (M, M') matrix A = sum_h softmax(w_mix)_h * softmax_rows(q_h @ keys_h.T),
-    row-stochastic like each head. One batched GEMM and one max-subtracted
-    softmax, in place on the fresh scores, give all k heads' (k, M, M')
-    attention at once. With `values` (M', dv), the op returns A @ values,
-    as a Transformer moves its values; without, it returns A.
+    side by side, the queries already scaled; w_mix: (k,); values: (M', dv).
+    The attention is the (M, M') matrix A = sum_h softmax(w_mix)_h *
+    softmax_rows(q_h @ keys_h.T), row-stochastic like each head. One batched
+    GEMM and one max-subtracted softmax, in place on the fresh scores, give
+    all k heads' (k, M, M') attention at once. The op returns A @ values, as
+    a Transformer moves its values; the identity as values gives A itself.
 
     The node keeps q, keys, values and the k mix weights, never the per-head
     scores or A: the one backward recomputes the scores from q and keys and
@@ -514,16 +515,12 @@ def mixed_attention(q: Tensor, keys: Tensor, w_mix: Tensor, values: Tensor = Non
     bit, those of the same attention composed from `matmul`, `softmax`,
     `reshape` and `transpose`, with a `matmul` by the values.
     """
-    q, keys, w_mix = _as_tensor(q), _as_tensor(keys), _as_tensor(w_mix)
+    q, keys, w_mix, values = _as_tensor(q), _as_tensor(keys), _as_tensor(w_mix), _as_tensor(values)
     if q.ndim != 2 or keys.ndim != 2 or w_mix.ndim != 1 or not w_mix.size or q.shape[1] != keys.shape[1] \
             or q.shape[1] % w_mix.size:
         raise ShapeError(f"attention needs (M,k*dk), (M',k*dk) and (k,), got {q.shape}, {keys.shape}, {w_mix.shape}")
-    parents = (q, keys, w_mix)
-    if values is not None:
-        values = _as_tensor(values)
-        if values.ndim != 2 or values.shape[0] != keys.shape[0]:
-            raise ShapeError(f"attention values need (M',dv) rows for keys {keys.shape}, got {values.shape}")
-        parents += (values,)
+    if values.ndim != 2 or values.shape[0] != keys.shape[0]:
+        raise ShapeError(f"attention values need (M',dv) rows for keys {keys.shape}, got {values.shape}")
     k = w_mix.shape[0]
     m, mp, dk = q.shape[0], keys.shape[0], q.shape[1] // k
 
@@ -537,27 +534,21 @@ def mixed_attention(q: Tensor, keys: Tensor, w_mix: Tensor, values: Tensor = Non
         return (mix @ heads.reshape(k, m * mp)).reshape(m, mp)
 
     mix = _softmax_body(w_mix.data, 0).reshape(1, k)
-    out = mixed(scores(q.data, keys.data)[2])
-    if values is not None:
-        out = out @ values.data
-    qv, kv = _kept(q), _kept(keys)
-    vv = None if values is None else _kept(values)
+    out = mixed(scores(q.data, keys.data)[2]) @ values.data
+    qv, kv, vv = _kept(q), _kept(keys), _kept(values)
 
     def back(g):
         qh, rh, heads = scores(qv(), kv())
-        if vv is not None:
-            gvalues = mixed(heads).T @ g
-            g = g @ vv().T
-        g = g.reshape(1, m * mp)
+        gvalues = mixed(heads).T @ g
+        g = (g @ vv().T).reshape(1, m * mp)
         gmix = g @ heads.reshape(k, m * mp).T
         gs = (mix.T * g).reshape(k, m, mp)  # K=1: a product, not a GEMM
         _softmax_grad(gs, heads, 2, out=gs)
         gq = np.transpose(gs @ rh.swapaxes(-1, -2), (1, 0, 2)).reshape(m, k * dk)
         gkeys = np.transpose(qh.swapaxes(-1, -2) @ gs, (2, 0, 1)).reshape(mp, k * dk)
-        grads = (gq, gkeys, _softmax_grad(gmix.reshape(k), mix.reshape(k), 0))
-        return grads if vv is None else grads + (gvalues,)
+        return (gq, gkeys, _softmax_grad(gmix.reshape(k), mix.reshape(k), 0), gvalues)
 
-    return _from_op(out, parents, back, "attention")
+    return _from_op(out, (q, keys, w_mix, values), back, "attention")
 
 
 # -- spatial operators -------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fatkit.tensor import Tensor, zero_grads
+from fatkit.tensor import Tensor, matmul, reshape, softmax, transpose, zero_grads
 
 
 def finite_diff_grads(fn, tensors, h=1e-5):
@@ -111,3 +111,15 @@ def brow_shape_pair(seed, size=64):
         rotation_deg=0.0, shift=(0.0, 0.0), shade_strength=0.0,
     )
     return synth_face(src, size), synth_face(ref, size)
+
+
+def composed_attention(q, keys, w_mix):
+    """The attention A of `mixed_attention` built from the general ops: the
+    reference graph."""
+    k = w_mix.shape[0]
+    (m, width), mp = q.shape, keys.shape[0]
+    qh = transpose(reshape(q, (m, k, width // k)), (1, 0, 2))
+    rh = transpose(reshape(keys, (mp, k, width // k)), (1, 2, 0))
+    heads = softmax(matmul(qh, rh), axis=2)
+    mix = reshape(softmax(w_mix, axis=0), (1, k))
+    return reshape(matmul(mix, reshape(heads, (k, m * mp))), (m, mp))

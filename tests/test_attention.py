@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import check_grads
+from conftest import check_grads, composed_attention, zero_grads
 from fatkit.attention import (
     FatParams,
     color_transform,
@@ -16,7 +16,7 @@ from fatkit.attention import (
     transfer_attributes,
     unflatten_map,
 )
-from fatkit.tensor import ParameterError, ShapeError, Tensor
+from fatkit.tensor import ParameterError, ShapeError, Tensor, concat, matmul
 
 
 def make_params(rng, d=6, heads=2, n=4, estimator="random"):
@@ -143,6 +143,33 @@ def test_rows_stochastic_random_params(rng):
         attn = multi_head(flatten_map(x), flatten_map(y), le_x, le_y, params)
         np.testing.assert_allclose(attn.data.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(attn.data >= 0.0)
+
+
+def composed_multi_head(x_flat, y_flat, le_x, le_y, params):
+    """`multi_head` built from the general ops, keeping every intermediate."""
+    q = matmul(concat([x_flat, Tensor(le_x)], axis=1), params.w_query * (1.0 / np.sqrt(params.dk)))
+    keys = matmul(concat([y_flat, Tensor(le_y)], axis=1), params.w_ref)
+    return composed_attention(q, keys, params.w_mix)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_multi_head_equals_the_composed_graph_bit_for_bit(rng, heads):
+    # the attention op's values are the identity, and A @ I is A bit for
+    # bit, as g @ I is g in the backward
+    x, _, le_x, _ = random_case(rng, h=3, w=4)
+    _, y, _, le_y = random_case(rng, h=2, w=3)
+    params = make_params(rng, heads=heads)
+    params.w_mix.data[...] = rng.normal(size=heads)
+    leaves = [Tensor(flatten_map(x).data, requires_grad=True), Tensor(flatten_map(y).data, requires_grad=True)]
+    leaves += [params.w_query, params.w_ref, params.w_mix]
+    g = Tensor(rng.normal(size=(12, 6)))
+    runs = []
+    for attend in (multi_head, composed_multi_head):
+        zero_grads(leaves)
+        out = attend(leaves[0], leaves[1], le_x, le_y, params)
+        (out * g).sum().backward()
+        runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves])
+    assert runs[0] == runs[1]
 
 
 # -- attribute estimation and transfer ----------------------------------------------

@@ -14,9 +14,9 @@ from fatkit.pseudo_gt import (
     blend_pgt,
     color_pgt,
     histogram_pgt,
+    pgt_sidecar,
     spatial_pgt,
     tps_pgt,
-    write_pgt,
 )
 from fatkit.tensor import ParameterError
 from fatkit.tps import min_shift, tps_grid, tps_solve, warp_image
@@ -376,8 +376,6 @@ def test_blend_rejects_bad_alpha(plain_face, makeup_face):
 
 def test_write_pgt_sidecar(tmp_path, plain_face, makeup_face):
     gt = color_pgt(plain_face, makeup_face)
-    out = tmp_path / "result.ppm"
-    write_pgt(out, gt)
-    assert out.exists()
-    meta = (tmp_path / "result.meta").read_text().strip()
-    assert meta == "mode=tps-color parts=2,3,4,5,6"
+    sidecar, text = pgt_sidecar(tmp_path / "result.ppm", gt)
+    assert sidecar == str(tmp_path / "result.meta")
+    assert text == "mode=tps-color parts=2,3,4,5,6\n"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import check_grads, finite_diff_grads, leaf
+from conftest import check_grads, composed_attention, finite_diff_grads, leaf
 from fatkit.tensor import (
     AdamState,
     FormatError,
@@ -434,59 +434,46 @@ def test_softmax_rows_sum_to_one_at_large_magnitude(rng):
     assert np.all((moderate.data > 0.0) & (moderate.data < 1.0))
 
 
-def composed_attention(q, keys, w_mix):
-    """`mixed_attention` built from the general ops: the reference graph."""
-    k = w_mix.shape[0]
-    (m, width), mp = q.shape, keys.shape[0]
-    qh = transpose(reshape(q, (m, k, width // k)), (1, 0, 2))
-    rh = transpose(reshape(keys, (mp, k, width // k)), (1, 2, 0))
-    heads = softmax(matmul(qh, rh), axis=2)
-    mix = reshape(softmax(w_mix, axis=0), (1, k))
-    return reshape(matmul(mix, reshape(heads, (k, m * mp))), (m, mp))
-
-
-def composed_product(q, keys, w_mix, values=None):
-    """`mixed_attention`, with or without values, from the general ops."""
-    a = composed_attention(q, keys, w_mix)
-    return a if values is None else matmul(a, values)
+def composed_product(q, keys, w_mix, values):
+    """`mixed_attention` from the general ops: A @ values."""
+    return matmul(composed_attention(q, keys, w_mix), values)
 
 
 @pytest.mark.parametrize("heads", [1, 2, 3])
 def test_mixed_attention_equals_the_composed_graph_bit_for_bit(rng, heads):
-    # the fused op recomputes the per-head scores in its backward, and with
-    # values it rebuilds A there in place of keeping it; its value and its
-    # gradients are those of the composed graph that keeps them
+    # the fused op recomputes the per-head scores in its backward and
+    # rebuilds A there in place of keeping it; its value and its gradients
+    # are those of the composed graph that keeps them
     q, keys, w_mix = leaf(rng, 7, 4 * heads, scale=2.0), leaf(rng, 5, 4 * heads, scale=2.0), leaf(rng, heads)
-    for columns in (None, 6):  # A itself, then A @ values
-        inputs = [q, keys, w_mix] + ([leaf(rng, 5, columns)] if columns else [])
-        g = Tensor(rng.normal(size=(7, columns or 5)))
-        runs = []
-        for op in (mixed_attention, composed_product):
-            zero_grads(inputs)
-            out = op(*inputs)
-            (out * g).sum().backward()
-            runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in inputs])
-        assert runs[0] == runs[1]
+    inputs = [q, keys, w_mix, leaf(rng, 5, 6)]
+    g = Tensor(rng.normal(size=(7, 6)))
+    runs = []
+    for op in (mixed_attention, composed_product):
+        zero_grads(inputs)
+        out = op(*inputs)
+        (out * g).sum().backward()
+        runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in inputs])
+    assert runs[0] == runs[1]
 
 
 def test_mixed_attention_gradient(rng):
-    # weighted, since each row of A sums to 1 whatever the inputs
-    for columns in (None, 2):
-        p = Tensor(rng.normal(size=(4, columns or 3)))
-        inputs = [leaf(rng, 4, 6), leaf(rng, 3, 6), leaf(rng, 2)]
-        check_grads(lambda *a: (mixed_attention(*a) * p).sum(),
-                    inputs + ([leaf(rng, 3, columns)] if columns else []), tol=1e-5)
+    p = Tensor(rng.normal(size=(4, 2)))
+    inputs = [leaf(rng, 4, 6), leaf(rng, 3, 6), leaf(rng, 2), leaf(rng, 3, 2)]
+    check_grads(lambda *a: (mixed_attention(*a) * p).sum(), inputs, tol=1e-5)
 
 
 def test_mixed_attention_rejects_mismatched_shapes(rng):
+    values = leaf(rng, 3, 5)
     with pytest.raises(ShapeError):
-        mixed_attention(leaf(rng, 4, 6), leaf(rng, 3, 4), leaf(rng, 2))
+        mixed_attention(leaf(rng, 4, 6), leaf(rng, 3, 4), leaf(rng, 2), values)
     for w_mix in (leaf(rng, 4), leaf(rng, 0)):
         with pytest.raises(ShapeError):
-            mixed_attention(leaf(rng, 4, 6), leaf(rng, 3, 6), w_mix)
+            mixed_attention(leaf(rng, 4, 6), leaf(rng, 3, 6), w_mix, values)
     for values in (leaf(rng, 4, 5), leaf(rng, 3)):  # one row per key, as a matrix
         with pytest.raises(ShapeError):
             mixed_attention(leaf(rng, 4, 6), leaf(rng, 3, 6), leaf(rng, 2), values)
+    with pytest.raises(TypeError):  # the values are not optional
+        mixed_attention(leaf(rng, 4, 6), leaf(rng, 3, 6), leaf(rng, 2))
 
 
 def test_getitem_gradient_counts_repeated_indices(rng):
@@ -802,7 +789,7 @@ def test_no_backward_closure_holds_a_tensor(rng):
         a + b, a + 1.0, -a, a * b, a * 2.0, a / 2.0, a[1:, :2], a.sum(), tensor_mean(a),
         relu(a), tanh(a), softplus(a), xlogx(a * a), l1_loss(a, b), mse_loss(a, b),
         reshape(a, (4, 3)), transpose(a), concat([a, b], axis=1), matmul(a, transpose(b)),
-        linear_solve(square, a), pairwise_sqdist(a, b), softmax(a), mixed_attention(a, b, leaf(rng, 2)),
+        linear_solve(square, a), pairwise_sqdist(a, b), softmax(a),
         mixed_attention(a, b, leaf(rng, 2), leaf(rng, 3, 5)),
         instance_norm(img), avg_pool2d(img, 2),
         conv(2, 4, 1), conv(6, 4, 1, bias=False), conv(6, 8, 2), deconv2d(img, leaf(rng, 4, 2, 3, 3), stride=2),

@@ -257,6 +257,34 @@ def test_points_reject_non_ascii_byte(tmp_path):
         read_points(path)
 
 
+@pytest.mark.parametrize("text, where, message", [
+    ("FATPTS 1 1000000000\n0 0\n", "", "header says '1000000000' points, the file holds 1 point lines"),
+    ("FATPTS 1 3\n0 0\n0 0\n", "", "header says '3' points, the file holds 2 point lines"),
+    ("FATPTS 1 2.5\n0 0\n0 0\n0 0\n", "", "header says '2.5' points, the file holds 3 point lines"),
+    ("FATPTS 1 -1\n0 0\n", "", "header says '-1' points, the file holds 1 point lines"),
+    (f"FATPTS 1 {'9' * 5000}\n0 0\n", "", f"header says '{'9' * 39} points, the file holds 1 point lines"),
+    ("FATPTS 1 2\n0 0\n0 0 0\n", ":3", "expected two numbers 'x y', got '0 0 0'"),
+    ("FATPTS 1 2\n0.5\n0 0\n", ":2", "expected two numbers 'x y', got '0.5'"),
+    ("FATPTS 1 1\nx 0\n", ":2", "expected two numbers 'x y', got 'x 0'"),
+    ("FATPTS 1 3\n0 0\n0 0\n0 1.5\n", ":4", "coordinates must be finite and lie in [-1,1], got 0 1.5"),
+    ("FATPTS 1 2\n0 0\nnan 0\n", ":3", "coordinates must be finite and lie in [-1,1], got nan 0"),
+], ids=["huge-count", "short-file", "fractional-count", "negative-count", "count-of-5000-digits",
+        "three-fields", "one-field", "not-a-number", "out-of-range", "nan"])
+def test_points_errors_name_the_count_or_the_line(tmp_path, text, where, message):
+    # the header count is checked against the lines present before any is
+    # read, so a huge count fails at once; a bad point names its line
+    path = tmp_path / "pts.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}{where}: {message}')}$"):
+        read_points(path)
+
+
+def test_points_ignore_lines_after_the_count(tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_text("FATPTS 1 1\n0.5 -0.5\nnot a point\n")
+    np.testing.assert_array_equal(read_points(path), [[0.5, -0.5]])
+
+
 def test_points_out_of_range(tmp_path):
     path = tmp_path / "pts.txt"
     for bad in ("2.0 0.0", "nan 0.0", "0.0 nan", "-inf 0.0"):
