@@ -240,13 +240,14 @@ def fat_forward(x_map: Tensor, y_map: Tensor, le_x, le_y, params: FatParams,
     return unflatten_map(color_transform(x_flat, gamma), h, w)
 
 
-def static_attention(x_flat: Tensor, y_flat: Tensor, le_x, le_y, omega: float = 0.01) -> Tensor:
+STATIC_DILUTION = 0.01  # the feature weight beside the unit-norm landmark embedding
+
+
+def static_attention(x_flat: Tensor, y_flat: Tensor, le_x, le_y) -> Tensor:
     """Parameter-free attention: landmark-embedding similarity with features
-    diluted by a small factor. The ablation baseline and the per-part
+    diluted by `STATIC_DILUTION`. The ablation baseline and the per-part
     sequential benchmark reference.
     """
-    if omega <= 0:
-        raise ParameterError(f"dilution factor must be positive, got {omega}")
-    a = _augment(x_flat * omega, le_x)
-    b = _augment(y_flat * omega, le_y)
+    a = _augment(x_flat * STATIC_DILUTION, le_x)
+    b = _augment(y_flat * STATIC_DILUTION, le_y)
     return softmax(matmul(a, transpose(b)), axis=1)

@@ -278,15 +278,12 @@ def _cmd_transfer(args) -> int:
 
 def _cmd_warp(args) -> int:
     from .data import read_ppm, write_all, write_ppm
-    from .tensor import ParameterError
     from .tps import read_points, tps_grid, tps_solve, warp_image
 
     _check_out_dirs(args.out)
     image = read_ppm(args.image)
     src = read_points(args.src_pts)
     dst = read_points(args.dst_pts)
-    if src.shape != dst.shape:
-        raise ParameterError(f"point counts differ: {src.shape[0]} vs {dst.shape[0]}")
     # content at the source points should land on the target points, so the
     # sampling transform runs target -> source
     transform = tps_solve(dst, src)

@@ -509,8 +509,9 @@ def _write_netpbm(path, magic: bytes, pixels: np.ndarray):
         fh.write(pixels.tobytes())
 
 
-def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
-    """(H,W,channels) uint8 pixels of a binary netpbm file with maxval 255."""
+def _read_netpbm(path, magic: bytes, channels: int):
+    """(H,W,channels) uint8 pixels of a binary netpbm file with maxval 255,
+    and the byte offset of the pixel payload."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:2] != magic:
@@ -529,17 +530,19 @@ def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
         if not field.removeprefix(b"-").isdigit():
             raise FormatError(f"{path}: {name} must be an integer, got {field.decode('latin-1')!r} at byte {start}")
         values.append(int(field))
+        if name == "maxval" and values[-1] != 255:
+            raise FormatError(f"{path}: maxval must be 255, got {values[-1]} at byte {start}")
         if name != "maxval" and values[-1] < 1:
             raise FormatError(f"{path}: {name} must be at least 1, got {values[-1]} at byte {start}")
-    w, h, maxval = values
+    if offset == len(blob):
+        raise FormatError(f"{path}: truncated header at byte {offset}")
     offset += 1  # single whitespace after maxval
-    if maxval != 255:
-        raise FormatError(f"{path}: maxval must be 255, got {maxval}")
+    w, h, _ = values
     expected = h * w * channels
     payload = blob[offset : offset + expected]
     if len(payload) != expected:
         raise FormatError(f"{path}: pixel payload truncated at byte {offset + len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, channels)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, channels), offset
 
 
 def write_ppm(path, image: np.ndarray):
@@ -553,7 +556,7 @@ def write_ppm(path, image: np.ndarray):
 
 def read_ppm(path) -> np.ndarray:
     """(3,H,W) float64 in [0,1]; values quantized to the stored 8 bits."""
-    return _read_netpbm(path, b"P6", 3).transpose(2, 0, 1).astype(np.float64) / 255.0
+    return _read_netpbm(path, b"P6", 3)[0].transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
 def write_pgm(path, mask: np.ndarray):
@@ -567,10 +570,14 @@ def write_pgm(path, mask: np.ndarray):
 
 
 def read_pgm(path) -> np.ndarray:
-    mask = _read_netpbm(path, b"P5", 1)[:, :, 0].copy()
+    pixels, offset = _read_netpbm(path, b"P5", 1)
+    mask = pixels[:, :, 0].copy()
     if mask.max() > MAX_LABEL:
         row, col = np.argwhere(mask > MAX_LABEL)[0]
-        raise FormatError(f"{path}: label {mask.max()} outside [0,{MAX_LABEL}] at row {row}, column {col}")
+        raise FormatError(
+            f"{path}: label {mask[row, col]} outside [0,{MAX_LABEL}] at row {row}, column {col} "
+            f"(byte {offset + row * mask.shape[1] + col})"
+        )
     return mask
 
 

@@ -607,8 +607,8 @@ def load_generator(path, config: GeneratorConfig) -> GeneratorParams:
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse `key = value` lines; unknown keys are errors, not warnings."""
-    out = {}
+    """Parse `key = value` lines; unknown and repeated keys are errors, not warnings."""
+    out, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -618,6 +618,9 @@ def parse_config_text(text: str) -> dict:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in SETTINGS:
             raise FormatError(f"line {lineno}: unknown configuration key {key!r}")
+        if key in first_line:
+            raise FormatError(f"line {lineno}: repeated configuration key {key!r} (first on line {first_line[key]})")
+        first_line[key] = lineno
         default = SETTINGS[key]
         if isinstance(default, bool):
             if value not in ("true", "false"):

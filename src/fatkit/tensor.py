@@ -560,12 +560,9 @@ def _im2col(x: np.ndarray, k: int, stride: int):
     Row c*k*k + di*k + dj holds input channel c at kernel tap (di, dj) for
     every output position, so `w.reshape(C_out, C*k*k) @ cols` is the
     convolution with no transposed copy (Chellapilla et al., 2006). Each of
-    the k*k strided taps of the zero-padded input is copied once; a 1x1
-    stride-1 matrix is the input itself, reshaped.
+    the k*k strided taps of the zero-padded input is copied once.
     """
     c, h, w = x.shape
-    if k == 1 and stride == 1:
-        return x.reshape(c, h * w), h, w
     pad = (k - 1) // 2
     ho = -(-h // stride)
     wo = -(-w // stride)
@@ -621,8 +618,6 @@ def _transposed_grads(g, xshape, x, wmat: np.ndarray, k: int, stride: int, need_
     `xshape`, (C_a,h,w) and (C_a,C_b,k,k), both from one im2col matrix of the
     output gradient g; None where not needed. The input array `x` is read
     only for the kernel gradient, and is None when that is not needed."""
-    if not (need_x or x is not None):
-        return None, None
     gcols = _im2col(g, k, stride)[0]
     gx = (wmat @ gcols).reshape(xshape) if need_x else None
     gw = None if x is None else (x.reshape(xshape[0], -1) @ gcols.T).reshape(xshape[0], -1, k, k)
@@ -926,9 +921,14 @@ def load_tensors(path) -> dict:
     out = {}
     try:
         for _ in range(count):
+            start = offset
             (nlen,) = struct.unpack_from("<H", blob, offset)
             offset += 2
+            if offset + nlen > len(blob):
+                raise FormatError(f"{path}: truncated tensor name at byte {len(blob)} ({nlen} bytes from {offset})")
             name = blob[offset : offset + nlen].decode("utf-8")
+            if name in out:
+                raise FormatError(f"{path}: repeated tensor name {name!r} in the record at byte {start}")
             offset += nlen
             (rank,) = struct.unpack_from("<B", blob, offset)
             offset += 1
@@ -938,6 +938,8 @@ def load_tensors(path) -> dict:
             arr = np.frombuffer(blob, dtype="<f4", count=n, offset=offset).reshape(dims)
             offset += 4 * n
             out[name] = arr.copy()
+    except FormatError:
+        raise
     except (struct.error, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint record at byte {offset}: {exc}") from exc
     if offset != len(blob):

@@ -134,11 +134,9 @@ def tps_solve(src: np.ndarray, dst: np.ndarray) -> TpsTransform:
 
 
 def tps_apply(transform: TpsTransform, points: np.ndarray) -> np.ndarray:
-    """Map points through the transform; results clamp into [-1,1]^2."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    mapped = tps_basis(Tensor(pts), Tensor(transform.control)).data @ transform.matrix.T
-    mapped = np.clip(mapped, -1.0, 1.0)
-    return mapped[0] if np.asarray(points).ndim == 1 else mapped
+    """Map (N,2) points through the transform; results clamp into [-1,1]^2."""
+    basis = tps_basis(Tensor(np.asarray(points, dtype=np.float64)), Tensor(transform.control))
+    return np.clip(basis.data @ transform.matrix.T, -1.0, 1.0)
 
 
 def _pixel_centers(n: int) -> np.ndarray:

@@ -335,26 +335,11 @@ def test_static_attention_rows_sum_to_one(rng):
     np.testing.assert_allclose(attn.data.sum(axis=1), 1.0, atol=1e-9)
 
 
-def test_static_attention_small_omega_limit(rng):
-    x, y, le_x, le_y = random_case(rng)
-    tiny = static_attention(flatten_map(x), flatten_map(y), le_x, le_y, omega=1e-12).data
-    le_only = static_attention(
-        Tensor(np.zeros((9, 6))), Tensor(np.zeros((9, 6))), le_x, le_y, omega=1e-12
-    ).data
-    np.testing.assert_allclose(tiny, le_only, atol=1e-9)
-
-
 def test_static_attention_self_similarity_diagonal(rng):
     for _ in range(10):
         x, _, le_x, _ = random_case(rng)
         attn = static_attention(flatten_map(x), flatten_map(x), le_x, le_x).data
         assert np.array_equal(np.argmax(attn, axis=1), np.arange(9))
-
-
-def test_static_attention_rejects_bad_omega(rng):
-    x, y, le_x, le_y = random_case(rng)
-    with pytest.raises(ParameterError):
-        static_attention(flatten_map(x), flatten_map(y), le_x, le_y, omega=0.0)
 
 
 # -- flatten/unflatten round trip ------------------------------------------------------

@@ -451,6 +451,20 @@ def test_config_file_errors_name_the_file(corpus, tmp_path, capsys):
     assert not (tmp_path / "m.fatw").exists() and not (tmp_path / "t.ppm").exists()
 
 
+def test_config_file_repeated_key_exit_2_in_one_line(corpus, tmp_path, capsys):
+    from fatkit.cli import main
+
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("steps = 5\n# a comment\nsteps = 7\n")
+    code = main(["train", "--data", str(corpus), "--size", "48", "--width", "4", "--config", str(cfg),
+                 "--out", str(tmp_path / "m.fatw"), "--log", str(tmp_path / "l.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"fatkit train: {cfg}: line 3: repeated configuration key 'steps' (first on line 1)"
+    ]
+    assert not (tmp_path / "m.fatw").exists() and not (tmp_path / "l.csv").exists()
+
+
 def test_train_non_finite_loss_weight_is_data_error(corpus, tmp_path, capsys, monkeypatch):
     # rejected with the exit code of a negative weight, before any pair is prepared
     import fatkit.gan

@@ -293,9 +293,24 @@ def test_pgm_round_trip_and_label_check(tmp_path, rng):
     write_pgm(path, mask)
     assert np.array_equal(read_pgm(path), mask)
     bad = tmp_path / "bad.pgm"
-    bad.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 9, 0, 3]))
-    with pytest.raises(FormatError, match=re.escape(f"{bad}: label 9 outside [0,7] at row 0, column 1")):
+    # the first bad pixel, not the largest label; its byte follows the 11-byte header
+    bad.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 9, 0, 12]))
+    with pytest.raises(FormatError) as caught:
         read_pgm(bad)
+    assert str(caught.value) == f"{bad}: label 9 outside [0,7] at row 0, column 1 (byte 12)"
+
+
+@pytest.mark.parametrize("blob, message", [
+    # the whitespace after maxval is part of the header
+    (b"P6\n4 3\n255", "truncated header at byte 10"),
+    (b"P6\n4 3\n254\n" + bytes(36), "maxval must be 255, got 254 at byte 7"),
+])
+def test_netpbm_header_errors_name_the_byte(tmp_path, blob, message):
+    path = tmp_path / "x.ppm"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError) as caught:
+        read_ppm(path)
+    assert str(caught.value) == f"{path}: {message}"
 
 
 def test_netpbm_writers_exact_bytes(tmp_path):

@@ -1,5 +1,7 @@
 """Tensor engine: forward semantics, gradients, optimizer, checkpoint format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -1026,3 +1028,23 @@ def test_checkpoint_truncated(tmp_path):
     (path).write_bytes(path.read_bytes()[:-3])
     with pytest.raises(FormatError):
         load_tensors(path)
+
+
+def test_checkpoint_truncated_inside_a_name_names_the_end(tmp_path):
+    path = tmp_path / "model.fatw"
+    save_tensors(path, {"gen.enc0.w": np.zeros((2, 3), dtype=np.float32)})
+    path.write_bytes(path.read_bytes()[:17])
+    with pytest.raises(FormatError) as caught:
+        load_tensors(path)
+    assert str(caught.value) == f"{path}: truncated tensor name at byte 17 (10 bytes from 12)"
+
+
+def test_checkpoint_repeated_name_is_rejected(tmp_path):
+    # two one-float records named "a"; the second starts at byte 10 + 12
+    record = struct.pack("<H", 1) + b"a" + struct.pack("<BI", 1, 1)
+    path = tmp_path / "twice.fatw"
+    path.write_bytes(b"FATW" + struct.pack("<HI", 1, 2) + record + struct.pack("<f", 1.0)
+                     + record + struct.pack("<f", 2.0))
+    with pytest.raises(FormatError) as caught:
+        load_tensors(path)
+    assert str(caught.value) == f"{path}: repeated tensor name 'a' in the record at byte 22"

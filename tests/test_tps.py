@@ -124,15 +124,15 @@ def test_apply_translation_midpoint(rng):
     c = random_control(rng, 5, spread=0.5)
     offset = np.array([0.1, 0.05])
     t = tps_solve(c, c + offset)
-    mid = 0.5 * (c[0] + c[1])
-    np.testing.assert_allclose(tps_apply(t, mid), mid + offset, atol=1e-8)
+    mid = 0.5 * (c[:1] + c[1:2])
+    np.testing.assert_allclose(tps_apply(t, mid)[0], mid[0] + offset, atol=1e-8)
 
 
 def test_apply_clamps_to_unit_box():
     c = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
     t = tps_solve(c, c + np.array([0.6, 0.0]))
-    out = tps_apply(t, np.array([0.9, 0.0]))
-    assert out[0] == 1.0
+    out = tps_apply(t, np.array([[0.9, 0.0]]))
+    assert out[0, 0] == 1.0
 
 
 # -- grids -----------------------------------------------------------------------

@@ -8,8 +8,12 @@ landmarks, FATPTS control points, the corpus manifest, FATW checkpoints
 (prefixes only) and `key = value` config files (a `.cfg` sidecar too). One
 rejected flip per format also runs through `fatkit.cli.main`, which must
 exit 2 with one line. `tests/test_cli.py` runs truncated checkpoints
-through `fatkit transfer`.
+through `fatkit transfer`. A rejection of a binary file (PPM, PGM, FATW)
+must also name at least one `byte N`, and every N it names lies inside the
+file: 0 <= N <= its length.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +47,17 @@ FORMATS = {
     "config": (write_config, _read_config),
 }
 
+BINARY = {"ppm", "pgm", "fatw"}
+
+
+def assert_names_the_file(kind, path, blob, exc):
+    """The rejection starts with the path; a binary one names bytes inside `blob`."""
+    message = str(exc)
+    assert message.startswith(f"{path}:"), message
+    if kind in BINARY:
+        offsets = [int(n) for n in re.findall(r"\bbyte (\d+)", message[len(str(path)) + 1:])]
+        assert offsets and all(0 <= n <= len(blob) for n in offsets), (len(blob), message)
+
 
 @pytest.mark.parametrize("kind", sorted(FORMATS))
 def test_every_prefix_parses_or_names_the_file(kind, tmp_path):
@@ -58,10 +73,9 @@ def test_every_prefix_parses_or_names_the_file(kind, tmp_path):
         try:
             read(cut)
         except FormatError as exc:
-            assert str(exc).startswith(f"{cut}:"), (n, str(exc))
+            assert_names_the_file(kind, cut, blob[:n], exc)
             rejected += 1
     assert rejected > 0
-
 
 
 def flips(blob):
@@ -84,12 +98,12 @@ def test_every_byte_flip_parses_or_names_the_file(kind, tmp_path):
     write(whole, np.random.default_rng(0))
     bad = tmp_path / f"flip.{kind}"
     rejected = 0
-    for n, blob in enumerate(flips(whole.read_bytes())):
+    for blob in flips(whole.read_bytes()):
         bad.write_bytes(blob)
         try:
             read(bad)
         except FormatError as exc:
-            assert str(exc).startswith(f"{bad}:"), (n, str(exc))
+            assert_names_the_file(kind, bad, blob, exc)
             rejected += 1
     assert rejected > 0
 
