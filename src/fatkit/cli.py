@@ -187,21 +187,6 @@ def _load_corpus_pairs(data_dir, size):
     return list(zip(plain, makeup))
 
 
-def _read_config(path) -> dict:
-    """The settings of a `key = value` file (a `--config` file or a model's
-    `.cfg` sidecar); a malformed line is a FormatError naming the file."""
-    from .data import open_ascii
-    from .gan import parse_config_text
-    from .tensor import FormatError
-
-    with open_ascii(path) as fh:
-        text = fh.read()
-    try:
-        return parse_config_text(text)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-
-
 def _cmd_train(args) -> int:
     from .data import write_all
     from .gan import (
@@ -213,13 +198,14 @@ def _cmd_train(args) -> int:
         history_csv,
         init_train_state,
         prepare_pair,
+        read_config,
         save_state,
     )
 
     settings = dict(SETTINGS)
     settings.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
     if args.config:
-        settings.update(_read_config(args.config))
+        settings.update(read_config(args.config))
     config, weights = configs_from_settings(settings)
     _check_out_dirs(args.out, args.log)  # the .cfg sidecar sits beside --out
     state = init_train_state(config, seed=settings["seed"])
@@ -238,7 +224,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_transfer(args) -> int:
     from .data import load_sample, read_ppm, write_all, write_ppm
-    from .gan import MODEL_KEYS, SETTINGS, configs_from_settings, generator_forward, load_generator
+    from .gan import MODEL_KEYS, SETTINGS, configs_from_settings, generator_forward, load_generator, read_config
     from .tensor import FormatError
 
     if args.box is not None and args.highres is None:
@@ -252,7 +238,7 @@ def _cmd_transfer(args) -> int:
             raise _UsageError(f"--highres needs --box x,y,w,h as four integers, got {args.box!r}")
     _check_out_dirs(args.out)
     sidecar = args.model + ".cfg"
-    stored = _read_config(sidecar)
+    stored = read_config(sidecar)
     # control_grid joined the sidecar later; older models were all trained with the default
     for key in MODEL_KEYS:
         if key not in stored and key != "control_grid":

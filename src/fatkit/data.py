@@ -19,7 +19,6 @@ corpus seed, so regeneration is byte-identical.
 from __future__ import annotations
 
 import errno
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ __all__ = [
     "make_corpus",
     "write_all",
     "read_manifest",
-    "open_ascii",
+    "ascii_lines",
     "write_ppm",
     "read_ppm",
     "write_pgm",
@@ -448,15 +447,20 @@ def write_all(outputs):
     """Write each (path, write) output to a temporary file beside it, then
     move them into place in order with `os.replace`. A failed write moves
     nothing and leaves no temporary file behind, and neither does a target
-    that is an existing directory: it raises IsADirectoryError naming the
-    target before its output is made. A symlink target is replaced, as
-    `os.replace` does. `outputs` may be a generator: each output is made
-    only when the one before it is written."""
-    temps = []
+    that is an existing directory or that an earlier output also names (by
+    `os.path.realpath`): each raises an error naming the target before its
+    output is made. A symlink target is replaced, as `os.replace` does.
+    `outputs` may be a generator: each output is made only when the one
+    before it is written."""
+    temps, targets = [], set()
     try:
         for path, write in outputs:
             if os.path.isdir(path) and not os.path.islink(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            target = os.path.realpath(path)
+            if target in targets:
+                raise ParameterError(f"{path}: two outputs of one command name this file")
+            targets.add(target)
             temps.append((f"{path}.{os.getpid()}.tmp", path))
             write(temps[-1][0])
         for temp, path in temps:
@@ -470,27 +474,27 @@ def write_all(outputs):
 def read_manifest(path):
     """Manifest rows as (id, group, image, landmarks, mask) tuples, group 'plain' or 'makeup'."""
     rows = []
-    with open_ascii(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 5:
-                raise FormatError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-            if parts[1] not in ("plain", "makeup"):
-                raise FormatError(f"{path}:{lineno}: group must be 'plain' or 'makeup', got {parts[1]!r}")
-            rows.append(tuple(parts))
+    for lineno, line in enumerate(ascii_lines(path), 1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 5:
+            raise FormatError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
+        if parts[1] not in ("plain", "makeup"):
+            raise FormatError(f"{path}:{lineno}: group must be 'plain' or 'makeup', got {parts[1]!r}")
+        rows.append(tuple(parts))
     return rows
 
 
 # -- file formats ------------------------------------------------------------------
 
 
-def open_ascii(path) -> io.StringIO:
-    """The whole of an ASCII text file, read as text mode reads it.
+def ascii_lines(path) -> list:
+    """The lines of an ASCII text file, without their ends: line N is entry N - 1.
 
-    A byte outside ASCII raises FormatError naming the file and the byte's
-    offset.
+    Lines end where text mode ends them (`\\n`, `\\r\\n`, `\\r`), never at the
+    `\\x0b`, `\\x0c` or `\\x1c`-`\\x1e` that `str.splitlines` breaks at. A byte
+    outside ASCII is a FormatError naming the file and the byte's offset.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -498,7 +502,8 @@ def open_ascii(path) -> io.StringIO:
         text = blob.decode("ascii")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: byte {exc.start} is {blob[exc.start]:#04x}, not ASCII text") from exc
-    return io.StringIO(text, newline=None)
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removesuffix("\n").split("\n") if text else []
 
 
 def _write_netpbm(path, magic: bytes, pixels: np.ndarray):
@@ -595,23 +600,22 @@ def read_point_text(path, magic: str, count, lo: float, hi: float) -> np.ndarray
 
     `count` pins K (None accepts any K); every coordinate must be a finite
     number in [lo, hi]. Lines after the K-th are ignored. Any deviation
-    raises FormatError; a bad point line is named as `{path}:{line}`.
+    raises FormatError naming the line as `{path}:{N}`; the header is line 1.
     """
     expected = "<K>" if count is None else count
-    with open_ascii(path) as fh:
-        header = fh.readline().split()
-        lines = fh.readlines()
+    header, *lines = ascii_lines(path) or [""]
+    header = header.split()
     if len(header) != 3 or header[0] != magic or header[1] != "1":
-        raise FormatError(f"{path}: expected '{magic} 1 {expected}' header, got {' '.join(header)!r}")
+        raise FormatError(f"{path}:1: expected '{magic} 1 {expected}' header, got {' '.join(header)!r}")
     if count is not None and header[2] != str(count):
-        raise FormatError(f"{path}: schema requires {count} points, header says {header[2]}")
+        raise FormatError(f"{path}:1: schema requires {count} points, header says {header[2]}")
     try:
         k = int(header[2]) if header[2].isdigit() else -1
     except ValueError:  # more digits than int() converts
         k = -1
     # checked before any point is read, so a huge header count costs nothing
     if not 0 <= k <= len(lines):
-        raise FormatError(f"{path}: header says {header[2]!r:.40} points, the file holds {len(lines)} point lines")
+        raise FormatError(f"{path}:1: header says {header[2]!r:.40} points, the file holds {len(lines)} point lines")
     pts = np.empty((k, 2))
     for i, line in enumerate(lines[: len(pts)]):
         try:

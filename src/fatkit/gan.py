@@ -34,7 +34,7 @@ from itertools import islice
 import numpy as np
 
 from .attention import FatParams, FatReference, fat_forward, fat_reference, landmark_embedding
-from .data import ACTIVE_LABEL_SETS, LANDMARK_COUNT, FaceSample, parse_active_labels
+from .data import ACTIVE_LABEL_SETS, LANDMARK_COUNT, FaceSample, ascii_lines, parse_active_labels
 from .pseudo_gt import tps_pgt
 from .spatial import SpatialFatParams, spatial_fat_forward
 from .tensor import (
@@ -86,7 +86,7 @@ __all__ = [
     "history_csv",
     "state_tensors",
     "load_generator",
-    "parse_config_text",
+    "read_config",
     "config_text",
 ]
 
@@ -606,31 +606,34 @@ def load_generator(path, config: GeneratorConfig) -> GeneratorParams:
 # -- configuration file ------------------------------------------------------------------
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse `key = value` lines; unknown and repeated keys are errors, not warnings."""
+def read_config(path) -> dict:
+    """The settings of a `key = value` file: a `--config` file or a `.cfg`
+    sidecar. A malformed line, an unknown or repeated key and a bad value
+    are FormatErrors naming `{path}:{N}`."""
     out, first_line = {}, {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(ascii_lines(path), 1):
+        where = f"{path}:{lineno}"
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise FormatError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise FormatError(f"{where}: expected 'key = value', got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in SETTINGS:
-            raise FormatError(f"line {lineno}: unknown configuration key {key!r}")
+            raise FormatError(f"{where}: unknown configuration key {key!r}")
         if key in first_line:
-            raise FormatError(f"line {lineno}: repeated configuration key {key!r} (first on line {first_line[key]})")
+            raise FormatError(f"{where}: repeated configuration key {key!r} (first on line {first_line[key]})")
         first_line[key] = lineno
         default = SETTINGS[key]
         if isinstance(default, bool):
             if value not in ("true", "false"):
-                raise FormatError(f"line {lineno}: {key} must be true or false, got {value!r}")
+                raise FormatError(f"{where}: {key} must be true or false, got {value!r}")
             out[key] = value == "true"
         else:
             try:
                 out[key] = type(default)(value)
             except ValueError as exc:
-                raise FormatError(f"line {lineno}: bad value for {key}: {exc}") from exc
+                raise FormatError(f"{where}: bad value for {key}: {exc}") from exc
     return out
 
 

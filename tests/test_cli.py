@@ -435,7 +435,7 @@ def test_config_file_errors_name_the_file(corpus, tmp_path, capsys):
                  "--out", str(tmp_path / "m.fatw"), "--log", str(tmp_path / "l.csv")])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"fatkit train: {cfg}: line 2: unknown configuration key 'bogus'"
+        f"fatkit train: {cfg}:2: unknown configuration key 'bogus'"
     ]
     saved_model(tmp_path / "t.fatw")
     sidecar = tmp_path / "t.fatw.cfg"
@@ -446,7 +446,7 @@ def test_config_file_errors_name_the_file(corpus, tmp_path, capsys):
                  "--ref", str(corpus / "0001.ppm"), "--out", str(tmp_path / "t.ppm")])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"fatkit transfer: {sidecar}: line 4: spatial must be true or false, got 'maybe'"
+        f"fatkit transfer: {sidecar}:4: spatial must be true or false, got 'maybe'"
     ]
     assert not (tmp_path / "m.fatw").exists() and not (tmp_path / "t.ppm").exists()
 
@@ -460,10 +460,26 @@ def test_config_file_repeated_key_exit_2_in_one_line(corpus, tmp_path, capsys):
                  "--out", str(tmp_path / "m.fatw"), "--log", str(tmp_path / "l.csv")])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"fatkit train: {cfg}: line 3: repeated configuration key 'steps' (first on line 1)"
+        f"fatkit train: {cfg}:3: repeated configuration key 'steps' (first on line 1)"
     ]
     assert not (tmp_path / "m.fatw").exists() and not (tmp_path / "l.csv").exists()
 
+
+
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_config_line_holding_a_splitlines_break_is_one_line(corpus, tmp_path, capsys, char):
+    # text mode ends no line at these characters, so the file holds one
+    # line with a bad value, never a key repeated on line 2
+    from fatkit.cli import main
+
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"steps = 5{char}steps = 7\n")
+    code = main(["train", "--data", str(corpus), "--size", "48", "--width", "4", "--config", str(cfg),
+                 "--out", str(tmp_path / "m.fatw"), "--log", str(tmp_path / "l.csv")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"fatkit train: {cfg}:1: bad value for steps: "), err
+    assert "repeated" not in err[0]
 
 def test_train_non_finite_loss_weight_is_data_error(corpus, tmp_path, capsys, monkeypatch):
     # rejected with the exit code of a negative weight, before any pair is prepared
@@ -1048,6 +1064,28 @@ def test_sidecar_that_is_a_directory_moves_no_output(corpus, tmp_path, capsys, c
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(older + [sidecar.name])  # no temporary file
     assert list(sidecar.iterdir()) == []
 
+
+
+@pytest.mark.parametrize("command", ["pgt", "train"])
+def test_two_outputs_naming_one_file_leave_no_output(corpus, tmp_path, capsys, command):
+    # `pgt --out x.meta` names its own sidecar; `train --out m --log m`
+    # names the checkpoint twice. The second is refused before it is written
+    from fatkit.cli import main
+
+    if command == "pgt":
+        argv = ["--source", corpus / "0000.ppm", "--ref", corpus / "0001.ppm", "--mode", "hist",
+                "--out", tmp_path / "img.meta"]
+        clash = tmp_path / "img.meta"
+    else:
+        argv = ["--data", corpus, "--steps", 1, "--size", 48, "--width", 4,
+                "--out", tmp_path / "same", "--log", tmp_path / "same"]
+        clash = tmp_path / "same"
+    code = main([command, *map(str, argv)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"fatkit {command}: {clash}: two outputs of one command name this file"
+    ]
+    assert list(tmp_path.iterdir()) == []  # no output and no temporary file
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 

@@ -338,6 +338,22 @@ def test_write_all_replaces_a_symlink_but_refuses_a_directory(tmp_path):
     assert list((tmp_path / "d").iterdir()) == []
 
 
+
+def test_write_all_refuses_a_target_an_earlier_output_names(tmp_path):
+    # compared by realpath, before the second output is made or anything moves
+    (tmp_path / "d").mkdir()
+    made = []
+
+    def write(path):
+        made.append(path)
+        write_pgm(path, np.zeros((1, 1)))
+
+    again = tmp_path / "d" / ".." / "a.pgm"
+    with pytest.raises(ParameterError, match=re.escape(f"{again}: two outputs of one command name this file")):
+        write_all([(tmp_path / "a.pgm", write), (again, write)])
+    assert len(made) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+
 def test_pgm_truncated_payload(tmp_path):
     path = tmp_path / "m.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(10))

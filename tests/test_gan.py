@@ -27,8 +27,8 @@ from fatkit.gan import (
     loss_discriminators,
     loss_generator,
     pair_order,
-    parse_config_text,
     prepare_pair,
+    read_config,
     run_blocks,
     save_state,
     state_tensors,
@@ -112,19 +112,24 @@ def test_weights_validation():
         LossWeights(adv=0.0, cyc=0.0, per=0.0, make=0.0)
 
 
-def test_parse_config_text_round_trip():
-    text = config_text({"size": 32, "spatial": True, "lr": 0.0002, "warp_labels": "eyebrows"})
-    values = parse_config_text(text)
+def test_read_config_round_trip(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(config_text({"size": 32, "spatial": True, "lr": 0.0002, "warp_labels": "eyebrows"}))
+    values = read_config(path)
     assert values == {"size": 32, "spatial": True, "lr": 2e-4, "warp_labels": "eyebrows"}
 
 
-def test_parse_config_unknown_key_is_error():
+def test_parse_config_unknown_key_is_error(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("sizee = 32\n")
     with pytest.raises(FormatError, match="unknown configuration key"):
-        parse_config_text("sizee = 32\n")
+        read_config(path)
+    path.write_text("spatial = maybe\n")
     with pytest.raises(FormatError):
-        parse_config_text("spatial = maybe\n")
+        read_config(path)
+    path.write_text("steps = 2.5\n")
     with pytest.raises(FormatError, match="bad value for steps"):
-        parse_config_text("steps = 2.5\n")
+        read_config(path)
 
 
 # -- forward passes -----------------------------------------------------------------

@@ -258,11 +258,11 @@ def test_points_reject_non_ascii_byte(tmp_path):
 
 
 @pytest.mark.parametrize("text, where, message", [
-    ("FATPTS 1 1000000000\n0 0\n", "", "header says '1000000000' points, the file holds 1 point lines"),
-    ("FATPTS 1 3\n0 0\n0 0\n", "", "header says '3' points, the file holds 2 point lines"),
-    ("FATPTS 1 2.5\n0 0\n0 0\n0 0\n", "", "header says '2.5' points, the file holds 3 point lines"),
-    ("FATPTS 1 -1\n0 0\n", "", "header says '-1' points, the file holds 1 point lines"),
-    (f"FATPTS 1 {'9' * 5000}\n0 0\n", "", f"header says '{'9' * 39} points, the file holds 1 point lines"),
+    ("FATPTS 1 1000000000\n0 0\n", ":1", "header says '1000000000' points, the file holds 1 point lines"),
+    ("FATPTS 1 3\n0 0\n0 0\n", ":1", "header says '3' points, the file holds 2 point lines"),
+    ("FATPTS 1 2.5\n0 0\n0 0\n0 0\n", ":1", "header says '2.5' points, the file holds 3 point lines"),
+    ("FATPTS 1 -1\n0 0\n", ":1", "header says '-1' points, the file holds 1 point lines"),
+    (f"FATPTS 1 {'9' * 5000}\n0 0\n", ":1", f"header says '{'9' * 39} points, the file holds 1 point lines"),
     ("FATPTS 1 2\n0 0\n0 0 0\n", ":3", "expected two numbers 'x y', got '0 0 0'"),
     ("FATPTS 1 2\n0.5\n0 0\n", ":2", "expected two numbers 'x y', got '0.5'"),
     ("FATPTS 1 1\nx 0\n", ":2", "expected two numbers 'x y', got 'x 0'"),

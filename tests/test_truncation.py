@@ -10,17 +10,21 @@ rejected flip per format also runs through `fatkit.cli.main`, which must
 exit 2 with one line. `tests/test_cli.py` runs truncated checkpoints
 through `fatkit transfer`. A rejection of a binary file (PPM, PGM, FATW)
 must also name at least one `byte N`, and every N it names lies inside the
-file: 0 <= N <= its length.
+file: 0 <= N <= its length. A rejection of a text file (FATLM, FATPTS,
+manifest, config) must name a line of the file as `path:N:`, with
+1 <= N <= its line count as text mode reads it (an empty file's header is
+line 1), or a `byte N` inside the file.
 """
 
+import io
 import re
 
 import numpy as np
 import pytest
 
-from fatkit.cli import _read_config, main
+from fatkit.cli import main
 from fatkit.data import read_landmarks, read_manifest, read_pgm, read_ppm, write_landmarks, write_pgm, write_ppm
-from fatkit.gan import config_text
+from fatkit.gan import config_text, read_config
 from fatkit.tensor import FormatError, load_tensors, save_tensors
 from fatkit.tps import read_points, write_points
 
@@ -44,19 +48,30 @@ FORMATS = {
         "gen.enc0.w": rng.normal(size=(2, 3)).astype(np.float32),
         "gen.dec2.b": rng.normal(size=(4,)).astype(np.float32),
     }), load_tensors),
-    "config": (write_config, _read_config),
+    "config": (write_config, read_config),
 }
 
 BINARY = {"ppm", "pgm", "fatw"}
 
 
+def line_count(blob):
+    """The lines of `blob` as text mode reads them, at least the header's one."""
+    return max(1, len(io.TextIOWrapper(io.BytesIO(blob), encoding="latin-1").readlines()))
+
+
 def assert_names_the_file(kind, path, blob, exc):
-    """The rejection starts with the path; a binary one names bytes inside `blob`."""
+    """The rejection starts with the path. A binary one names bytes inside
+    `blob`; a text one names a line of `blob` or a byte inside it."""
     message = str(exc)
     assert message.startswith(f"{path}:"), message
-    if kind in BINARY:
-        offsets = [int(n) for n in re.findall(r"\bbyte (\d+)", message[len(str(path)) + 1:])]
-        assert offsets and all(0 <= n <= len(blob) for n in offsets), (len(blob), message)
+    rest = message[len(str(path)) + 1:]
+    offsets = [int(n) for n in re.findall(r"\bbyte (\d+)", rest)]
+    assert all(0 <= n <= len(blob) for n in offsets), (len(blob), message)
+    line = re.match(r"(\d+):", rest)
+    if kind in BINARY or not line:
+        assert offsets, (len(blob), message)
+    else:
+        assert 1 <= int(line[1]) <= line_count(blob), (line_count(blob), message)
 
 
 @pytest.mark.parametrize("kind", sorted(FORMATS))
