@@ -114,14 +114,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out_dirs(*paths):
-    """Raise, before any work, the error that writing an output file would
-    raise at the end, naming its path: its directory does not exist, or the
-    path is a directory itself. None paths are unset."""
+    """Raise, before any work, the error that writing the output files would
+    raise at the end, naming a path: its directory does not exist, the path
+    is a directory itself, or an earlier path names the same file (the rule
+    of `data.write_all`). None paths are unset."""
+    from .data import claim_target
+
+    claimed = set()
     for path in filter(None, paths):
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        claim_target(path, claimed)
 
 
 def _write_text(path, text):
@@ -207,7 +212,7 @@ def _cmd_train(args) -> int:
     if args.config:
         settings.update(read_config(args.config))
     config, weights = configs_from_settings(settings)
-    _check_out_dirs(args.out, args.log)  # the .cfg sidecar sits beside --out
+    _check_out_dirs(args.out, args.out + ".cfg", args.log)  # the .cfg sidecar sits beside --out
     state = init_train_state(config, seed=settings["seed"])
     couples = _load_corpus_pairs(args.data, config.size)
     spatial_labels = config.warp_labels if config.spatial else ()
@@ -264,12 +269,17 @@ def _cmd_transfer(args) -> int:
 
 def _cmd_warp(args) -> int:
     from .data import read_ppm, write_all, write_ppm
+    from .tensor import ShapeError
     from .tps import read_points, tps_grid, tps_solve, warp_image
 
     _check_out_dirs(args.out)
     image = read_ppm(args.image)
     src = read_points(args.src_pts)
     dst = read_points(args.dst_pts)
+    if len(src) != len(dst):
+        raise ShapeError(
+            f"--src-pts {args.src_pts} has {len(src)} points but --dst-pts {args.dst_pts} has {len(dst)}"
+        )
     # content at the source points should land on the target points, so the
     # sampling transform runs target -> source
     transform = tps_solve(dst, src)

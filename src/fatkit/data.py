@@ -38,6 +38,7 @@ __all__ = [
     "synth_face",
     "random_face_params",
     "make_corpus",
+    "claim_target",
     "write_all",
     "read_manifest",
     "ascii_lines",
@@ -443,6 +444,16 @@ def _corpus_files(out_dir, manifest, count, size, seed):
     yield manifest, write_manifest
 
 
+def claim_target(path, claimed):
+    """Add `path`'s `os.path.realpath` to the set `claimed` of one command's
+    outputs, or raise `ParameterError` naming `path` if an earlier output
+    already names that file."""
+    target = os.path.realpath(path)
+    if target in claimed:
+        raise ParameterError(f"{path}: two outputs of one command name this file")
+    claimed.add(target)
+
+
 def write_all(outputs):
     """Write each (path, write) output to a temporary file beside it, then
     move them into place in order with `os.replace`. A failed write moves
@@ -457,10 +468,7 @@ def write_all(outputs):
         for path, write in outputs:
             if os.path.isdir(path) and not os.path.islink(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            target = os.path.realpath(path)
-            if target in targets:
-                raise ParameterError(f"{path}: two outputs of one command name this file")
-            targets.add(target)
+            claim_target(path, targets)
             temps.append((f"{path}.{os.getpid()}.tmp", path))
             write(temps[-1][0])
         for temp, path in temps:

@@ -2,8 +2,9 @@
 
 A small numpy-backed autograd engine: every operation records its parents
 and a backward rule, `Tensor.backward()` walks the graph once in reverse
-topological order and accumulates gradients into the leaves. Data is kept
-in float64 so the finite-difference test suite can run at tight tolerances.
+topological order, accumulates gradients into the leaves and frees each node
+once its backward has run. Data is kept in float64 so the finite-difference
+test suite can run at tight tolerances.
 
 Also houses the Adam optimizer and the binary checkpoint format shared by
 all trained models.
@@ -99,8 +100,9 @@ class Tensor:
     gradient) keeps the recipe and the output dies with its caller too.
     `_parents`, `_backward` and `_op` read through to the node; a leaf reads
     `()`, `None` and "leaf". Calling `backward()` on a scalar result
-    accumulates d(result)/d(leaf) into every `requires_grad` leaf. Repeated
-    backward calls accumulate; `zero_grads` resets.
+    accumulates d(result)/d(leaf) into every `requires_grad` leaf and frees
+    the graph it walked, so each graph takes one backward. Backward calls
+    over fresh graphs accumulate; `zero_grads` resets.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_node")
@@ -159,30 +161,25 @@ class Tensor:
         return Tensor(self.data)
 
     def backward(self):
-        """Populate leaf gradients of d(self)/d(leaf).
+        """Populate leaf gradients of d(self)/d(leaf), and free the graph.
 
         `self` must hold a single element. Each graph node is visited exactly
         once, in reverse topological order; gradients reaching a leaf add into
-        its `grad` buffer, so consecutive calls accumulate.
+        its `grad` buffer. Once a node's backward has run, the node drops its
+        closure, its parents and its rebuild recipe, so each array the graph
+        held dies as soon as the walk is past it. A second walk that reaches a
+        freed node raises `GraphError`: to accumulate again, build the graph
+        again.
         """
         if self.data.size != 1:
             raise GraphError(f"backward() needs a scalar, got shape {self.shape}")
         root = self._node or self
         topo = _toposort(root)
         flowing = {id(root): np.ones_like(self.data)}
-        for node in reversed(topo):
-            g = flowing.pop(id(node), None)
-            if g is None:
-                continue
-            if node._backward is None:
-                if node.requires_grad:
-                    node.grad = g if node.grad is None else node.grad + g
-                continue
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                held = flowing.get(id(parent))
-                flowing[id(parent)] = pg if held is None else held + pg
+        while topo:
+            node = topo.pop()
+            if id(node) in flowing:
+                _walk(node, flowing.pop(id(node)), flowing)
 
     # -- operators ------------------------------------------------------------
 
@@ -243,6 +240,31 @@ def _from_op(data, parents, backward, op, rebuild=None) -> Tensor:
         out.requires_grad = True
         out._node = _Node(tuple(p._node or p for p in parents), backward, op, rebuild)
     return out
+
+
+def _walk(node, g, flowing):
+    """One step of a backward walk: a leaf adds `g` into its `grad`; an
+    interior node is freed, runs its backward and adds the parents'
+    gradients into the walk's pending sums. A function of its own, so none
+    of its locals keeps a closure, a parent or a gradient alive past the
+    node."""
+    back = node._backward
+    if back is None:
+        if node.requires_grad:
+            node.grad = g if node.grad is None else node.grad + g
+        return
+    parents = node._parents
+    node._backward, node._parents, node._rebuild = _freed, (), None
+    for parent, pg in zip(parents, back(g)):
+        if pg is None or not parent.requires_grad:
+            continue
+        held = flowing.get(id(parent))
+        flowing[id(parent)] = pg if held is None else held + pg
+
+
+def _freed(g):
+    """The backward of a node that a walk has already run and freed."""
+    raise GraphError("backward() reached a graph node that an earlier backward freed; build the graph again")
 
 
 def _kept(t: Tensor):

@@ -857,11 +857,19 @@ def test_warp_translation_shifts_image(corpus, tmp_path):
 
 
 def test_warp_count_mismatch_exit_2(corpus, tmp_path):
-    write_points(tmp_path / "s.txt", np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]))
-    write_points(tmp_path / "d.txt", np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5]]))
-    result = run_cli("warp", "--image", corpus / "0000.ppm", "--src-pts", tmp_path / "s.txt",
-                     "--dst-pts", tmp_path / "d.txt", "--out", tmp_path / "w.ppm")
-    assert result.returncode == 2
+    # one line that names each point file, --src-pts first, with its count
+    corners = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5], [0.0, 0.1]])
+    src, dst = tmp_path / "s.txt", tmp_path / "d.txt"
+    for src_count, dst_count in ((4, 3), (3, 5)):
+        write_points(src, corners[:src_count])
+        write_points(dst, corners[:dst_count])
+        result = run_cli("warp", "--image", corpus / "0000.ppm", "--src-pts", src,
+                         "--dst-pts", dst, "--out", tmp_path / "w.ppm")
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"fatkit warp: --src-pts {src} has {src_count} points but --dst-pts {dst} has {dst_count}"
+        ]
+        assert not (tmp_path / "w.ppm").exists()
 
 
 def test_warp_degenerate_exit_3(corpus, tmp_path):
@@ -1086,6 +1094,31 @@ def test_two_outputs_naming_one_file_leave_no_output(corpus, tmp_path, capsys, c
         f"fatkit {command}: {clash}: two outputs of one command name this file"
     ]
     assert list(tmp_path.iterdir()) == []  # no output and no temporary file
+
+
+@pytest.mark.parametrize("out, log, clash", [
+    ("m", "m", "m"), ("m", "m.cfg", "m.cfg"), ("m", "./m", "./m"),
+])
+def test_train_refuses_two_outputs_naming_one_file_before_reading_input(tmp_path, capsys, monkeypatch,
+                                                                         out, log, clash):
+    # the checkpoint, its .cfg sidecar and the log are checked by realpath
+    # before any input is read, so no step is spent on a run that cannot be
+    # written; --data names no corpus, and reading it would fail
+    import fatkit.gan
+    from fatkit.cli import main
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("fit ran")
+
+    monkeypatch.setattr(fatkit.gan, "fit", unexpected)
+    monkeypatch.chdir(tmp_path)
+    code = main(["train", "--data", "missing", "--steps", "1", "--size", "48", "--width", "4",
+                 "--out", out, "--log", log])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"fatkit train: {clash}: two outputs of one command name this file"
+    ]
+    assert list(tmp_path.iterdir()) == []
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 

@@ -664,14 +664,74 @@ def test_backward_requires_scalar():
 
 
 def test_backward_accumulates_until_reset():
+    # a backward frees its graph, so each call walks a graph built for it;
+    # gradients still add across graphs until zero_grads
+    x = Tensor([2.0], requires_grad=True)
+    for _ in range(2):
+        y = (x * x).sum()
+        y.backward()
+    np.testing.assert_allclose(x.grad, [8.0])
+    zero_grads([x])
+    y = (x * x).sum()
+    y.backward()
+    np.testing.assert_allclose(x.grad, [4.0])
+
+
+def test_second_backward_on_one_root_raises():
     x = Tensor([2.0], requires_grad=True)
     y = (x * x).sum()
     y.backward()
-    y.backward()
-    np.testing.assert_allclose(x.grad, [8.0])
-    zero_grads([x])
-    y.backward()
+    with pytest.raises(GraphError, match="freed"):
+        y.backward()
     np.testing.assert_allclose(x.grad, [4.0])
+
+
+def test_backward_through_a_node_another_backward_freed_raises(rng):
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    h = x * x
+    first, second = h.sum(), (h * 3.0).sum()
+    first.backward()
+    # the second graph's own nodes are intact, but it reaches the shared
+    # product, whose backward the first walk ran and freed
+    with pytest.raises(GraphError, match="freed"):
+        second.backward()
+    np.testing.assert_allclose(x.grad, 2.0 * x.data, rtol=1e-15)
+
+
+def test_backward_frees_what_its_closures_held(rng):
+    import weakref
+
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 4)))
+    held = weakref.ref(w.data)
+    y = (x * w).sum()
+    del w
+    assert held() is not None  # the product's backward holds the operand
+    y.backward()
+    assert held() is None and y._node is not None
+
+
+def test_backward_frees_each_node_before_it_walks_the_parents(rng):
+    import weakref
+
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 4)))
+    expected = 2.0 * w.data
+    held = weakref.ref(w.data)
+    scaled = x * 2.0
+    y = (scaled * w).sum()
+    del w
+    back, seen = scaled._backward, []
+
+    def check(g):
+        # the product ran before the scale, so the operand it held is gone
+        seen.append(held() is None)
+        return back(g)
+
+    scaled._backward = check
+    y.backward()
+    assert seen == [True]
+    assert x.grad.tobytes() == expected.tobytes()
 
 
 def test_detach_blocks_gradient():
