@@ -15,7 +15,6 @@ command handlers.
 from __future__ import annotations
 
 import argparse
-import errno
 import os
 import sys
 import warnings
@@ -113,27 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out_dirs(*paths):
-    """Raise, before any work, the error that writing the output files would
-    raise at the end, naming a path: its directory does not exist, the path
-    is a directory itself, or an earlier path names the same file (the rule
-    of `data.write_all`). None paths are unset."""
-    from .data import claim_target
-
-    claimed = set()
-    for path in filter(None, paths):
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        claim_target(path, claimed)
-
-
-def _write_text(path, text):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
-
-
 # -- command handlers ---------------------------------------------------------
 
 
@@ -146,7 +124,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pgt(args) -> int:
-    from .data import load_sample, parse_active_labels, write_all, write_ppm
+    from .data import check_targets, load_sample, parse_active_labels, write_all, write_ppm, write_text
     from .pseudo_gt import blend_pgt, check_blend_alpha, histogram_pgt, pgt_sidecar, tps_pgt
 
     if args.spatial_part is not None and args.mode != "tps":
@@ -156,7 +134,8 @@ def _cmd_pgt(args) -> int:
     labels = () if args.spatial_part is None else parse_active_labels(args.spatial_part, "--spatial-part")
     if args.alpha is not None:
         check_blend_alpha(args.alpha)
-    _check_out_dirs(args.out)
+    sidecar = pgt_sidecar(args.out)
+    check_targets([args.out, sidecar])
     source = load_sample(args.source)
     reference = load_sample(args.ref)
     if args.mode == "tps":
@@ -165,10 +144,9 @@ def _cmd_pgt(args) -> int:
         result = histogram_pgt(source, reference)
     else:
         result = blend_pgt(source, reference) if args.alpha is None else blend_pgt(source, reference, args.alpha)
-    sidecar, text = pgt_sidecar(args.out, result)
     write_all([
         (args.out, lambda path: write_ppm(path, result.image)),
-        (sidecar, lambda path: _write_text(path, text)),
+        (sidecar, lambda path: write_text(path, result.meta_text())),
     ])
     print(args.out)
     return EXIT_OK
@@ -193,7 +171,7 @@ def _load_corpus_pairs(data_dir, size):
 
 
 def _cmd_train(args) -> int:
-    from .data import write_all
+    from .data import check_targets, write_all, write_text
     from .gan import (
         MODEL_KEYS,
         SETTINGS,
@@ -212,23 +190,24 @@ def _cmd_train(args) -> int:
     if args.config:
         settings.update(read_config(args.config))
     config, weights = configs_from_settings(settings)
-    _check_out_dirs(args.out, args.out + ".cfg", args.log)  # the .cfg sidecar sits beside --out
+    sidecar = args.out + ".cfg"
+    check_targets([args.out, sidecar, args.log])
     state = init_train_state(config, seed=settings["seed"])
     couples = _load_corpus_pairs(args.data, config.size)
     spatial_labels = config.warp_labels if config.spatial else ()
     pairs = [prepare_pair(x, y, state.percep, spatial_labels=spatial_labels) for x, y in couples]
     fit(state, pairs, weights, lr=settings["lr"], steps=settings["steps"])
     write_all([
-        (args.out + ".cfg", lambda path: _write_text(path, config_text({key: settings[key] for key in MODEL_KEYS}))),
+        (sidecar, lambda path: write_text(path, config_text({key: settings[key] for key in MODEL_KEYS}))),
         (args.out, lambda path: save_state(path, state)),
-        (args.log, lambda path: _write_text(path, history_csv(state.history))),
+        (args.log, lambda path: write_text(path, history_csv(state.history))),
     ])
     print(f"{args.out} steps={state.iteration} final_J_G={state.history[-1]['J_G']:.6f}")
     return EXIT_OK
 
 
 def _cmd_transfer(args) -> int:
-    from .data import load_sample, read_ppm, write_all, write_ppm
+    from .data import check_targets, load_sample, read_ppm, write_all, write_ppm
     from .gan import MODEL_KEYS, SETTINGS, configs_from_settings, generator_forward, load_generator, read_config
     from .tensor import FormatError
 
@@ -241,7 +220,7 @@ def _cmd_transfer(args) -> int:
             box = ()
         if len(box) != 4:
             raise _UsageError(f"--highres needs --box x,y,w,h as four integers, got {args.box!r}")
-    _check_out_dirs(args.out)
+    check_targets([args.out])
     sidecar = args.model + ".cfg"
     stored = read_config(sidecar)
     # control_grid joined the sidecar later; older models were all trained with the default
@@ -268,11 +247,11 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_warp(args) -> int:
-    from .data import read_ppm, write_all, write_ppm
+    from .data import check_targets, read_ppm, write_all, write_ppm
     from .tensor import ShapeError
     from .tps import read_points, tps_grid, tps_solve, warp_image
 
-    _check_out_dirs(args.out)
+    check_targets([args.out])
     image = read_ppm(args.image)
     src = read_points(args.src_pts)
     dst = read_points(args.dst_pts)
@@ -308,14 +287,15 @@ def _cmd_bench(args) -> int:
         transfer_attributes,
         unflatten_map,
     )
-    from .data import LANDMARK_COUNT, write_all
+    from .data import LANDMARK_COUNT, check_targets, write_all, write_text
     from .gan import GeneratorConfig
     from .tensor import ParameterError, Tensor
 
     if args.seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {args.seed}")
     config = GeneratorConfig(args.size, base_width=args.width, heads=args.heads)
-    _check_out_dirs(args.csv)
+    csv = [] if args.csv is None else [args.csv]  # an empty --csv '' is a path, and is refused
+    check_targets(csv)
     d, hb = config.feature_dim, config.bottleneck
     rng = np.random.default_rng(args.seed)
     params = FatParams(d=d, heads=args.heads, n_landmarks=LANDMARK_COUNT, rng=rng, estimator="random")
@@ -360,9 +340,8 @@ def _cmd_bench(args) -> int:
     fat_ms, sequential_ms = measure_interleaved(batched_pass, sequential_pass)
     print(f"fat_ms={fat_ms:.3f}")
     print(f"sequential_ms={sequential_ms:.3f}")
-    if args.csv:
-        table = f"kind,mean_ms\nfat,{fat_ms:.6f}\nsequential,{sequential_ms:.6f}\n"
-        write_all([(args.csv, lambda path: _write_text(path, table))])
+    table = f"kind,mean_ms\nfat,{fat_ms:.6f}\nsequential,{sequential_ms:.6f}\n"
+    write_all([(path, lambda temp: write_text(temp, table)) for path in csv])
     return EXIT_OK
 
 

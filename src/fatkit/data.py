@@ -38,8 +38,9 @@ __all__ = [
     "synth_face",
     "random_face_params",
     "make_corpus",
-    "claim_target",
+    "check_targets",
     "write_all",
+    "write_text",
     "read_manifest",
     "ascii_lines",
     "write_ppm",
@@ -426,49 +427,57 @@ def make_corpus(out_dir, count: int, size: int, seed: int):
 
 def _corpus_files(out_dir, manifest, count, size, seed):
     """The (path, write) outputs of `make_corpus`, each sample drawn as its
-    files are reached and the manifest last."""
+    files are reached and the manifest last. Child seeds are spawned one at
+    a time: successive `spawn(1)` calls give the children of `spawn(count)`."""
     lines = []
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(count)):
+    root = np.random.SeedSequence(seed)
+    for i in range(count):
         group = "plain" if i % 2 == 0 else "makeup"
-        rng = np.random.default_rng(child)
+        rng = np.random.default_rng(root.spawn(1)[0])
         sample_seed = int(rng.integers(0, 2**31 - 1))
         sample = synth_face(random_face_params(rng, group, seed=sample_seed), size)
         stem = f"{i:04d}"
         yield from _sample_files(out_dir, stem, sample)
         lines.append(f"{stem} {group} {stem}.ppm {stem}.lm {stem}.pgm")
-
-    def write_manifest(path):
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    yield manifest, write_manifest
+    yield manifest, lambda path: write_text(path, "\n".join(lines) + "\n")
 
 
-def claim_target(path, claimed):
-    """Add `path`'s `os.path.realpath` to the set `claimed` of one command's
-    outputs, or raise `ParameterError` naming `path` if an earlier output
-    already names that file."""
+def _check_target(path, claimed):
+    """Refuse `path`, with an error naming it, as the next output of a command
+    whose earlier outputs have the realpaths in `claimed` (the rule of
+    `write_all`); else add its realpath to `claimed`."""
+    if not path or not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path) and not os.path.islink(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     target = os.path.realpath(path)
     if target in claimed:
         raise ParameterError(f"{path}: two outputs of one command name this file")
     claimed.add(target)
 
 
+def check_targets(paths):
+    """Raise, before any work, the error that `write_all` would raise for
+    these output paths in this order, naming the first path it refuses."""
+    claimed = set()
+    for path in paths:
+        _check_target(path, claimed)
+
+
 def write_all(outputs):
     """Write each (path, write) output to a temporary file beside it, then
-    move them into place in order with `os.replace`. A failed write moves
-    nothing and leaves no temporary file behind, and neither does a target
-    that is an existing directory or that an earlier output also names (by
-    `os.path.realpath`): each raises an error naming the target before its
-    output is made. A symlink target is replaced, as `os.replace` does.
-    `outputs` may be a generator: each output is made only when the one
-    before it is written."""
+    move them into place in order with `os.replace`. Each target is checked
+    as `check_targets` checks it before its output is made: an empty path, a
+    missing directory, an existing directory or a file an earlier output
+    also names (by `os.path.realpath`) raises an error naming the target. A
+    symlink target is replaced, as `os.replace` does, even one that points
+    at a directory. A refused target or a failed write moves nothing and
+    leaves no temporary file behind. `outputs` may be a generator: each
+    output is made only when the one before it is written."""
     temps, targets = [], set()
     try:
         for path, write in outputs:
-            if os.path.isdir(path) and not os.path.islink(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            claim_target(path, targets)
+            _check_target(path, targets)
             temps.append((f"{path}.{os.getpid()}.tmp", path))
             write(temps[-1][0])
         for temp, path in temps:
@@ -477,6 +486,12 @@ def write_all(outputs):
         for temp, _ in temps:
             if os.path.exists(temp):
                 os.remove(temp)
+
+
+def write_text(path, text: str):
+    """Write `text` to `path` as ASCII: every text file fatkit writes."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
 def read_manifest(path):
@@ -597,10 +612,7 @@ def read_pgm(path) -> np.ndarray:
 def write_point_text(path, magic: str, points: np.ndarray):
     """Text point set: header '<magic> 1 <K>' then K 'x y' lines."""
     pts = np.asarray(points, dtype=np.float64)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{magic} 1 {pts.shape[0]}\n")
-        for x, y in pts:
-            fh.write(f"{x:.9f} {y:.9f}\n")
+    write_text(path, f"{magic} 1 {pts.shape[0]}\n" + "".join(f"{x:.9f} {y:.9f}\n" for x, y in pts))
 
 
 def read_point_text(path, magic: str, count, lo: float, hi: float) -> np.ndarray:

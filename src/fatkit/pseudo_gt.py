@@ -63,6 +63,14 @@ class PseudoGT:
     mode: str  # tps-color | tps-spatial | histogram | blend
     parts_refined: tuple = ()
 
+    def meta_text(self) -> str:
+        """The one line of its `pgt_sidecar`: `mode=<mode>` and, when parts
+        were refined, ` parts=<comma ids>`."""
+        line = f"mode={self.mode}"
+        if self.parts_refined:
+            line += " parts=" + ",".join(str(p) for p in self.parts_refined)
+        return line + "\n"
+
 
 def _unit(landmarks: np.ndarray) -> np.ndarray:
     """[0,1] image coordinates -> [-1,1] warp coordinates."""
@@ -279,14 +287,8 @@ def blend_pgt(source: FaceSample, reference: FaceSample, alpha: float = 0.8) -> 
     return PseudoGT(image=np.clip(out, 0.0, 1.0), mode="blend", parts_refined=())
 
 
-def pgt_sidecar(path, pgt: PseudoGT):
-    """The sidecar path and text of a pseudo-GT image written at `path`.
-
-    The sidecar sits next to the image with a .meta extension and holds one
-    line, `mode=<mode>` and, when parts were refined, ` parts=<comma ids>`.
-    """
-    line = f"mode={pgt.mode}"
-    if pgt.parts_refined:
-        line += " parts=" + ",".join(str(p) for p in pgt.parts_refined)
-    return os.path.splitext(str(path))[0] + ".meta", line + "\n"
-
+def pgt_sidecar(path) -> str:
+    """The .meta sidecar path of a pseudo-GT image written at `path`. It
+    depends on `path` alone, so a command can check it before it builds the
+    pseudo-GT; `PseudoGT.meta_text` gives the sidecar's text."""
+    return os.path.splitext(str(path))[0] + ".meta"

@@ -1014,7 +1014,7 @@ def test_single_output_failed_write_leaves_no_output(corpus, tmp_path, capsys, m
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")  # the bench thread cap must not outlive this test
     monkeypatch.setattr(fatkit.data, "write_ppm", fill_the_disk)
-    monkeypatch.setattr(cli, "_write_text", fill_the_disk)
+    monkeypatch.setattr(fatkit.data, "write_text", fill_the_disk)
     code = cli.main([command, *map(str, argv)])
     err = capsys.readouterr().err.splitlines()
     assert code == 2
@@ -1032,7 +1032,7 @@ def test_pgt_writes_image_and_sidecar_all_or_nothing(corpus, tmp_path, capsys, m
     if failing == "image":
         monkeypatch.setattr(fatkit.data, "write_ppm", fill_the_disk)
     elif failing == "sidecar":
-        monkeypatch.setattr(cli, "_write_text", fill_the_disk)
+        monkeypatch.setattr(fatkit.data, "write_text", fill_the_disk)
     code = cli.main(["pgt", "--source", str(corpus / "0000.ppm"), "--ref", str(corpus / "0001.ppm"),
                      "--mode", "hist", "--out", str(out / "p.ppm")])
     err = capsys.readouterr().err.splitlines()
@@ -1074,13 +1074,64 @@ def test_sidecar_that_is_a_directory_moves_no_output(corpus, tmp_path, capsys, c
 
 
 
+def unexpected_work(name):
+    """A stand-in for a command's work function that fails the test if it runs."""
+    def work(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+    return work
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("transfer", "--out"), ("warp", "--out"), ("pgt", "--out"),
+    ("train", "--out"), ("train", "--log"), ("bench", "--csv"),
+])
+def test_empty_output_path_fails_before_any_work(corpus, tmp_path, capsys, monkeypatch, command, flag):
+    # '' is a path, not an unset flag: it is refused on one line before any
+    # input is read, with the error that writing it would raise
+    import fatkit.attention
+    import fatkit.gan
+    import fatkit.pseudo_gt
+    import fatkit.tps
+    from fatkit.cli import main
+
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    saved_model(inputs / "m.fatw")
+    write_points(inputs / "p.txt", np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]))
+    pair = ["--source", corpus / "0000.ppm", "--ref", corpus / "0001.ppm"]
+    argv, work, flags = {
+        "transfer": (["--model", inputs / "m.fatw", *pair], (fatkit.gan, "generator_forward"), ["--out"]),
+        "warp": (["--image", corpus / "0000.ppm", "--src-pts", inputs / "p.txt", "--dst-pts", inputs / "p.txt"],
+                 (fatkit.tps, "tps_solve"), ["--out"]),
+        "pgt": ([*pair, "--mode", "hist"], (fatkit.pseudo_gt, "histogram_pgt"), ["--out"]),
+        "train": (["--data", corpus, "--steps", 1, "--size", 48, "--width", 4], (fatkit.gan, "fit"),
+                  ["--out", "--log"]),
+        "bench": (["--size", 16, "--width", 4, "--iters", 1], (fatkit.attention, "fat_forward"), ["--csv"]),
+    }[command]
+    for name in flags:
+        argv += [name, "" if name == flag else name.strip("-") + ".file"]
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the bench thread cap must not outlive this test
+    monkeypatch.setattr(*work, unexpected_work(work[1]))
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    code = main([command, *map(str, argv)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"fatkit {command}: [Errno 2] No such file or directory: ''"]
+    assert list(run.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["pgt", "train"])
-def test_two_outputs_naming_one_file_leave_no_output(corpus, tmp_path, capsys, command):
+def test_two_outputs_naming_one_file_leave_no_output(corpus, tmp_path, capsys, monkeypatch, command):
     # `pgt --out x.meta` names its own sidecar; `train --out m --log m`
-    # names the checkpoint twice. The second is refused before it is written
+    # names the checkpoint twice. The second is refused before it is written,
+    # and pgt refuses it before it builds the pseudo-GT
+    import fatkit.pseudo_gt
     from fatkit.cli import main
 
     if command == "pgt":
+        monkeypatch.setattr(fatkit.pseudo_gt, "histogram_pgt", unexpected_work("histogram_pgt"))
         argv = ["--source", corpus / "0000.ppm", "--ref", corpus / "0001.ppm", "--mode", "hist",
                 "--out", tmp_path / "img.meta"]
         clash = tmp_path / "img.meta"
@@ -1107,10 +1158,7 @@ def test_train_refuses_two_outputs_naming_one_file_before_reading_input(tmp_path
     import fatkit.gan
     from fatkit.cli import main
 
-    def unexpected(*args, **kwargs):
-        raise AssertionError("fit ran")
-
-    monkeypatch.setattr(fatkit.gan, "fit", unexpected)
+    monkeypatch.setattr(fatkit.gan, "fit", unexpected_work("fit"))
     monkeypatch.chdir(tmp_path)
     code = main(["train", "--data", "missing", "--steps", "1", "--size", "48", "--width", "4",
                  "--out", out, "--log", log])

@@ -12,6 +12,7 @@ from fatkit.data import (
     FormatError,
     ParameterError,
     SynthFaceParams,
+    check_targets,
     load_sample,
     make_corpus,
     parse_active_labels,
@@ -257,6 +258,26 @@ def test_make_corpus_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_make_corpus_draws_child_seeds_one_at_a_time(tmp_path, monkeypatch):
+    # spawn(count) would hold every child seed, 376 bytes each, before the
+    # first file is written; the first sample fails, so only one is drawn
+    import tracemalloc
+
+    def first_face_fails(*args):
+        raise ParameterError("first face")
+
+    monkeypatch.setattr(data, "synth_face", first_face_fails)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="first face"):
+            make_corpus(tmp_path / "c", count=10**5, size=8, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"make_corpus peaked at {peak / 1e6:.1f} MB before its first sample"
+    assert not (tmp_path / "c").exists()
+
+
 def test_make_corpus_count_validation(tmp_path):
     with pytest.raises(ParameterError):
         make_corpus(tmp_path / "x", count=1, size=16, seed=0)
@@ -337,6 +358,39 @@ def test_write_all_replaces_a_symlink_but_refuses_a_directory(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "d", "link"]
     assert list((tmp_path / "d").iterdir()) == []
 
+
+
+@pytest.mark.parametrize("case", ["file", "empty", "missing directory", "directory", "symlink to a directory",
+                                  "same realpath"])
+def test_check_targets_accepts_and_refuses_what_write_all_does(tmp_path, monkeypatch, case):
+    # one rule decides both: the same error, naming the same path, or none
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "d")
+    paths = {
+        "file": ["a.pgm", "d/b.pgm"],
+        "empty": ["a.pgm", ""],
+        "missing directory": ["a.pgm", "gone/b.pgm"],
+        "directory": ["a.pgm", "d"],
+        "symlink to a directory": ["a.pgm", "link"],
+        "same realpath": ["a.pgm", "d/../a.pgm"],
+    }[case]
+
+    def outcome(run):
+        try:
+            run()
+        except (OSError, ValueError) as exc:
+            return type(exc), str(exc)
+        return None
+
+    checked = outcome(lambda: check_targets(paths))
+    written = outcome(lambda: write_all([(path, lambda temp: write_pgm(temp, np.zeros((1, 1)))) for path in paths]))
+    assert checked == written
+    refused = case not in ("file", "symlink to a directory")
+    assert (checked is not None) == refused
+    if refused:
+        assert checked[1].endswith(repr(paths[1])) or checked[1].startswith(f"{paths[1]}: ")
+        assert not (tmp_path / "a.pgm").exists()
 
 
 def test_write_all_refuses_a_target_an_earlier_output_names(tmp_path):

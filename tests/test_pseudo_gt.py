@@ -376,6 +376,5 @@ def test_blend_rejects_bad_alpha(plain_face, makeup_face):
 
 def test_write_pgt_sidecar(tmp_path, plain_face, makeup_face):
     gt = color_pgt(plain_face, makeup_face)
-    sidecar, text = pgt_sidecar(tmp_path / "result.ppm", gt)
-    assert sidecar == str(tmp_path / "result.meta")
-    assert text == "mode=tps-color parts=2,3,4,5,6\n"
+    assert pgt_sidecar(tmp_path / "result.ppm") == str(tmp_path / "result.meta")
+    assert gt.meta_text() == "mode=tps-color parts=2,3,4,5,6\n"
