@@ -74,7 +74,10 @@ class _Node:
     of its parents and its op name. It holds no value, so an interior value
     lives only while the caller or some backward closure holds its array.
     `_rebuild` is None or a function that remakes the value, bit for bit,
-    from arrays the node's own backward already holds (see `_kept`)."""
+    from its operands' kept values (see `_kept`). A recipe keeps those
+    values alive, so it pays only on an op whose output some backward
+    reads: `relu`, whose input its own backward holds, and `concat`, whose
+    parts are often held by other backwards or shared between calls."""
 
     __slots__ = ("_parents", "_backward", "_op", "_rebuild")
     requires_grad = True
@@ -95,8 +98,9 @@ class Tensor:
     itself, and each backward closure holds only the arrays it reads. So an
     activation that no backward reads, such as a conv output that feeds
     `instance_norm`, is freed as soon as the caller drops it. A node may
-    also say how to rebuild its value from an array its own backward holds;
-    `relu` does, so a backward that reads a ReLU output (a conv's weight
+    also say how to rebuild its value from its operands' kept values;
+    `relu` and `concat` do, so a backward that reads a ReLU output (a
+    conv's weight gradient) or a concatenation (a projection's weight
     gradient) keeps the recipe and the output dies with its caller too.
     `_parents`, `_backward` and `_op` read through to the node; a leaf reads
     `()`, `None` and "leaf". Calling `backward()` on a scalar result
@@ -425,15 +429,25 @@ def transpose(x: Tensor, axes=None) -> Tensor:
 
 
 def concat(parts, axis=0) -> Tensor:
+    """The parts joined along `axis`.
+
+    The node's rebuild recipe joins the parts' kept values again, so a
+    backward that reads the result (a `matmul` by a projection, a
+    `linear_solve` of a TPS system) keeps the parts, not a second copy of
+    them side by side. The parts are often held anyway: a FAT block's query
+    features by `color_transform`'s product, its landmark embedding by
+    every call of that face.
+    """
     parts = [_as_tensor(p) for p in parts]
     data = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
+    kept = [_kept(p) for p in parts]
 
     def back(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _from_op(data, tuple(parts), back, "concat")
+    return _from_op(data, tuple(parts), back, "concat", lambda: np.concatenate([v() for v in kept], axis=axis))
 
 
 # -- linear algebra ---------------------------------------------------------
@@ -517,6 +531,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _from_op(y, (x,), lambda g: (_softmax_grad(g, y, axis),), "softmax")
 
 
+QUERY_BLOCK = 256  # query rows per block of `mixed_attention`
+
+
 def mixed_attention(q: Tensor, keys: Tensor, w_mix: Tensor, values: Tensor) -> Tensor:
     """k-head scaled dot-product attention, heads mixed by softmax(w_mix),
     times the values.
@@ -526,16 +543,24 @@ def mixed_attention(q: Tensor, keys: Tensor, w_mix: Tensor, values: Tensor) -> T
     The attention is the (M, M') matrix A = sum_h softmax(w_mix)_h *
     softmax_rows(q_h @ keys_h.T), row-stochastic like each head. One batched
     GEMM and one max-subtracted softmax, in place on the fresh scores, give
-    all k heads' (k, M, M') attention at once. The op returns A @ values, as
-    a Transformer moves its values; the identity as values gives A itself.
+    all k heads' attention at once. The op returns A @ values, as a
+    Transformer moves its values; the identity as values gives A itself.
+
+    The op walks the query rows in blocks of `QUERY_BLOCK` rows, in the
+    forward and in the backward, so it never holds more than a block's
+    (k, b, M') scores, as in memory-efficient attention (Rabe and Staats,
+    2021). The backward writes each block's rows of the query gradient and
+    sums the key, value and mix gradients over the blocks in row order.
 
     The node keeps q, keys, values and the k mix weights, never the per-head
-    scores or A: the one backward recomputes the scores from q and keys and
-    rebuilds A from them, so the value product shares the recompute, as in
-    FlashAttention (Dao et al., NeurIPS 2022). A call keeps (M + M') * k*dk
-    floats and the values, not k*M*M'. Forward and gradients equal, bit for
-    bit, those of the same attention composed from `matmul`, `softmax`,
-    `reshape` and `transpose`, with a `matmul` by the values.
+    scores or A: the backward recomputes each block's scores from q and keys
+    and rebuilds its rows of A from them, so the value product shares the
+    recompute, as in FlashAttention (Dao et al., NeurIPS 2022). A call keeps
+    (M + M') * k*dk floats and the values, not k*M*M'. With M at most one
+    block, forward and gradients equal, bit for bit, those of the same
+    attention composed from `matmul`, `softmax`, `reshape` and `transpose`,
+    with a `matmul` by the values; with more blocks only the order of the
+    sums over blocks differs.
     """
     q, keys, w_mix, values = _as_tensor(q), _as_tensor(keys), _as_tensor(w_mix), _as_tensor(values)
     if q.ndim != 2 or keys.ndim != 2 or w_mix.ndim != 1 or not w_mix.size or q.shape[1] != keys.shape[1] \
@@ -545,30 +570,57 @@ def mixed_attention(q: Tensor, keys: Tensor, w_mix: Tensor, values: Tensor) -> T
         raise ShapeError(f"attention values need (M',dv) rows for keys {keys.shape}, got {values.shape}")
     k = w_mix.shape[0]
     m, mp, dk = q.shape[0], keys.shape[0], q.shape[1] // k
+    block = QUERY_BLOCK
 
-    def scores(qd, kd):
-        qh = np.ascontiguousarray(qd.reshape(m, k, dk).transpose(1, 0, 2))  # (k, M, dk)
-        rh = np.ascontiguousarray(kd.reshape(mp, k, dk).transpose(1, 2, 0))  # (k, dk, M')
+    def key_heads(kd):
+        return np.ascontiguousarray(kd.reshape(mp, k, dk).transpose(1, 2, 0))  # (k, dk, M')
+
+    def heads(qd, rh, i):
+        """The (k, b, dk) query heads of the block at row i and its (k, b, M')
+        per-head attention."""
+        qb = qd[i : i + block]
+        qh = np.ascontiguousarray(qb.reshape(qb.shape[0], k, dk).transpose(1, 0, 2))
         s = qh @ rh
-        return qh, rh, _softmax_body(s, 2, out=s)
+        return qh, _softmax_body(s, 2, out=s)
 
-    def mixed(heads):
-        return (mix @ heads.reshape(k, m * mp)).reshape(m, mp)
+    def mixed(hb):
+        return (mix @ hb.reshape(k, -1)).reshape(hb.shape[1], mp)
 
     mix = _softmax_body(w_mix.data, 0).reshape(1, k)
-    out = mixed(scores(q.data, keys.data)[2]) @ values.data
+    rh = key_heads(keys.data)
+    out = np.empty((m, values.shape[1]))
+    for i in range(0, m, block):
+        np.matmul(mixed(heads(q.data, rh, i)[1]), values.data, out=out[i : i + block])
     qv, kv, vv = _kept(q), _kept(keys), _kept(values)
 
     def back(g):
-        qh, rh, heads = scores(qv(), kv())
-        gvalues = mixed(heads).T @ g
-        g = (g @ vv().T).reshape(1, m * mp)
-        gmix = g @ heads.reshape(k, m * mp).T
-        gs = (mix.T * g).reshape(k, m, mp)  # K=1: a product, not a GEMM
-        _softmax_grad(gs, heads, 2, out=gs)
-        gq = np.transpose(gs @ rh.swapaxes(-1, -2), (1, 0, 2)).reshape(m, k * dk)
-        gkeys = np.transpose(qh.swapaxes(-1, -2) @ gs, (2, 0, 1)).reshape(mp, k * dk)
-        return (gq, gkeys, _softmax_grad(gmix.reshape(k), mix.reshape(k), 0), gvalues)
+        qd, vd, rh = qv(), vv(), key_heads(kv())
+        gq = np.empty((m, k, dk))
+
+        def block_grads(i):
+            """Write the block's query gradient rows; return its key, value
+            and mix gradients."""
+            qh, hb = heads(qd, rh, i)
+            gb = g[i : i + block]
+            gvalues = mixed(hb).T @ gb
+            ga = (gb @ vd.T).reshape(1, -1)
+            gmix = ga @ hb.reshape(k, -1).T
+            gs = (mix.T * ga).reshape(hb.shape)  # K=1: a product, not a GEMM
+            # drop gA and A once read, before the products below allocate
+            del ga
+            _softmax_grad(gs, hb, 2, out=gs)
+            del hb
+            gq[i : i + block] = np.transpose(gs @ rh.swapaxes(-1, -2), (1, 0, 2))
+            gkeys = np.transpose(qh.swapaxes(-1, -2) @ gs, (2, 0, 1)).reshape(mp, k * dk)
+            return gkeys, gvalues, gmix
+
+        # the first block starts the sums, so M = 0 gives zero gradients
+        sums = block_grads(0)
+        for i in range(block, m, block):
+            for total, part in zip(sums, block_grads(i)):
+                total += part
+        gkeys, gvalues, gmix = sums
+        return (gq.reshape(m, k * dk), gkeys, _softmax_grad(gmix.reshape(k), mix.reshape(k), 0), gvalues)
 
     return _from_op(out, (q, keys, w_mix, values), back, "attention")
 
@@ -789,9 +841,9 @@ def _bilinear(image: np.ndarray, grid: np.ndarray):
 
     image: (C,H,W); grid: (h',w',2) with (x,y) in [-1,1] addressing pixel
     centers. Returns the sampled (C,h',w') array together with the four
-    gathered corner values, their clamped flat indices `y*W + x` into the
-    (C, H*W) image (top-left, top-right, bottom-left, bottom-right) and the
-    fractional weights (fx, fy), which the backward of `grid_sample` reuses.
+    corners' clamped flat indices `y*W + x` into the (C, H*W) image
+    (top-left, top-right, bottom-left, bottom-right) and the fractional
+    weights (fx, fy), which the backward of `grid_sample` reuses.
     """
     c, h, w = image.shape
     x0i, x1i, fx = _axis_taps(grid[..., 0], w)
@@ -799,11 +851,10 @@ def _bilinear(image: np.ndarray, grid: np.ndarray):
     r0, r1 = y0i * w, y1i * w
     flat_idx = (r0 + x0i, r0 + x1i, r1 + x0i, r1 + x1i)
     flat = image.reshape(c, h * w)
-    corners = tuple(np.take(flat, i, axis=1) for i in flat_idx)
-    v00, v01, v10, v11 = corners
+    v00, v01, v10, v11 = (np.take(flat, i, axis=1) for i in flat_idx)
     top = v00 * (1.0 - fx) + v01 * fx
     bot = v10 * (1.0 - fx) + v11 * fx
-    return top * (1.0 - fy) + bot * fy, corners, flat_idx, fx, fy
+    return top * (1.0 - fy) + bot * fy, flat_idx, fx, fy
 
 
 def bilinear_sample(image: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -821,16 +872,22 @@ def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
 
     Out-of-range coordinates clamp to the border. Differentiable in both the
     image and the grid; where both interpolation neighbours clamp to the same
-    border pixel the grid gradient is exactly zero.
+    border pixel the grid gradient is exactly zero. The backward keeps the
+    input through `_kept`, the four corner indices and the fractional
+    weights, and gathers the four (C, h'*w') corner arrays again with the
+    forward's `np.take`, so the node holds no copy of the input's values.
     """
     x, grid = _as_tensor(x), _as_tensor(grid)
     if x.ndim != 3 or grid.ndim != 3 or grid.shape[-1] != 2:
         raise ShapeError(f"grid_sample expects (C,H,W) and (h,w,2), got {x.shape}, {grid.shape}")
     c, h, w = x.shape
     gshape = grid.shape
-    out, (v00, v01, v10, v11), flat_idx, fx, fy = _bilinear(x.data, grid.data)
+    out, flat_idx, fx, fy = _bilinear(x.data, grid.data)
+    xv = _kept(x)
 
     def back(g):
+        flat = xv().reshape(c, h * w)
+        v00, v01, v10, v11 = (np.take(flat, i, axis=1) for i in flat_idx)
         cx, cy = 1.0 - fx, 1.0 - fy
         # corner-major, then channel, then position: each bin sums its terms
         # in the order of four sequential np.add.at passes, one per corner

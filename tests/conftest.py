@@ -1,4 +1,5 @@
-"""Shared test helpers: finite-difference gradient oracle and RNG fixtures."""
+"""Shared test helpers: finite-difference gradient oracle, graph walker and
+RNG fixtures."""
 
 import numpy as np
 import pytest
@@ -42,6 +43,73 @@ def check_grads(fn, tensors, h=1e-5, tol=1e-4):
         worst = max(worst, rel)
     assert worst <= tol, f"max relative gradient error {worst:.3e} exceeds {tol:.1e}"
     return worst
+
+
+def closure_values(fn, seen=None):
+    """Every value a function holds in its closure cells and defaults,
+    looking inside the tuples and lists it holds and through the functions
+    it holds (a `_kept` getter, a rebuild recipe), each function once."""
+    seen = set() if seen is None else seen
+    if id(fn) in seen:
+        return
+    seen.add(id(fn))
+    pending = [cell.cell_contents for cell in fn.__closure__ or ()] + list(fn.__defaults__ or ())
+    while pending:
+        value = pending.pop()
+        if isinstance(value, (tuple, list)):
+            pending.extend(value)
+        elif callable(value) and hasattr(value, "__closure__"):
+            yield from closure_values(value, seen)
+        else:
+            yield value
+
+
+def closure_arrays(fn):
+    """Every array a backward closure or a rebuild recipe holds."""
+    return (v for v in closure_values(fn) if isinstance(v, np.ndarray))
+
+
+def base_buffer(a):
+    """The array that owns the memory of `a`."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def node_held_arrays(node):
+    """The base buffers of every array a graph node holds, through its
+    backward closure and its rebuild recipe."""
+    fns = [fn for fn in (node._backward, node._rebuild) if fn is not None]
+    return {id(b): b for fn in fns for b in map(base_buffer, closure_arrays(fn))}
+
+
+def graph_held(out):
+    """What `out`'s graph holds: op name -> the base buffers its nodes hold.
+
+    Follows every node's backward closure and rebuild recipe, and counts
+    each base buffer once, under the first node found holding it, so an
+    array that several backwards share (a parameter, a kept input) and a
+    view of an array another node holds add nothing twice.
+    """
+    stack, nodes, buffers, held = [out._node], set(), set(), {}
+    while stack:
+        node = stack.pop()
+        if node is None or id(node) in nodes or node._backward is None:
+            continue
+        nodes.add(id(node))
+        mine = held.setdefault(node._op, [])
+        for key, b in node_held_arrays(node).items():
+            if key not in buffers:
+                buffers.add(key)
+                mine.append(b)
+        stack.extend(node._parents)
+    return held
+
+
+def graph_ops_and_held_sizes(out):
+    """The op names of `out`'s graph and the sizes of the buffers it holds."""
+    held = graph_held(out)
+    return set(held), {b.size for arrays in held.values() for b in arrays}
 
 
 def leaf(rng, *shape, scale=1.0):

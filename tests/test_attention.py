@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import check_grads, composed_attention, zero_grads
+from conftest import base_buffer, check_grads, composed_attention, graph_held, graph_ops_and_held_sizes, zero_grads
 from fatkit.attention import (
     FatParams,
     color_transform,
@@ -263,32 +263,6 @@ def test_fat_forward_gradients(rng):
     check_grads(f, leaves, tol=1e-4)
 
 
-def closure_arrays(fn):
-    """Every array a backward closure holds, through the functions it holds."""
-    for cell in fn.__closure__ or ():
-        value = cell.cell_contents
-        for item in value if isinstance(value, tuple) else (value,):
-            if isinstance(item, np.ndarray):
-                yield item
-            elif callable(item) and getattr(item, "__closure__", None):
-                yield from closure_arrays(item)
-
-
-def graph_ops_and_held_sizes(out):
-    """The op names of `out`'s graph and the sizes of every array its
-    backward closures hold."""
-    stack, seen, ops, sizes = [out._node], set(), set(), set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen or node._backward is None:
-            continue
-        seen.add(id(node))
-        ops.add(node._op)
-        sizes.update(a.size for a in closure_arrays(node._backward))
-        stack.extend(node._parents)
-    return ops, sizes
-
-
 def test_fat_forward_keeps_no_per_head_scores(rng):
     # the attention node recomputes its (k, M, M') scores in the backward,
     # so no closure of the block's graph holds an array of that size
@@ -309,6 +283,19 @@ def test_fat_forward_keeps_no_attention_matrix(rng):
     _, y, _, le_y = random_case(rng, h=6, w=6)
     ops, sizes = graph_ops_and_held_sizes(fat_forward(x, y, le_x, le_y, make_params(rng)))
     assert "attention" in ops and "matmul" in ops and max(sizes) < m * mp
+
+
+def test_fat_forward_keeps_no_augmented_rows(rng):
+    # each projection's matmul keeps the concat's recipe over the features
+    # and the landmark embedding, not the (rows, d + 2N) augmented matrix
+    d, n = 6, 4
+    x, _, le_x, _ = random_case(rng, d=d, n=n, h=4, w=4)
+    _, y, _, le_y = random_case(rng, d=d, n=n, h=3, w=3)
+    x, y = Tensor(x.data, requires_grad=True), Tensor(y.data, requires_grad=True)
+    held = [b for arrays in graph_held(fat_forward(x, y, le_x, le_y, make_params(rng, d=d, n=n))).values()
+            for b in arrays]
+    assert not {(16, d + 2 * n), (9, d + 2 * n)} & {b.shape for b in held}
+    assert any(b is base_buffer(le_x) for b in held) and any(b is base_buffer(le_y) for b in held)
 
 
 def test_permutation_equivariance_of_transfer(rng):

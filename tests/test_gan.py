@@ -303,13 +303,14 @@ def test_train_step_increments_and_changes_parameters():
 
 
 @functools.cache
-def second_step_peak(spatial):
-    """The tracemalloc peak of the second `train_step` on the default 64 px
-    config, colour or spatial, at seed 5. The set-up is deterministic, so each
-    config is measured once and every bound below reads that measurement."""
+def second_step_peak(spatial, size=64):
+    """The tracemalloc peak of the second `train_step` on the default config,
+    64 px unless `size` says otherwise, colour or spatial, at seed 5. The
+    set-up is deterministic, so each config is measured once and every bound
+    below reads that measurement."""
     import tracemalloc
 
-    cfg = GeneratorConfig(spatial=spatial)
+    cfg = GeneratorConfig(spatial=spatial, size=size)
     state = init_train_state(cfg, seed=5)
     x, y = faces(size=cfg.size)
     pair = prepare_pair(x, y, state.percep, spatial_labels=cfg.warp_labels if spatial else ())
@@ -370,6 +371,25 @@ def test_train_step_memory_peak_with_graph_freed_as_walked(spatial, bound):
     # whose loop variables kept a node's last parent and gradients one node
     # longer
     assert second_step_peak(spatial=spatial) < bound
+
+
+@pytest.mark.parametrize("spatial, bound", [(False, 19.8e6), (True, 27.8e6)])
+def test_train_step_memory_peak_with_concat_recipes_and_kept_sampler_input(spatial, bound):
+    # a projection's matmul keeps the concat's recipe over the features and
+    # the landmark embedding, not the augmented rows, and grid_sample keeps
+    # its input, not four corner arrays. The second step peaked at 20.6 MB
+    # (colour) and 29.9 MB (spatial) under tracemalloc before, and at 19.1
+    # and 25.7 MB since; each bound is midway
+    assert second_step_peak(spatial=spatial) < bound
+
+
+def test_128px_train_step_memory_peak_with_attention_in_query_blocks():
+    # at 128 px attention runs over M = M' = 1024 rows, so each head's scores
+    # take 8.4 MB; in blocks of 256 query rows the forward and the backward
+    # hold one block's scores at a time. The second colour step peaked at
+    # 121.7 MB under tracemalloc before the blocks and the changes above,
+    # and at 72.7 MB since; the bound is midway
+    assert second_step_peak(spatial=False, size=128) < 97.2e6
 
 
 def test_train_bit_identical_across_runs():

@@ -5,7 +5,10 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import check_grads, composed_attention, finite_diff_grads, leaf
+import fatkit.tensor
+from conftest import (
+    base_buffer, check_grads, closure_values, composed_attention, finite_diff_grads, leaf, node_held_arrays,
+)
 from fatkit.tensor import (
     AdamState,
     FormatError,
@@ -478,6 +481,37 @@ def test_mixed_attention_rejects_mismatched_shapes(rng):
         mixed_attention(leaf(rng, 4, 6), leaf(rng, 3, 6), leaf(rng, 2))
 
 
+def attention_run(inputs, g):
+    """`mixed_attention`'s output and its four gradients under the output
+    gradient g."""
+    zero_grads(inputs)
+    out = mixed_attention(*inputs)
+    (out * g).sum().backward()
+    return [out.data] + [t.grad for t in inputs]
+
+
+def test_mixed_attention_query_blocks_match_one_block(rng, monkeypatch):
+    # M = 20 rows in blocks of 8 (the last one short): the forward and the
+    # query gradient are row blocks of the one-block result, and the key,
+    # value and mix gradients are sums over the blocks in another order
+    inputs = [leaf(rng, 20, 6, scale=2.0), leaf(rng, 9, 6, scale=2.0), leaf(rng, 2), leaf(rng, 9, 5)]
+    g = Tensor(rng.normal(size=(20, 5)))
+    whole = attention_run(inputs, g)
+    monkeypatch.setattr(fatkit.tensor, "QUERY_BLOCK", 8)
+    for got, ref in zip(attention_run(inputs, g), whole):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    check_grads(lambda *a: (mixed_attention(*a) * g).sum(), inputs, tol=1e-5)
+
+
+def test_mixed_attention_without_query_rows(rng):
+    # M = 0 gives a (0, dv) output and zero key, value and mix gradients
+    inputs = [leaf(rng, 0, 6), leaf(rng, 3, 6), leaf(rng, 2), leaf(rng, 3, 5)]
+    out, gq, gkeys, gmix, gvalues = attention_run(inputs, Tensor(np.zeros((0, 5))))
+    assert out.shape == (0, 5) and gq.shape == (0, 6)
+    for grad, shape in ((gkeys, (3, 6)), (gmix, (2,)), (gvalues, (3, 5))):
+        np.testing.assert_array_equal(grad, np.zeros(shape))
+
+
 def test_getitem_gradient_counts_repeated_indices(rng):
     # an integer-array key may pick one element several times; each pick
     # adds its share of the gradient
@@ -817,6 +851,31 @@ def test_relu_keeps_its_input_and_rebuilds_its_output_bits(rng):
     assert y._node._rebuild().tobytes() == y.data.tobytes()
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+def test_concat_keeps_its_parts_and_rebuilds_its_value_bits(rng, axis):
+    # the recipe joins the parts' kept values, a ReLU output rebuilt from
+    # its input among them, and a matmul of the result reads the recipe
+    parts = [relu(leaf(rng, 4, 3)), leaf(rng, 4, 3), Tensor(rng.normal(size=(4, 3)))]
+    y = concat(parts, axis=axis)
+    assert y._node._rebuild().tobytes() == y.data.tobytes()
+    held = node_held_arrays(y._node)
+    assert all(id(base_buffer(p.data)) in held for p in parts[1:])
+    w = leaf(rng, y.shape[1], 2)
+    out, kept = matmul(y, w), matmul(Tensor(y.data.copy(), requires_grad=True), w)
+    g = rng.normal(size=out.shape)
+    for got, ref in zip(out._backward(g), kept._backward(g)):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_grid_sample_keeps_its_input_not_its_corners(rng):
+    # the backward gathers the four (C, h'*w') corner arrays again from the
+    # kept input, so the node holds none of them
+    x, grid = leaf(rng, 3, 5, 6), leaf(rng, 4, 7, 2, scale=1.2)
+    held = node_held_arrays(grid_sample(x, grid)._node)
+    assert id(base_buffer(x.data)) in held
+    assert all(b.size != 3 * 4 * 7 for key, b in held.items() if key != id(base_buffer(x.data)))
+
+
 @pytest.mark.parametrize("op, wshape, stride", [
     (conv2d, (6, 4, 3, 3), 1), (conv2d, (4, 4, 3, 3), 1), (conv2d, (2, 4, 3, 3), 1),
     (conv2d, (6, 4, 3, 3), 2), (conv2d, (3, 4, 1, 1), 1),
@@ -837,8 +896,9 @@ def test_weight_gradient_of_a_relu_output_equals_kept_output_bits(rng, op, wshap
 
 
 def test_no_backward_closure_holds_a_tensor(rng):
-    # each backward holds the arrays it reads, never an operand Tensor, so no
-    # closure keeps a whole value alive for the graph's sake
+    # each backward and rebuild recipe holds the arrays it reads, never an
+    # operand Tensor, so no closure keeps a whole value alive for the graph's
+    # sake
     a, b = leaf(rng, 3, 4), leaf(rng, 3, 4)
     img, grid = leaf(rng, 4, 6, 6), leaf(rng, 5, 5, 2, scale=0.5)
     square = Tensor(rng.normal(size=(3, 3)) + 4.0 * np.eye(3), requires_grad=True)
@@ -858,10 +918,8 @@ def test_no_backward_closure_holds_a_tensor(rng):
         grid_sample(img, grid),
     ]
     for out in outs:
-        back = out._backward
-        held = [cell.cell_contents for cell in back.__closure__ or ()] + list(back.__defaults__ or ())
-        held += [v for h in held if isinstance(h, (tuple, list)) for v in h]
-        assert not any(isinstance(h, Tensor) for h in held), out._op
+        fns = [fn for fn in (out._node._backward, out._node._rebuild) if fn is not None]
+        assert not any(isinstance(v, Tensor) for fn in fns for v in closure_values(fn)), out._op
 
 
 @pytest.mark.parametrize("operand", ["number", "tensor"])
