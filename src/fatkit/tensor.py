@@ -76,8 +76,10 @@ class _Node:
     `_rebuild` is None or a function that remakes the value, bit for bit,
     from its operands' kept values (see `_kept`). A recipe keeps those
     values alive, so it pays only on an op whose output some backward
-    reads: `relu`, whose input its own backward holds, and `concat`, whose
-    parts are often held by other backwards or shared between calls."""
+    reads, or whose operand is held anyway: `relu`, whose input its own
+    backward holds, `concat`, whose parts are often held by other
+    backwards or shared between calls, and `reshape` and `transpose`,
+    whose output is their operand's values again."""
 
     __slots__ = ("_parents", "_backward", "_op", "_rebuild")
     requires_grad = True
@@ -99,9 +101,10 @@ class Tensor:
     activation that no backward reads, such as a conv output that feeds
     `instance_norm`, is freed as soon as the caller drops it. A node may
     also say how to rebuild its value from its operands' kept values;
-    `relu` and `concat` do, so a backward that reads a ReLU output (a
-    conv's weight gradient) or a concatenation (a projection's weight
-    gradient) keeps the recipe and the output dies with its caller too.
+    `relu`, `concat`, `reshape` and `transpose` do, so a backward that
+    reads a ReLU output (a conv's weight gradient), a concatenation (a
+    projection's weight gradient) or a flattened map (a FAT block's
+    product) keeps the recipe and the output dies with its caller too.
     `_parents`, `_backward` and `_op` read through to the node; a leaf reads
     `()`, `None` and "leaf". Calling `backward()` on a scalar result
     accumulates d(result)/d(leaf) into every `requires_grad` leaf and frees
@@ -417,15 +420,26 @@ def mse_loss(a: Tensor, b: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
+    """x's values in a new shape. The node's rebuild recipe reshapes x's
+    kept value again, so a backward that reads the result keeps what x's
+    own readers keep, not a view that pins x's array."""
     old = x.shape
-    return _from_op(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),), "reshape")
+    xv = _kept(x)
+    return _from_op(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),), "reshape",
+                    lambda: xv().reshape(shape))
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
+    """x with its axes permuted, as a contiguous copy. The node's rebuild
+    recipe permutes x's kept value again, so a backward that reads the
+    result (a FAT block's `mul` and query projection read the flattened
+    features) keeps no copy beside the map it came from."""
     if axes is None:
         axes = tuple(reversed(range(x.ndim)))
     inv = tuple(np.argsort(axes))
-    return _from_op(np.transpose(x.data, axes), (x,), lambda g: (np.transpose(g, inv),), "transpose")
+    xv = _kept(x)
+    return _from_op(np.transpose(x.data, axes), (x,), lambda g: (np.transpose(g, inv),), "transpose",
+                    lambda: np.ascontiguousarray(np.transpose(xv(), axes)))
 
 
 def concat(parts, axis=0) -> Tensor:
@@ -516,10 +530,20 @@ def _softmax_body(x: np.ndarray, axis: int, out=None) -> np.ndarray:
     return y
 
 
-def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int, out=None) -> np.ndarray:
+def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int, out=None, rows=None) -> np.ndarray:
     """The input gradient of a softmax with output y along `axis`, written
-    to `out` (which may be `g` itself) or to a new array."""
-    inner = np.sum(g * y, axis=axis, keepdims=True)
+    to `out` (which may be `g` itself) or to a new array.
+
+    With `rows`, the softmax runs along the last axis of 3-D arrays, and the
+    product g * y is formed for that many rows of axis 1 at a time: each row
+    is reduced alone either way, so the bits are the same, and the scratch
+    is a slice of g, not a copy of it."""
+    if rows is None:
+        inner = np.sum(g * y, axis=axis, keepdims=True)
+    else:
+        inner = np.empty(g.shape[:2] + (1,))
+        for j in range(0, g.shape[1], rows):
+            np.sum(g[:, j : j + rows] * y[:, j : j + rows], axis=2, keepdims=True, out=inner[:, j : j + rows])
     gs = np.subtract(g, inner, out=out)
     gs *= y
     return gs
@@ -531,7 +555,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _from_op(y, (x,), lambda g: (_softmax_grad(g, y, axis),), "softmax")
 
 
-QUERY_BLOCK = 256  # query rows per block of `mixed_attention`
+ATTENTION_BLOCK_BYTES = 1 << 21  # bytes of one head's float64 scores in a block of `mixed_attention`
 
 
 def mixed_attention(q: Tensor, keys: Tensor, w_mix: Tensor, values: Tensor) -> Tensor:
@@ -539,28 +563,35 @@ def mixed_attention(q: Tensor, keys: Tensor, w_mix: Tensor, values: Tensor) -> T
     times the values.
 
     q: (M, k*dk) and keys: (M', k*dk) hold each head's query and key rows
-    side by side, the queries already scaled; w_mix: (k,); values: (M', dv).
-    The attention is the (M, M') matrix A = sum_h softmax(w_mix)_h *
-    softmax_rows(q_h @ keys_h.T), row-stochastic like each head. One batched
-    GEMM and one max-subtracted softmax, in place on the fresh scores, give
-    all k heads' attention at once. The op returns A @ values, as a
-    Transformer moves its values; the identity as values gives A itself.
+    side by side, the queries already scaled; w_mix: (k,); values: (M', dv),
+    with M' >= 1. The attention is the (M, M') matrix A = sum_h
+    softmax(w_mix)_h * softmax_rows(q_h @ keys_h.T), row-stochastic like each
+    head. One batched GEMM and one max-subtracted softmax, in place on the
+    fresh scores, give all k heads' attention at once. The op returns
+    A @ values, as a Transformer moves its values; the identity as values
+    gives A itself.
 
-    The op walks the query rows in blocks of `QUERY_BLOCK` rows, in the
-    forward and in the backward, so it never holds more than a block's
-    (k, b, M') scores, as in memory-efficient attention (Rabe and Staats,
-    2021). The backward writes each block's rows of the query gradient and
-    sums the key, value and mix gradients over the blocks in row order.
+    The op walks the query rows in blocks, in the forward and in the
+    backward, as in memory-efficient attention (Rabe and Staats, 2021). A
+    block has as many rows as fit one head's (rows, M') scores in
+    `ATTENTION_BLOCK_BYTES`, so its scratch is bounded in bytes, whatever
+    the image size: the forward holds the block's (k, rows, M') scores and
+    its rows of A, the backward the block's per-head attention and its
+    gradient, which takes gA in head 0's slot, and a softmax gradient that
+    reduces an eighth of the block's rows at a time. The backward writes
+    each block's rows of the query gradient and sums the key, value and mix
+    gradients over the blocks in row order.
 
     The node keeps q, keys, values and the k mix weights, never the per-head
     scores or A: the backward recomputes each block's scores from q and keys
     and rebuilds its rows of A from them, so the value product shares the
     recompute, as in FlashAttention (Dao et al., NeurIPS 2022). A call keeps
     (M + M') * k*dk floats and the values, not k*M*M'. With M at most one
-    block, forward and gradients equal, bit for bit, those of the same
-    attention composed from `matmul`, `softmax`, `reshape` and `transpose`,
-    with a `matmul` by the values; with more blocks only the order of the
-    sums over blocks differs.
+    block (1024 rows against the M' = 256 keys of every 64 px call),
+    forward and gradients equal, bit for bit, those of the same attention
+    composed from `matmul`, `softmax`, `reshape` and `transpose`, with a
+    `matmul` by the values; with more blocks only the order of the sums
+    over blocks differs.
     """
     q, keys, w_mix, values = _as_tensor(q), _as_tensor(keys), _as_tensor(w_mix), _as_tensor(values)
     if q.ndim != 2 or keys.ndim != 2 or w_mix.ndim != 1 or not w_mix.size or q.shape[1] != keys.shape[1] \
@@ -568,9 +599,11 @@ def mixed_attention(q: Tensor, keys: Tensor, w_mix: Tensor, values: Tensor) -> T
         raise ShapeError(f"attention needs (M,k*dk), (M',k*dk) and (k,), got {q.shape}, {keys.shape}, {w_mix.shape}")
     if values.ndim != 2 or values.shape[0] != keys.shape[0]:
         raise ShapeError(f"attention values need (M',dv) rows for keys {keys.shape}, got {values.shape}")
+    if not keys.shape[0]:
+        raise ShapeError(f"attention needs at least one key row, got keys {keys.shape} for queries {q.shape}")
     k = w_mix.shape[0]
     m, mp, dk = q.shape[0], keys.shape[0], q.shape[1] // k
-    block = QUERY_BLOCK
+    block = max(1, ATTENTION_BLOCK_BYTES // (8 * mp))
 
     def key_heads(kd):
         return np.ascontiguousarray(kd.reshape(mp, k, dk).transpose(1, 2, 0))  # (k, dk, M')
@@ -603,23 +636,27 @@ def mixed_attention(q: Tensor, keys: Tensor, w_mix: Tensor, values: Tensor) -> T
             qh, hb = heads(qd, rh, i)
             gb = g[i : i + block]
             gvalues = mixed(hb).T @ gb
-            ga = (gb @ vd.T).reshape(1, -1)
-            gmix = ga @ hb.reshape(k, -1).T
-            gs = (mix.T * ga).reshape(hb.shape)  # K=1: a product, not a GEMM
-            # drop gA and A once read, before the products below allocate
-            del ga
-            _softmax_grad(gs, hb, 2, out=gs)
+            # gA lands in head 0's slot of the score gradient, and each head
+            # scales it into its own slot, head 0 last (K=1: a product, not a
+            # GEMM), so the block holds two arrays of its scores' size
+            gs = np.empty_like(hb)
+            np.matmul(gb, vd.T, out=gs[0])
+            gmix = gs[0].reshape(1, -1) @ hb.reshape(k, -1).T
+            for h in range(k - 1, -1, -1):
+                np.multiply(mix[0, h], gs[0], out=gs[h])
+            _softmax_grad(gs, hb, 2, out=gs, rows=max(1, hb.shape[1] // 8))
             del hb
             gq[i : i + block] = np.transpose(gs @ rh.swapaxes(-1, -2), (1, 0, 2))
-            gkeys = np.transpose(qh.swapaxes(-1, -2) @ gs, (2, 0, 1)).reshape(mp, k * dk)
-            return gkeys, gvalues, gmix
+            return qh.swapaxes(-1, -2) @ gs, gvalues, gmix
 
-        # the first block starts the sums, so M = 0 gives zero gradients
+        # the first block starts the sums, so M = 0 gives zero gradients; the
+        # key gradient is summed per head and laid out as keys once
         sums = block_grads(0)
         for i in range(block, m, block):
             for total, part in zip(sums, block_grads(i)):
                 total += part
         gkeys, gvalues, gmix = sums
+        gkeys = np.transpose(gkeys, (2, 0, 1)).reshape(mp, k * dk)
         return (gq.reshape(m, k * dk), gkeys, _softmax_grad(gmix.reshape(k), mix.reshape(k), 0), gvalues)
 
     return _from_op(out, (q, keys, w_mix, values), back, "attention")
@@ -742,14 +779,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
 
     def back(g):
         gmat = g.reshape(co, -1)
-        xd = None if xv is None else xv()
         if stride == 1 and co <= ci:
-            gx, grot = _transposed_grads(g, xshape, xd, _rotated(wd), k, 1, need_x)
+            gx, grot = _transposed_grads(g, xshape, None if xv is None else xv(), _rotated(wd), k, 1, need_x)
             gw = None if grot is None else np.ascontiguousarray(grot.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
         else:
-            wmat = wd.reshape(co, ci * k * k)
-            gx = _col2im(wmat.T @ gmat, xshape, k, stride) if need_x else None
-            gw = (gmat @ _im2col(xd, k, stride)[0].T).reshape(wshape) if need_w else None
+            # the weight gradient first, so the rebuilt x and its columns are
+            # freed before the input gradient's columns and scatter
+            gw = (gmat @ _im2col(xv(), k, stride)[0].T).reshape(wshape) if need_w else None
+            gx = _col2im(wd.reshape(co, ci * k * k).T @ gmat, xshape, k, stride) if need_x else None
         return (gx, gw, gmat.sum(axis=1) if need_b else None)
 
     return _from_op(out, (x, w) if b is None else (x, w, b), back, "conv2d")
@@ -886,15 +923,20 @@ def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
     xv = _kept(x)
 
     def back(g):
-        flat = xv().reshape(c, h * w)
-        v00, v01, v10, v11 = (np.take(flat, i, axis=1) for i in flat_idx)
         cx, cy = 1.0 - fx, 1.0 - fy
         # corner-major, then channel, then position: each bin sums its terms
-        # in the order of four sequential np.add.at passes, one per corner
-        weights = np.stack([g * (cy * cx), g * (cy * fx), g * (fy * cx), g * (fy * fx)])
+        # in the order of four sequential np.add.at passes, one per corner;
+        # each corner writes its slot, with no per-corner temporaries
+        weights = np.empty((4,) + g.shape)
+        bins = np.empty((4,) + g.shape, dtype=np.int64)
         rows = np.arange(0, c * h * w, h * w)[:, None, None]
-        bins = np.stack([rows + i for i in flat_idx])
+        for slot, (wy, wx) in enumerate(((cy, cx), (cy, fx), (fy, cx), (fy, fx))):
+            np.multiply(g, wy * wx, out=weights[slot])
+            np.add(rows, flat_idx[slot], out=bins[slot])
         gimg = np.bincount(bins.ravel(), weights.ravel(), minlength=c * h * w).reshape(c, h, w)
+        del weights, bins
+        flat = xv().reshape(c, h * w)
+        v00, v01, v10, v11 = (np.take(flat, i, axis=1) for i in flat_idx)
         dpx = ((v01 - v00) * cy + (v11 - v10) * fy) * g
         dpy = ((v10 - v00) * cx + (v11 - v01) * fx) * g
         ggrid = np.empty(gshape)

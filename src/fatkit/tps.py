@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import read_point_text, write_point_text
+from .data import read_point_text
 from .tensor import (
     ParameterError,
     ShapeError,
@@ -46,7 +46,6 @@ __all__ = [
     "warp_image",
     "min_shift",
     "read_points",
-    "write_points",
     "CONDITION_LIMIT",
 ]
 
@@ -187,11 +186,6 @@ def min_shift(src_points: np.ndarray, ref_points: np.ndarray) -> np.ndarray:
 
 
 # -- point-set file format ------------------------------------------------------
-
-
-def write_points(path, points: np.ndarray):
-    """Write a control-point set: header 'FATPTS 1 <K>' then K 'x y' lines."""
-    write_point_text(path, "FATPTS", points)
 
 
 def read_points(path) -> np.ndarray:

@@ -1,9 +1,13 @@
-"""Shared test helpers: finite-difference gradient oracle, graph walker and
-RNG fixtures."""
+"""Shared test helpers: finite-difference gradient oracle, graph walker,
+backward scratch probe and RNG fixtures."""
+
+import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import fatkit.tensor
 from fatkit.tensor import Tensor, matmul, reshape, softmax, transpose, zero_grads
 
 
@@ -110,6 +114,31 @@ def graph_ops_and_held_sizes(out):
     """The op names of `out`'s graph and the sizes of the buffers it holds."""
     held = graph_held(out)
     return set(held), {b.size for arrays in held.values() for b in arrays}
+
+
+@contextlib.contextmanager
+def backward_scratch():
+    """Trace the backward walks run inside the block. Yields a dict that
+    fills with op name -> the largest scratch, in bytes, that one step of
+    the walk took at a node of that op: tracemalloc's peak during the step
+    above the larger of the traced memory before and after it, so neither
+    the gradient the step reads nor the ones it leaves pending count."""
+    walk, scratch = fatkit.tensor._walk, {}
+
+    def traced(node, g, flowing):
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        walk(node, g, flowing)
+        after, peak = tracemalloc.get_traced_memory()
+        scratch[node._op] = max(scratch.get(node._op, 0), peak - max(before, after))
+
+    fatkit.tensor._walk = traced
+    tracemalloc.start()
+    try:
+        yield scratch
+    finally:
+        tracemalloc.stop()
+        fatkit.tensor._walk = walk
 
 
 def leaf(rng, *shape, scale=1.0):

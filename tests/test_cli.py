@@ -6,8 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from fatkit.data import read_ppm
-from fatkit.tps import write_points
+from fatkit.data import read_ppm, write_point_text
 
 
 def run_cli(*argv, env=None):
@@ -513,7 +512,7 @@ def test_non_ascii_text_inputs_are_data_errors(corpus, tmp_path, capsys):
     saved_model(tmp_path / "m.fatw")
     (tmp_path / "train.cfg").write_text("steps = 1\n")
     pts = tmp_path / "p.txt"
-    write_points(pts, np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]))
+    write_point_text(pts, "FATPTS", np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]))
     train = ["train", "--data", str(data), "--size", "48", "--width", "4",
              "--config", str(tmp_path / "train.cfg"), "--out", str(tmp_path / "t.fatw"),
              "--log", str(tmp_path / "l.csv")]
@@ -834,7 +833,7 @@ def test_transfer_warns_once_when_the_spatial_warp_falls_back(tmp_path, capsys):
 
 def test_warp_identity_points(corpus, tmp_path):
     pts = tmp_path / "p.txt"
-    write_points(pts, np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]))
+    write_point_text(pts, "FATPTS", np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]))
     result = run_cli("warp", "--image", corpus / "0000.ppm", "--src-pts", pts,
                      "--dst-pts", pts, "--out", tmp_path / "w.ppm")
     assert result.returncode == 0, result.stderr
@@ -846,8 +845,8 @@ def test_warp_translation_shifts_image(corpus, tmp_path):
     # moving all control points by one pixel (2/48 normalized) shifts content
     src_pts = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
     shift = np.array([2.0 / 48.0, 0.0])
-    write_points(tmp_path / "s.txt", src_pts)
-    write_points(tmp_path / "d.txt", src_pts + shift)
+    write_point_text(tmp_path / "s.txt", "FATPTS", src_pts)
+    write_point_text(tmp_path / "d.txt", "FATPTS", src_pts + shift)
     result = run_cli("warp", "--image", corpus / "0000.ppm", "--src-pts", tmp_path / "s.txt",
                      "--dst-pts", tmp_path / "d.txt", "--out", tmp_path / "w.ppm")
     assert result.returncode == 0, result.stderr
@@ -861,8 +860,8 @@ def test_warp_count_mismatch_exit_2(corpus, tmp_path):
     corners = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5], [0.0, 0.1]])
     src, dst = tmp_path / "s.txt", tmp_path / "d.txt"
     for src_count, dst_count in ((4, 3), (3, 5)):
-        write_points(src, corners[:src_count])
-        write_points(dst, corners[:dst_count])
+        write_point_text(src, "FATPTS", corners[:src_count])
+        write_point_text(dst, "FATPTS", corners[:dst_count])
         result = run_cli("warp", "--image", corpus / "0000.ppm", "--src-pts", src,
                          "--dst-pts", dst, "--out", tmp_path / "w.ppm")
         assert result.returncode == 2
@@ -874,8 +873,8 @@ def test_warp_count_mismatch_exit_2(corpus, tmp_path):
 
 def test_warp_degenerate_exit_3(corpus, tmp_path):
     line = np.stack([np.linspace(-0.5, 0.5, 4), np.linspace(-0.5, 0.5, 4)], axis=1)
-    write_points(tmp_path / "s.txt", np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]))
-    write_points(tmp_path / "d.txt", line)
+    write_point_text(tmp_path / "s.txt", "FATPTS", np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]))
+    write_point_text(tmp_path / "d.txt", "FATPTS", line)
     result = run_cli("warp", "--image", corpus / "0000.ppm", "--src-pts", tmp_path / "s.txt",
                      "--dst-pts", tmp_path / "d.txt", "--out", tmp_path / "w.ppm")
     assert result.returncode == 3
@@ -1006,7 +1005,7 @@ def test_single_output_failed_write_leaves_no_output(corpus, tmp_path, capsys, m
         argv = ["--model", tmp_path / "m.fatw", "--source", corpus / "0000.ppm", "--ref", corpus / "0001.ppm",
                 "--out", out / "z.ppm"]
     elif command == "warp":
-        write_points(tmp_path / "p.txt", np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]))
+        write_point_text(tmp_path / "p.txt", "FATPTS", np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]))
         argv = ["--image", corpus / "0000.ppm", "--src-pts", tmp_path / "p.txt", "--dst-pts", tmp_path / "p.txt",
                 "--out", out / "w.ppm"]
     else:
@@ -1097,7 +1096,7 @@ def test_empty_output_path_fails_before_any_work(corpus, tmp_path, capsys, monke
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     saved_model(inputs / "m.fatw")
-    write_points(inputs / "p.txt", np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]))
+    write_point_text(inputs / "p.txt", "FATPTS", np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]))
     pair = ["--source", corpus / "0000.ppm", "--ref", corpus / "0001.ppm"]
     argv, work, flags = {
         "transfer": (["--model", inputs / "m.fatw", *pair], (fatkit.gan, "generator_forward"), ["--out"]),

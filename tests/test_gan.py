@@ -6,6 +6,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
+from conftest import backward_scratch
 import fatkit.gan as gan
 from fatkit.attention import FatReference
 from fatkit.data import synth_face, random_face_params
@@ -302,6 +303,17 @@ def test_train_step_increments_and_changes_parameters():
     assert changed > len(before) * 0.5
 
 
+def after_first_step(spatial, size):
+    """(state, pair) of the default config at `size`, colour or spatial, at
+    seed 5, after its first `train_step`."""
+    cfg = GeneratorConfig(spatial=spatial, size=size)
+    state = init_train_state(cfg, seed=5)
+    x, y = faces(size=cfg.size)
+    pair = prepare_pair(x, y, state.percep, spatial_labels=cfg.warp_labels if spatial else ())
+    train_step(state, pair, LossWeights(), lr=2e-4)
+    return state, pair
+
+
 @functools.cache
 def second_step_peak(spatial, size=64):
     """The tracemalloc peak of the second `train_step` on the default config,
@@ -310,11 +322,7 @@ def second_step_peak(spatial, size=64):
     below reads that measurement."""
     import tracemalloc
 
-    cfg = GeneratorConfig(spatial=spatial, size=size)
-    state = init_train_state(cfg, seed=5)
-    x, y = faces(size=cfg.size)
-    pair = prepare_pair(x, y, state.percep, spatial_labels=cfg.warp_labels if spatial else ())
-    train_step(state, pair, LossWeights(), lr=2e-4)
+    state, pair = after_first_step(spatial, size)
     tracemalloc.start()
     try:
         train_step(state, pair, LossWeights(), lr=2e-4)
@@ -390,6 +398,34 @@ def test_128px_train_step_memory_peak_with_attention_in_query_blocks():
     # 121.7 MB under tracemalloc before the blocks and the changes above,
     # and at 72.7 MB since; the bound is midway
     assert second_step_peak(spatial=False, size=128) < 97.2e6
+
+
+@pytest.mark.parametrize("spatial, size, bound", [(False, 64, 18.6e6), (True, 64, 25.0e6), (False, 128, 70.9e6)])
+def test_train_step_memory_peak_with_bounded_backward_scratch(spatial, size, bound):
+    # an attention block is sized by its scores' bytes, its backward holds
+    # the per-head attention and its gradient, with gA written into the
+    # gradient and g * y reduced a few rows at a time; a reshape or
+    # transpose output is rebuilt from its operand; a strided conv frees its
+    # rebuilt input before the input gradient; grid_sample writes its
+    # weights and bins in place. The second step peaked at 19.07 MB (64 px
+    # colour), 25.70 MB (64 px spatial) and 72.7 MB (128 px colour) under
+    # tracemalloc before, and at 18.15, 24.26 and 69.0 MB since; each bound
+    # is midway
+    assert second_step_peak(spatial=spatial, size=size) < bound
+
+
+@pytest.mark.parametrize("spatial", [False, True])
+def test_every_backward_op_scratch_is_bounded_at_64px(spatial):
+    # the largest transient that one node's backward adds above the live
+    # graph, over both backwards of the second 64 px step. The attention
+    # backward set it at 3.81 MB, colour and spatial, while it held gA and
+    # g * y beside its scores and their gradient, and at 3.15 MB since; the
+    # bound is midway
+    state, pair = after_first_step(spatial, 64)
+    with backward_scratch() as scratch:
+        train_step(state, pair, LossWeights(), lr=2e-4)
+    op = max(scratch, key=scratch.get)
+    assert scratch[op] < 3.48e6, f"the {op} backward took {scratch[op] / 1e6:.2f} MB of scratch"
 
 
 def test_train_bit_identical_across_runs():

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from fatkit.cli import main
-from fatkit.tps import write_points
+from fatkit.data import write_point_text
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -77,8 +77,8 @@ def run_session(root: Path):
     cli("pgt", *pair, "--mode", "hist", "--out", work / "pgt-hist.ppm")
     cli("pgt", *pair, "--mode", "blend", "--out", work / "pgt-blend.ppm")
     square = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5], [0.0, 0.0]])
-    write_points(work / "src.pts", square)
-    write_points(work / "dst.pts", square + np.array([[0.0, 0.0]] * 4 + [[0.05, -0.03]]))
+    write_point_text(work / "src.pts", "FATPTS", square)
+    write_point_text(work / "dst.pts", "FATPTS", square + np.array([[0.0, 0.0]] * 4 + [[0.05, -0.03]]))
     cli("warp", "--image", corpus / "0000.ppm", "--src-pts", work / "src.pts",
         "--dst-pts", work / "dst.pts", "--out", work / "warp.ppm")
 

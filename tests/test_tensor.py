@@ -444,14 +444,12 @@ def composed_product(q, keys, w_mix, values):
     return matmul(composed_attention(q, keys, w_mix), values)
 
 
-@pytest.mark.parametrize("heads", [1, 2, 3])
-def test_mixed_attention_equals_the_composed_graph_bit_for_bit(rng, heads):
-    # the fused op recomputes the per-head scores in its backward and
-    # rebuilds A there in place of keeping it; its value and its gradients
-    # are those of the composed graph that keeps them
-    q, keys, w_mix = leaf(rng, 7, 4 * heads, scale=2.0), leaf(rng, 5, 4 * heads, scale=2.0), leaf(rng, heads)
-    inputs = [q, keys, w_mix, leaf(rng, 5, 6)]
-    g = Tensor(rng.normal(size=(7, 6)))
+def assert_equals_the_composed_graph(rng, heads, m, mp):
+    """`mixed_attention` on random (M, 4k) queries and (M', 4k) keys gives
+    the value and the four gradients of `composed_product`, bit for bit."""
+    q, keys, w_mix = leaf(rng, m, 4 * heads, scale=2.0), leaf(rng, mp, 4 * heads, scale=2.0), leaf(rng, heads)
+    inputs = [q, keys, w_mix, leaf(rng, mp, 6)]
+    g = Tensor(rng.normal(size=(m, 6)))
     runs = []
     for op in (mixed_attention, composed_product):
         zero_grads(inputs)
@@ -459,6 +457,23 @@ def test_mixed_attention_equals_the_composed_graph_bit_for_bit(rng, heads):
         (out * g).sum().backward()
         runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in inputs])
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_mixed_attention_equals_the_composed_graph_bit_for_bit(rng, heads):
+    # the fused op recomputes the per-head scores in its backward and
+    # rebuilds A there in place of keeping it; its value and its gradients
+    # are those of the composed graph that keeps them
+    assert_equals_the_composed_graph(rng, heads, 7, 5)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3, 4])
+def test_mixed_attention_at_64px_keys_is_one_block_equal_to_the_composed_graph(rng, heads):
+    # against the M' = 256 keys of a 64 px call the byte budget gives every
+    # head count one block of M = 256 rows or more, so no sum over blocks is
+    # reordered; 250 rows also leave the softmax gradient a short last slice
+    assert fatkit.tensor.ATTENTION_BLOCK_BYTES // (8 * 256) >= 256
+    assert_equals_the_composed_graph(rng, heads, 250, 256)
 
 
 def test_mixed_attention_gradient(rng):
@@ -497,10 +512,44 @@ def test_mixed_attention_query_blocks_match_one_block(rng, monkeypatch):
     inputs = [leaf(rng, 20, 6, scale=2.0), leaf(rng, 9, 6, scale=2.0), leaf(rng, 2), leaf(rng, 9, 5)]
     g = Tensor(rng.normal(size=(20, 5)))
     whole = attention_run(inputs, g)
-    monkeypatch.setattr(fatkit.tensor, "QUERY_BLOCK", 8)
+    monkeypatch.setattr(fatkit.tensor, "ATTENTION_BLOCK_BYTES", 8 * 9 * 8)  # 8 rows of 9 float64 scores
     for got, ref in zip(attention_run(inputs, g), whole):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     check_grads(lambda *a: (mixed_attention(*a) * g).sum(), inputs, tol=1e-5)
+
+
+def test_mixed_attention_block_scores_stay_within_the_byte_budget(rng):
+    # against M' = 4096 keys (a 256 px call) a block has as many query rows
+    # as fit one head's scores in the budget, so the forward holds k heads'
+    # scores and one head's A, and the backward the per-head attention, its
+    # gradient and an eighth-block reduction: never more than 2k + 1 budgets
+    # of scratch, whatever the block count
+    import tracemalloc
+
+    budget, heads, mp = fatkit.tensor.ATTENTION_BLOCK_BYTES, 2, 4096
+    m = 5 * (budget // (8 * mp)) // 2  # two and a half blocks
+    inputs = [leaf(rng, m, 2 * heads), leaf(rng, mp, 2 * heads), leaf(rng, heads), leaf(rng, mp, 3)]
+    g = Tensor(rng.normal(size=(m, 3)))
+    tracemalloc.start()
+    try:
+        out = mixed_attention(*inputs)
+        _, forward_peak = tracemalloc.get_traced_memory()
+        loss = (out * g).sum()
+        tracemalloc.reset_peak()
+        live, _ = tracemalloc.get_traced_memory()
+        loss.backward()
+        _, backward_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert forward_peak < (heads + 1.25) * budget
+    assert backward_peak - live < (2 * heads + 1) * budget
+
+
+def test_mixed_attention_without_key_rows_is_a_shape_error(rng):
+    # M' = 0 leaves each softmax row empty; the op refuses it by shape
+    # before it sizes a block by M'
+    with pytest.raises(ShapeError, match=r"at least one key row, got keys \(0, 6\) for queries \(4, 6\)"):
+        mixed_attention(leaf(rng, 4, 6), leaf(rng, 0, 6), leaf(rng, 2), leaf(rng, 0, 5))
 
 
 def test_mixed_attention_without_query_rows(rng):
@@ -862,6 +911,26 @@ def test_concat_keeps_its_parts_and_rebuilds_its_value_bits(rng, axis):
     assert all(id(base_buffer(p.data)) in held for p in parts[1:])
     w = leaf(rng, y.shape[1], 2)
     out, kept = matmul(y, w), matmul(Tensor(y.data.copy(), requires_grad=True), w)
+    g = rng.normal(size=out.shape)
+    for got, ref in zip(out._backward(g), kept._backward(g)):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_flattened_map_rebuilds_its_rows_from_the_map(rng):
+    # `flatten_map` is a reshape then a transpose; their recipes chain down
+    # to a ReLU's input, so a product that reads the (h*w, d) rows holds
+    # neither the rows nor the ReLU output, and its gradients are those of
+    # a kept copy of the rows, bit for bit
+    pre = leaf(rng, 4, 3, 5)
+    x_map = relu(pre)
+    rows = transpose(reshape(x_map, (4, 15)))
+    rebuilt = rows._node._rebuild()
+    assert rebuilt.tobytes() == rows.data.tobytes() and rebuilt.flags.c_contiguous
+    gamma = leaf(rng, 15, 4)
+    out, kept = rows * gamma, Tensor(rows.data.copy(), requires_grad=True) * gamma
+    held = node_held_arrays(out._node)
+    assert id(base_buffer(pre.data)) in held
+    assert id(base_buffer(rows.data)) not in held and id(base_buffer(x_map.data)) not in held
     g = rng.normal(size=out.shape)
     for got, ref in zip(out._backward(g), kept._backward(g)):
         assert got.tobytes() == ref.tobytes()

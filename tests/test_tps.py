@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from fatkit.data import write_point_text
 from fatkit.tensor import FormatError, ParameterError, Tensor, grid_sample
 from fatkit.tps import (
     DegenerateGeometryError,
@@ -16,7 +17,6 @@ from fatkit.tps import (
     tps_solve,
     tps_system,
     warp_image,
-    write_points,
 )
 
 
@@ -238,7 +238,7 @@ def test_min_shift_count_mismatch():
 def test_points_round_trip(tmp_path, rng):
     pts = rng.uniform(-1, 1, size=(9, 2))
     path = tmp_path / "pts.txt"
-    write_points(path, pts)
+    write_point_text(path, "FATPTS", pts)
     assert path.read_text().splitlines()[0] == "FATPTS 1 9"
     np.testing.assert_allclose(read_points(path), pts, atol=1e-6)
 

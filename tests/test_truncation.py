@@ -23,10 +23,12 @@ import numpy as np
 import pytest
 
 from fatkit.cli import main
-from fatkit.data import read_landmarks, read_manifest, read_pgm, read_ppm, write_landmarks, write_pgm, write_ppm
+from fatkit.data import (
+    read_landmarks, read_manifest, read_pgm, read_ppm, write_landmarks, write_pgm, write_point_text, write_ppm,
+)
 from fatkit.gan import config_text, read_config
 from fatkit.tensor import FormatError, load_tensors, save_tensors
-from fatkit.tps import read_points, write_points
+from fatkit.tps import read_points
 
 
 def write_manifest(path, rng):
@@ -42,7 +44,7 @@ FORMATS = {
     "ppm": (lambda path, rng: write_ppm(path, rng.uniform(size=(3, 3, 4))), read_ppm),
     "pgm": (lambda path, rng: write_pgm(path, rng.integers(0, 8, size=(3, 4))), read_pgm),
     "fatlm": (lambda path, rng: write_landmarks(path, rng.uniform(size=(30, 2))), read_landmarks),
-    "fatpts": (lambda path, rng: write_points(path, rng.uniform(-1.0, 1.0, size=(5, 2))), read_points),
+    "fatpts": (lambda path, rng: write_point_text(path, "FATPTS", rng.uniform(-1.0, 1.0, size=(5, 2))), read_points),
     "manifest": (write_manifest, read_manifest),
     "fatw": (lambda path, rng: save_tensors(path, {
         "gen.enc0.w": rng.normal(size=(2, 3)).astype(np.float32),
