@@ -146,9 +146,10 @@ def _attend(x_flat: Tensor, le_x, keys: Tensor, params: FatParams, values: Tenso
     times the (M', dv) values.
 
     The scaled query projection and the keys go to `mixed_attention`, which
-    keeps them in place of the (k, M, M') per-head scores and recomputes
-    those in the backward, and returns the attention times the values, so
-    no M x M' array outlives the op.
+    keeps their `matmul` recipes in place of the (k, M, M') per-head scores,
+    rebuilds both projections and recomputes the scores in the backward,
+    and returns the attention times the values, so no M x M' array, and no
+    projection, outlives the op.
     """
     q = matmul(_augment(x_flat, le_x), params.w_query * (1.0 / math.sqrt(params.dk)))  # (M, k*dk)
     return mixed_attention(q, keys, params.w_mix, values)
@@ -207,9 +208,9 @@ class FatReference(NamedTuple):
     block's weights, so one build serves every query of that reference, as
     a Transformer projects its keys and values once per source sequence.
     The embedding is also the face's query embedding, in a transfer onto it.
-    Each query's `mixed_attention` node keeps the one `keys` and `attributes`
-    arrays, not copies, and rebuilds its per-head scores and its attention
-    from them in the backward.
+    Each query's `mixed_attention` node keeps the one `keys` and
+    `attributes` recipes, not copies of their values, and rebuilds the
+    keys, its per-head scores and its attention in the backward.
     """
 
     embedding: np.ndarray  # (M', 2N) landmark embedding of the reference

@@ -510,11 +510,15 @@ def train_step(state: TrainState, pair: TrainPair, weights: LossWeights, lr: flo
         ref_x=ref_x, ref_y=ref_y,
     )
     j_g.backward()
+    # a tensor held here keeps its rebuild recipe and the operands it reads,
+    # though the walk has freed the graph: drop them before the update
+    j_g = j_g.item()
+    del ex, ey, ref_x, ref_y, z_xy, z_yx
     adam_step(state.adam_g, lr)
     zero_grads(params)
 
     state.iteration += 1
-    row = {"iter": state.iteration, "J_D": j_d, "J_G": j_g.item(), **parts}
+    row = {"iter": state.iteration, "J_D": j_d, "J_G": j_g, **parts}
     for name in LOG_COLUMNS[1:]:
         if not np.isfinite(row[name]):
             raise NonFiniteLossError(f"loss component {name} became non-finite at iteration {row['iter']}")

@@ -71,24 +71,17 @@ class FormatError(ValueError):
 
 class _Node:
     """The graph side of an interior tensor: its backward closure, the nodes
-    of its parents and its op name. It holds no value, so an interior value
-    lives only while the caller or some backward closure holds its array.
-    `_rebuild` is None or a function that remakes the value, bit for bit,
-    from its operands' kept values (see `_kept`). A recipe keeps those
-    values alive, so it pays only on an op whose output some backward
-    reads, or whose operand is held anyway: `relu`, whose input its own
-    backward holds, `concat`, whose parts are often held by other
-    backwards or shared between calls, and `reshape` and `transpose`,
-    whose output is their operand's values again."""
+    of its parents and its op name. It holds no value and no rebuild recipe
+    (those live on the `Tensor`), so an interior value lives only while the
+    caller or some backward closure holds its array or its recipe."""
 
-    __slots__ = ("_parents", "_backward", "_op", "_rebuild")
+    __slots__ = ("_parents", "_backward", "_op")
     requires_grad = True
 
-    def __init__(self, parents, backward, op, rebuild):
+    def __init__(self, parents, backward, op):
         self._parents = parents
         self._backward = backward
         self._op = op
-        self._rebuild = rebuild
 
 
 class Tensor:
@@ -99,12 +92,19 @@ class Tensor:
     `_Node` apart from its value: `_parents` links nodes, a leaf standing as
     itself, and each backward closure holds only the arrays it reads. So an
     activation that no backward reads, such as a conv output that feeds
-    `instance_norm`, is freed as soon as the caller drops it. A node may
-    also say how to rebuild its value from its operands' kept values;
-    `relu`, `concat`, `reshape` and `transpose` do, so a backward that
-    reads a ReLU output (a conv's weight gradient), a concatenation (a
-    projection's weight gradient) or a flattened map (a FAT block's
-    product) keeps the recipe and the output dies with its caller too.
+    `instance_norm`, is freed as soon as the caller drops it.
+
+    An interior tensor may also carry `_rebuild`, a recipe that remakes its
+    value, bit for bit, from its operands' kept values (see `_kept`). The
+    recipe is on the tensor, not the node, so only the tensor and the
+    backwards that read it through `_kept` hold it: when nothing reads the
+    output, its operands are not pinned for its sake. A recipe pays when
+    the op is cheap and its own backward holds its operands anyway: `relu`,
+    `concat`, `reshape`, `transpose`, `matmul`, the scalar `scale` and
+    `pairwise_sqdist` have one, so a backward that reads a ReLU output, a
+    projection or a flattened map keeps no second copy of it. A caller that
+    keeps such a tensor keeps its recipe's operands too.
+
     `_parents`, `_backward` and `_op` read through to the node; a leaf reads
     `()`, `None` and "leaf". Calling `backward()` on a scalar result
     accumulates d(result)/d(leaf) into every `requires_grad` leaf and frees
@@ -112,13 +112,14 @@ class Tensor:
     over fresh graphs accumulate; `zero_grads` resets.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_node")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_rebuild")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._node = None
+        self._rebuild = None
 
     @property
     def _parents(self):
@@ -173,8 +174,9 @@ class Tensor:
         `self` must hold a single element. Each graph node is visited exactly
         once, in reverse topological order; gradients reaching a leaf add into
         its `grad` buffer. Once a node's backward has run, the node drops its
-        closure, its parents and its rebuild recipe, so each array the graph
-        held dies as soon as the walk is past it. A second walk that reaches a
+        closure and its parents, so each array and recipe that only the graph
+        held dies as soon as the walk is past it; a tensor the caller still
+        holds keeps its value and its recipe. A second walk that reaches a
         freed node raises `GraphError`: to accumulate again, build the graph
         again.
         """
@@ -215,23 +217,20 @@ class Tensor:
         return _mul(self, 1.0 / float(scalar))
 
     def __getitem__(self, key):
-        out = self.data[key]
-        parts = key if isinstance(key, tuple) else (key,)
-        # a basic key picks each element once; an array key may pick one
-        # element several times, and each pick adds its gradient; np.add.at
-        # gives the same bits on a basic key but is 5-8x slower on the slices
-        # the model takes
-        basic = all(isinstance(p, (int, np.integer, slice)) or p is None or p is Ellipsis for p in parts)
+        """A basic index: ints, slices, None and Ellipsis, which pick each
+        element at most once, so the backward adds the gradient into its
+        slice. Any other key (an array, a list, a bool) is a ShapeError."""
+        for part in key if isinstance(key, tuple) else (key,):
+            basic = isinstance(part, (int, np.integer, slice)) and not isinstance(part, (bool, np.bool_))
+            if not (basic or part is None or part is Ellipsis):
+                raise ShapeError(f"a Tensor takes basic indices only (int, slice, None, ...), got {part!r}")
 
         def back(g, key=key, shape=self.data.shape):
             buf = np.zeros(shape)
-            if basic:
-                buf[key] += g
-            else:
-                np.add.at(buf, key, g)
+            buf[key] += g
             return (buf,)
 
-        return _from_op(np.array(out, copy=True), (self,), back, "getitem")
+        return _from_op(np.array(self.data[key], copy=True), (self,), back, "getitem")
 
     def sum(self):
         return tensor_sum(self)
@@ -245,23 +244,25 @@ def _from_op(data, parents, backward, op, rebuild=None) -> Tensor:
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._node = _Node(tuple(p._node or p for p in parents), backward, op, rebuild)
+        out._node = _Node(tuple(p._node or p for p in parents), backward, op)
+        out._rebuild = rebuild
     return out
 
 
 def _walk(node, g, flowing):
     """One step of a backward walk: a leaf adds `g` into its `grad`; an
     interior node is freed, runs its backward and adds the parents'
-    gradients into the walk's pending sums. A function of its own, so none
-    of its locals keeps a closure, a parent or a gradient alive past the
-    node."""
+    gradients into the walk's pending sums. Freeing the closure frees the
+    recipes it read through `_kept`, unless another pending backward or the
+    caller holds them too. A function of its own, so none of its locals
+    keeps a closure, a parent or a gradient alive past the node."""
     back = node._backward
     if back is None:
         if node.requires_grad:
             node.grad = g if node.grad is None else node.grad + g
         return
     parents = node._parents
-    node._backward, node._parents, node._rebuild = _freed, (), None
+    node._backward, node._parents = _freed, ()
     for parent, pg in zip(parents, back(g)):
         if pg is None or not parent.requires_grad:
             continue
@@ -277,14 +278,14 @@ def _freed(g):
 def _kept(t: Tensor):
     """A function that gives `t`'s value to a backward that reads it.
 
-    It is `t`'s rebuild recipe when its node has one, so the backward keeps
-    no second copy of a value its node can remake; otherwise it returns the
-    array itself. Every backward that reads an operand's value holds it
-    through this.
+    It is `t`'s rebuild recipe when it has one, so the backward keeps no
+    second copy of a value the recipe can remake, and the recipe lives only
+    while `t` or such a backward does; otherwise it returns the array
+    itself. Every backward that reads an operand's value holds it through
+    this, and so does every recipe.
     """
-    rebuild = None if t._node is None else t._node._rebuild
-    if rebuild is not None:
-        return rebuild
+    if t._rebuild is not None:
+        return t._rebuild
     data = t.data
     return lambda: data
 
@@ -321,12 +322,22 @@ def _add(a: Tensor, other) -> Tensor:
 
 def _mul(a: Tensor, other) -> Tensor:
     if not isinstance(other, Tensor):
+        # the recipe scales the operand's kept value again: a projection
+        # weight scaled per call is a parameter, held anyway
         s = float(other)
-        return _from_op(a.data * s, (a,), lambda g: (g * s,), "scale")
+        av = _kept(a)
+        return _from_op(a.data * s, (a,), lambda g: (g * s,), "scale", lambda: av() * s)
     if a.shape != other.shape:
         raise ShapeError(f"mul needs matching shapes, got {a.shape} and {other.shape}")
-    av, bv = _kept(a), _kept(other)
-    return _from_op(a.data * other.data, (a, other), lambda g: (g * bv(), g * av()), "mul")
+    # each operand is kept only for its partner's gradient, so a product by
+    # a constant mask neither holds nor rebuilds the masked value
+    av = _kept(a) if other.requires_grad else None
+    bv = _kept(other) if a.requires_grad else None
+
+    def back(g):
+        return (None if bv is None else g * bv(), None if av is None else g * av())
+
+    return _from_op(a.data * other.data, (a, other), back, "mul")
 
 
 def _relu_body(x: np.ndarray) -> np.ndarray:
@@ -341,8 +352,8 @@ def relu(x: Tensor) -> Tensor:
     """max(x, 0), with NaN mapped to 0 and subgradient 0 at 0.
 
     The backward keeps the input, not the output: `x > 0` is the same mask
-    as `y > 0`, NaN included. The node's rebuild recipe is the relu body on
-    that input, so a backward that reads this output (a conv's weight
+    as `y > 0`, NaN included. The output's rebuild recipe is the relu body
+    on that input, so a backward that reads this output (a conv's weight
     gradient) rebuilds it and the output itself dies with its caller. After
     `instance_norm` the input is the normalized map the norm's backward
     holds anyway, so a conv-norm-ReLU block keeps one map, not two.
@@ -367,19 +378,27 @@ def softplus(x: Tensor) -> Tensor:
     return _from_op(y, (x,), lambda g: (g * sig,), "softplus")
 
 
+def _xlogx_parts(d: np.ndarray):
+    """The mask of the entries of d above 1e-300, and d with 1 elsewhere."""
+    pos = d > 1e-300
+    return pos, np.where(pos, d, 1.0)
+
+
 def xlogx(x: Tensor) -> Tensor:
     """Elementwise x*log(x) with the continuous extension 0 at x=0.
 
     Gradient is defined as 0 where x vanishes, matching the limit that
-    arises when x is a squared distance of a point to itself.
+    arises when x is a squared distance of a point to itself. The backward
+    keeps x through `_kept` and forms its mask again: a `pairwise_sqdist`
+    output is rebuilt from the points its own backward holds.
     """
-    d = x.data
-    pos = d > 1e-300
-    safe = np.where(pos, d, 1.0)
+    pos, safe = _xlogx_parts(x.data)
     y = np.log(safe)  # 0 wherever safe was set to 1
     y *= safe
+    xv = _kept(x)
 
     def back(g):
+        pos, safe = _xlogx_parts(xv())
         return (g * np.where(pos, np.log(safe) + 1.0, 0.0),)
 
     return _from_op(y, (x,), back, "xlogx")
@@ -420,7 +439,7 @@ def mse_loss(a: Tensor, b: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    """x's values in a new shape. The node's rebuild recipe reshapes x's
+    """x's values in a new shape. The output's rebuild recipe reshapes x's
     kept value again, so a backward that reads the result keeps what x's
     own readers keep, not a view that pins x's array."""
     old = x.shape
@@ -430,7 +449,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
-    """x with its axes permuted, as a contiguous copy. The node's rebuild
+    """x with its axes permuted, as a contiguous copy. The output's rebuild
     recipe permutes x's kept value again, so a backward that reads the
     result (a FAT block's `mul` and query projection read the flattened
     features) keeps no copy beside the map it came from."""
@@ -445,7 +464,7 @@ def transpose(x: Tensor, axes=None) -> Tensor:
 def concat(parts, axis=0) -> Tensor:
     """The parts joined along `axis`.
 
-    The node's rebuild recipe joins the parts' kept values again, so a
+    The output's rebuild recipe joins the parts' kept values again, so a
     backward that reads the result (a `matmul` by a projection, a
     `linear_solve` of a TPS system) keeps the parts, not a second copy of
     them side by side. The parts are often held anyway: a FAT block's query
@@ -468,7 +487,12 @@ def concat(parts, axis=0) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product, plain (M,K)@(K,N) or batched (B,M,K)@(B,K,N)."""
+    """Matrix product, plain (M,K)@(K,N) or batched (B,M,K)@(B,K,N).
+
+    The backward holds both operands' kept values, and the output's rebuild
+    recipe multiplies them again, so a backward that reads the product (an
+    attention op its query and key projections) keeps no copy of it.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != b.ndim or a.ndim not in (2, 3):
         raise ShapeError(f"matmul needs 2D or 3D pairs, got {a.shape} and {b.shape}")
@@ -479,7 +503,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def back(g):
         return (g @ bv().swapaxes(-1, -2), av().swapaxes(-1, -2) @ g)
 
-    return _from_op(a.data @ b.data, (a, b), back, "matmul")
+    return _from_op(a.data @ b.data, (a, b), back, "matmul", lambda: av() @ bv())
 
 
 def linear_solve(a: Tensor, b: Tensor) -> Tensor:
@@ -497,17 +521,27 @@ def linear_solve(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(x, (a, b), back, "solve")
 
 
+def _sqdist_body(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a_i - b_j|^2, summed axis by axis, so no (N,K,D) difference array is
+    built: the one body of `pairwise_sqdist` and its recipe."""
+    y = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        d = np.subtract.outer(a[:, k], b[:, k])
+        d *= d
+        y += d
+    return y
+
+
 def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
-    """Squared Euclidean distances between row sets: out[i,j] = |a_i - b_j|^2."""
+    """Squared Euclidean distances between row sets: out[i,j] = |a_i - b_j|^2.
+
+    The backward holds both row sets, and the output's rebuild recipe
+    measures their distances again, so `xlogx` of the distances (a TPS
+    kernel) keeps the points, not an (N, M) array.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"sqdist needs matching row widths, got {a.shape} and {b.shape}")
-    # summed axis by axis, so no (N,K,D) difference array is built
-    y = np.zeros((a.shape[0], b.shape[0]))
-    for k in range(a.shape[1]):
-        d = np.subtract.outer(a.data[:, k], b.data[:, k])
-        d *= d
-        y += d
     av, bv = _kept(a), _kept(b)
 
     def back(g):
@@ -517,7 +551,7 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
         gb = -2.0 * (g.T @ ad - g.sum(axis=0)[:, None] * bd)
         return (ga, gb)
 
-    return _from_op(y, (a, b), back, "sqdist")
+    return _from_op(_sqdist_body(a.data, b.data), (a, b), back, "sqdist", lambda: _sqdist_body(av(), bv()))
 
 
 def _softmax_body(x: np.ndarray, axis: int, out=None) -> np.ndarray:
@@ -582,12 +616,14 @@ def mixed_attention(q: Tensor, keys: Tensor, w_mix: Tensor, values: Tensor) -> T
     each block's rows of the query gradient and sums the key, value and mix
     gradients over the blocks in row order.
 
-    The node keeps q, keys, values and the k mix weights, never the per-head
-    scores or A: the backward recomputes each block's scores from q and keys
-    and rebuilds its rows of A from them, so the value product shares the
-    recompute, as in FlashAttention (Dao et al., NeurIPS 2022). A call keeps
-    (M + M') * k*dk floats and the values, not k*M*M'. With M at most one
-    block (1024 rows against the M' = 256 keys of every 64 px call),
+    The node keeps q, keys and values through `_kept`, and the k mix
+    weights, never the per-head scores or A: the backward recomputes each
+    block's scores from q and keys and rebuilds its rows of A from them, so
+    the value product shares the recompute, as in FlashAttention (Dao et
+    al., NeurIPS 2022). A call keeps at most (M + M') * k*dk floats and the
+    values, not k*M*M'; a projection's `matmul` recipe keeps only its
+    operands, so a FAT block's q and keys are rebuilt too. With M at most
+    one block (1024 rows against the M' = 256 keys of every 64 px call),
     forward and gradients equal, bit for bit, those of the same attention
     composed from `matmul`, `softmax`, `reshape` and `transpose`, with a
     `matmul` by the values; with more blocks only the order of the sums

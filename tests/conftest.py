@@ -80,20 +80,26 @@ def base_buffer(a):
     return a
 
 
+def held_buffers(*fns):
+    """The base buffers of every array the functions hold (backward
+    closures, rebuild recipes), through the recipes they read."""
+    return {id(b): b for fn in fns if fn is not None for b in map(base_buffer, closure_arrays(fn))}
+
+
 def node_held_arrays(node):
-    """The base buffers of every array a graph node holds, through its
-    backward closure and its rebuild recipe."""
-    fns = [fn for fn in (node._backward, node._rebuild) if fn is not None]
-    return {id(b): b for fn in fns for b in map(base_buffer, closure_arrays(fn))}
+    """The base buffers of every array a graph node holds: those its
+    backward closure holds, through the recipes it reads."""
+    return held_buffers(node._backward)
 
 
 def graph_held(out):
     """What `out`'s graph holds: op name -> the base buffers its nodes hold.
 
-    Follows every node's backward closure and rebuild recipe, and counts
-    each base buffer once, under the first node found holding it, so an
-    array that several backwards share (a parameter, a kept input) and a
-    view of an array another node holds add nothing twice.
+    Follows every node's backward closure, and through it the recipes that
+    backward reads, and counts each base buffer once, under the first node
+    found holding it, so an array that several backwards share (a
+    parameter, a kept input) and a view of an array another node holds add
+    nothing twice. A recipe that no backward reads is not the graph's.
     """
     stack, nodes, buffers, held = [out._node], set(), set(), {}
     while stack:

@@ -298,6 +298,23 @@ def test_fat_forward_keeps_no_augmented_rows(rng):
     assert any(b is base_buffer(le_x) for b in held) and any(b is base_buffer(le_y) for b in held)
 
 
+def test_fat_forward_keeps_no_projections(rng):
+    # the attention op reads the query and key projections through their
+    # matmul recipes, and the query projection reads its scaled weights
+    # through the scale's, so the graph holds no (M, k*dk) or (M', k*dk)
+    # projection and no scaled copy of w_query, only the two weights; four
+    # heads of one channel keep every other array a different shape
+    d, n, heads = 6, 4, 4
+    x, _, le_x, _ = random_case(rng, d=d, n=n, h=4, w=4)
+    _, y, _, le_y = random_case(rng, d=d, n=n, h=3, w=3)
+    x, y = Tensor(x.data, requires_grad=True), Tensor(y.data, requires_grad=True)
+    params = make_params(rng, d=d, n=n, heads=heads)
+    held = [b for arrays in graph_held(fat_forward(x, y, le_x, le_y, params)).values() for b in arrays]
+    assert not {(16, heads), (9, heads)} & {b.shape for b in held}
+    weights = [b for b in held if b.shape == params.w_query.shape]
+    assert len(weights) == 2 and {id(b) for b in weights} == {id(params.w_query.data), id(params.w_ref.data)}
+
+
 def test_permutation_equivariance_of_transfer(rng):
     # permuting reference rows consistently leaves transferred attributes unchanged
     x, y, le_x, le_y = random_case(rng)

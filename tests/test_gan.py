@@ -315,21 +315,37 @@ def after_first_step(spatial, size):
 
 
 @functools.cache
-def second_step_peak(spatial, size=64):
-    """The tracemalloc peak of the second `train_step` on the default config,
-    64 px unless `size` says otherwise, colour or spatial, at seed 5. The
-    set-up is deterministic, so each config is measured once and every bound
-    below reads that measurement."""
+def second_step_memory(spatial, size=64):
+    """(peak, live at the generator's update) of the second `train_step` on
+    the default config, 64 px unless `size` says otherwise, colour or
+    spatial, at seed 5, under tracemalloc: the step's peak, and the memory
+    the step has allocated and still holds when the generator's
+    `adam_step` starts. The set-up is deterministic, so each config is
+    measured once and every bound below reads that measurement."""
     import tracemalloc
 
     state, pair = after_first_step(spatial, size)
+    update, live = gan.adam_step, []
+
+    def recorded(adam, lr):
+        if adam is state.adam_g:
+            live.append(tracemalloc.get_traced_memory()[0])
+        return update(adam, lr)
+
+    gan.adam_step = recorded
     tracemalloc.start()
     try:
         train_step(state, pair, LossWeights(), lr=2e-4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak
+        gan.adam_step = update
+    return peak, live[0]
+
+
+def second_step_peak(spatial, size=64):
+    """The tracemalloc peak of `second_step_memory`."""
+    return second_step_memory(spatial, size)[0]
 
 
 def test_train_step_memory_peak():
@@ -370,9 +386,9 @@ def test_train_step_memory_peak_without_attention_matrix(spatial, bound):
 
 @pytest.mark.parametrize("spatial, bound", [(False, 23.3e6), (True, 33.4e6)])
 def test_train_step_memory_peak_with_graph_freed_as_walked(spatial, bound):
-    # each node drops its backward closure, parents and rebuild recipe once
-    # the backward has run it, so a train step's arrays die as the walk passes
-    # them, not when train_step returns. The second step peaked at 25.5 MB
+    # each node drops its backward closure and parents once the backward
+    # has run it, so a train step's arrays die as the walk passes them,
+    # not when train_step returns. The second step peaked at 25.5 MB
     # (colour) and 36.3 MB (spatial) under tracemalloc while the graph lived
     # to the end of the step, and at 20.6 and 29.9 MB since; each bound sits
     # midway between the old peak and 21.1 / 30.5 MB, the peaks of a walk
@@ -412,6 +428,29 @@ def test_train_step_memory_peak_with_bounded_backward_scratch(spatial, size, bou
     # tracemalloc before, and at 18.15, 24.26 and 69.0 MB since; each bound
     # is midway
     assert second_step_peak(spatial=spatial, size=size) < bound
+
+
+@pytest.mark.parametrize("spatial, bound", [(False, 17.93e6), (True, 22.86e6)])
+def test_train_step_memory_peak_with_recipes_on_tensors(spatial, bound):
+    # a rebuild recipe lives on its output tensor, so it holds its operands
+    # only while a backward reads it, and matmul, the scalar scale and
+    # pairwise_sqdist have one: mixed_attention rebuilds its query and key
+    # projections, a projection its scaled weights, xlogx its squared
+    # distances. The second 64 px step peaked at 18.15 MB (colour) and
+    # 24.26 MB (spatial) under tracemalloc before, and at 17.70 and 21.45
+    # MB since; each bound is midway
+    assert second_step_peak(spatial=spatial) < bound
+
+
+@pytest.mark.parametrize("spatial, bound", [(False, 4.25e6), (True, 5.03e6)])
+def test_train_step_drops_its_tensors_before_the_generator_update(spatial, bound):
+    # the tensors train_step holds (the codes, the reference sides, the
+    # transfers and the G loss) keep their recipes' operands after the
+    # walk; the step drops them before the generator's adam_step. Live
+    # memory then was 5.50 MB (colour) and 6.27 MB (spatial) under
+    # tracemalloc while the step held them, and 3.01 and 3.79 MB since,
+    # mostly the generator's gradients; each bound is midway
+    assert second_step_memory(spatial, 64)[1] < bound
 
 
 @pytest.mark.parametrize("spatial", [False, True])

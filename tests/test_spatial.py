@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import check_grads
+from conftest import base_buffer, check_grads, graph_held
 from fatkit.attention import fat_forward, landmark_embedding
 from fatkit.spatial import (
     SpatialFatParams,
@@ -220,3 +220,32 @@ def test_spatial_forward_end_to_end_gradients(rng):
     assert xl.grad is not None and np.any(xl.grad != 0.0)
     assert yl.grad is not None and np.any(yl.grad != 0.0)
     assert params.ctrl_w.grad is not None and np.any(params.ctrl_w.grad != 0.0)
+
+
+def test_align_pass_output_read_only_by_pooling_is_freed(rng, monkeypatch):
+    # the align pass's output is read only by avg_pool2d, whose backward
+    # keeps no array, so once spatial_fat_forward drops it nothing holds the
+    # colour-transform product under its reshape and transpose: no recipe
+    # outlives a tensor that no backward reads. The colour pass's product
+    # stays, rebuilt through the same recipes by grid_sample's backward
+    import weakref
+
+    import fatkit.attention as attention
+
+    products, transform = [], attention.color_transform
+
+    def recorded(x_flat, gamma):
+        out = transform(x_flat, gamma)
+        products.append(out.data)
+        return out
+
+    monkeypatch.setattr(attention, "color_transform", recorded)
+    x, y, le_x, le_y = make_case(rng)
+    params = make_params(rng, estimator="random", ctrl_init="random")
+    out, solved = spatial_fat_forward(x, y, le_x, le_y, np.full((8, 8), 2, dtype=np.uint8), params)
+    assert solved
+    colour, align = products
+    held = {id(b) for arrays in graph_held(out).values() for b in arrays}
+    assert id(base_buffer(colour)) in held and id(base_buffer(align)) not in held
+    align, products = weakref.ref(align), None
+    assert align() is None

@@ -7,7 +7,8 @@ import pytest
 
 import fatkit.tensor
 from conftest import (
-    base_buffer, check_grads, closure_values, composed_attention, finite_diff_grads, leaf, node_held_arrays,
+    base_buffer, check_grads, closure_values, composed_attention, finite_diff_grads, held_buffers, leaf,
+    node_held_arrays,
 )
 from fatkit.tensor import (
     AdamState,
@@ -561,14 +562,25 @@ def test_mixed_attention_without_query_rows(rng):
         np.testing.assert_array_equal(grad, np.zeros(shape))
 
 
-def test_getitem_gradient_counts_repeated_indices(rng):
-    # an integer-array key may pick one element several times; each pick
-    # adds its share of the gradient
-    x = Tensor(np.arange(3.0), requires_grad=True)
-    x[np.array([0, 0, 1])].sum().backward()
-    np.testing.assert_array_equal(x.grad, [2.0, 1.0, 0.0])
-    p = Tensor(rng.normal(size=(2, 4)))
-    check_grads(lambda a: (a[:, np.array([2, 0, 2, 2])] * p).sum(), [leaf(rng, 2, 3)])
+@pytest.mark.parametrize("key", [
+    np.array([0, 0, 1]), [0, 1], (slice(None), np.array([2, 0, 2])), (0, [1]), True, np.bool_(False),
+    np.ones((3, 4), dtype=bool),
+], ids=["int-array", "list", "slice-and-array", "int-and-list", "bool", "numpy-bool", "mask"])
+def test_getitem_refuses_a_key_that_is_not_basic(key):
+    # an array, list or bool key may pick one element several times or add
+    # an axis; the backward adds the gradient into the key's slice, so such
+    # a key is refused before any value is read
+    x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    with pytest.raises(ShapeError, match=r"basic indices only \(int, slice, None, \.\.\.\), got"):
+        x[key]
+
+
+def test_getitem_takes_every_basic_key(rng):
+    x = leaf(rng, 3, 4, 2)
+    for key in (1, np.int64(-1), slice(1, None), (Ellipsis, 0), (None, 2, slice(None, None, 2))):
+        np.testing.assert_array_equal(x[key].data, x.data[key])
+    p = Tensor(rng.normal(size=(1, 2, 2)))
+    check_grads(lambda a: (a[None, 1:, ::2] * p).sum(), [leaf(rng, 3, 4)])
 
 
 @pytest.mark.parametrize("n", [1, 3, 9, 70])
@@ -838,7 +850,7 @@ def test_graph_attributes_read_through_to_the_node(rng):
         x._backward = lambda g: (g,)
     # a replaced interior backward is the one the walk runs
     back = y._backward
-    y._backward = lambda g: tuple(2.0 * v for v in back(g))
+    y._backward = lambda g: tuple(None if v is None else 2.0 * v for v in back(g))
     assert z._parents[0]._backward is y._backward
     z.sum().backward()
     np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh(x.data * c.data) ** 2) * c.data, rtol=1e-14)
@@ -897,7 +909,7 @@ def test_relu_keeps_its_input_and_rebuilds_its_output_bits(rng):
     g = rng.normal(size=y.shape)
     # the mask read from the input is the mask of the kept-output reference
     assert y._backward(g)[0].tobytes() == (g * (y.data > 0)).tobytes()
-    assert y._node._rebuild().tobytes() == y.data.tobytes()
+    assert y._rebuild().tobytes() == y.data.tobytes()
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -906,8 +918,8 @@ def test_concat_keeps_its_parts_and_rebuilds_its_value_bits(rng, axis):
     # its input among them, and a matmul of the result reads the recipe
     parts = [relu(leaf(rng, 4, 3)), leaf(rng, 4, 3), Tensor(rng.normal(size=(4, 3)))]
     y = concat(parts, axis=axis)
-    assert y._node._rebuild().tobytes() == y.data.tobytes()
-    held = node_held_arrays(y._node)
+    assert y._rebuild().tobytes() == y.data.tobytes()
+    held = held_buffers(y._rebuild)
     assert all(id(base_buffer(p.data)) in held for p in parts[1:])
     w = leaf(rng, y.shape[1], 2)
     out, kept = matmul(y, w), matmul(Tensor(y.data.copy(), requires_grad=True), w)
@@ -924,7 +936,7 @@ def test_flattened_map_rebuilds_its_rows_from_the_map(rng):
     pre = leaf(rng, 4, 3, 5)
     x_map = relu(pre)
     rows = transpose(reshape(x_map, (4, 15)))
-    rebuilt = rows._node._rebuild()
+    rebuilt = rows._rebuild()
     assert rebuilt.tobytes() == rows.data.tobytes() and rebuilt.flags.c_contiguous
     gamma = leaf(rng, 15, 4)
     out, kept = rows * gamma, Tensor(rows.data.copy(), requires_grad=True) * gamma
@@ -934,6 +946,65 @@ def test_flattened_map_rebuilds_its_rows_from_the_map(rng):
     g = rng.normal(size=out.shape)
     for got, ref in zip(out._backward(g), kept._backward(g)):
         assert got.tobytes() == ref.tobytes()
+
+
+RECIPES = {  # case -> (op, build from a ReLU output, a leaf and a no-grad tensor)
+    "relu": ("relu", lambda a, b, c: relu(a)),
+    "concat": ("concat", lambda a, b, c: concat([a, b, c], axis=1)),
+    "reshape": ("reshape", lambda a, b, c: reshape(a, (4, 5))),
+    "transpose": ("transpose", lambda a, b, c: transpose(reshape(a, (5, 2, 2)), (1, 2, 0))),
+    "matmul": ("matmul", lambda a, b, c: matmul(a, transpose(b))),
+    "batched-matmul": ("matmul", lambda a, b, c: matmul(reshape(a, (1, 5, 4)), reshape(transpose(b), (1, 4, 5)))),
+    "scale": ("scale", lambda a, b, c: a * 0.3),
+    "scale-by-division": ("scale", lambda a, b, c: a / 7.0),
+    "sqdist": ("sqdist", lambda a, b, c: pairwise_sqdist(a, concat([b, b[:2]]))),
+}
+
+
+@pytest.mark.parametrize("case", list(RECIPES))
+def test_recipe_rebuilds_the_output_bits_and_holds_no_tensor(rng, case):
+    # every op with a rebuild recipe: the recipe remakes the output bit for
+    # bit, in its layout, from its operands' kept values (a ReLU output's
+    # among them, itself a recipe) and holds arrays and recipes, never a
+    # Tensor
+    a, b, c = relu(leaf(rng, 5, 4)), leaf(rng, 5, 4), Tensor(rng.normal(size=(5, 2)))
+    op, build = RECIPES[case]
+    out = build(a, b, c)
+    assert out._op == op
+    rebuilt = out._rebuild()
+    assert rebuilt.shape == out.shape and rebuilt.flags.c_contiguous
+    assert rebuilt.tobytes() == out.data.tobytes()
+    assert not any(isinstance(v, Tensor) for v in closure_values(out._rebuild))
+
+
+def test_a_recipe_that_no_backward_reads_pins_nothing(rng):
+    # the recipe lives on the output tensor, not on its node: once the
+    # caller drops a flattened sum that only a reduction reads, the sum's
+    # array is freed though the graph still holds the reshape's node
+    import weakref
+
+    a, b = leaf(rng, 4, 6), leaf(rng, 4, 6)
+    total = a + b  # its backward holds no array
+    freed = weakref.ref(total.data)
+    loss = tensor_sum(transpose(reshape(total, (2, 12))))
+    del total
+    assert freed() is None
+    loss.backward()
+    np.testing.assert_array_equal(a.grad, np.ones((4, 6)))
+
+
+def test_product_by_a_constant_keeps_only_the_constant(rng):
+    # each operand of a product is kept only for its partner's gradient, so
+    # a product by a constant mask (the spatial warp's gate) holds the mask
+    # and neither the masked value nor its recipe's operands
+    pre = leaf(rng, 4, 6)
+    mask = Tensor((rng.uniform(size=(4, 6)) > 0.5).astype(float))
+    out = relu(pre) * mask
+    held = node_held_arrays(out._node)
+    assert id(base_buffer(mask.data)) in held and id(base_buffer(pre.data)) not in held
+    g = rng.normal(size=out.shape)
+    gx, gmask = out._backward(g)
+    assert gmask is None and gx.tobytes() == (g * mask.data).tobytes()
 
 
 def test_grid_sample_keeps_its_input_not_its_corners(rng):
@@ -987,8 +1058,11 @@ def test_no_backward_closure_holds_a_tensor(rng):
         grid_sample(img, grid),
     ]
     for out in outs:
-        fns = [fn for fn in (out._node._backward, out._node._rebuild) if fn is not None]
+        fns = [fn for fn in (out._node._backward, out._rebuild) if fn is not None]
         assert not any(isinstance(v, Tensor) for fn in fns for v in closure_values(fn)), out._op
+    # the ops cheap to recompute whose own backward holds their operands
+    # (or that scale a parameter) carry a recipe; no other op does
+    assert {out._op for out in outs if out._rebuild is not None} == {op for op, _ in RECIPES.values()}
 
 
 @pytest.mark.parametrize("operand", ["number", "tensor"])
