@@ -671,8 +671,7 @@ def _sample_files(directory, stem: str, sample: FaceSample):
 
 
 def save_sample(directory, stem: str, sample: FaceSample):
-    for path, write in _sample_files(directory, stem, sample):
-        write(path)
+    write_all(_sample_files(directory, stem, sample))
 
 
 def load_sample(image_path) -> FaceSample:

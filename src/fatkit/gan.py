@@ -481,8 +481,10 @@ def train_step(state: TrainState, pair: TrainPair, weights: LossWeights, lr: flo
     """One discriminator update followed by one generator update.
 
     The symmetric losses of both directions are summed before each backward;
-    gradients are reset between the two updates. Raises NonFiniteLossError
-    naming the first component that left the finite range.
+    gradients are reset between the two updates. The step keeps no tensor
+    that a backward reads, so the walk frees each one as it passes it.
+    Raises NonFiniteLossError naming the first component that left the
+    finite range.
     """
     cfg = state.config
     x, y = pair.x, pair.y
@@ -501,7 +503,6 @@ def train_step(state: TrainState, pair: TrainPair, weights: LossWeights, lr: flo
         Tensor(x.image), Tensor(y.image), z_xy.detach(), z_yx.detach(), state.disc_x, state.disc_y
     )
     j_d.backward()
-    j_d = j_d.item()  # only the value is logged; drop the discriminator graph now
     adam_step(state.adam_d, lr)
 
     zero_grads(params)
@@ -509,16 +510,13 @@ def train_step(state: TrainState, pair: TrainPair, weights: LossWeights, lr: flo
         pair, z_xy, z_yx, ex, ey, state.gen, state.disc_x, state.disc_y, state.percep, weights, cfg,
         ref_x=ref_x, ref_y=ref_y,
     )
-    j_g.backward()
-    # a tensor held here keeps its rebuild recipe and the operands it reads,
-    # though the walk has freed the graph: drop them before the update
-    j_g = j_g.item()
     del ex, ey, ref_x, ref_y, z_xy, z_yx
+    j_g.backward()
     adam_step(state.adam_g, lr)
     zero_grads(params)
 
     state.iteration += 1
-    row = {"iter": state.iteration, "J_D": j_d, "J_G": j_g, **parts}
+    row = {"iter": state.iteration, "J_D": j_d.item(), "J_G": j_g.item(), **parts}
     for name in LOG_COLUMNS[1:]:
         if not np.isfinite(row[name]):
             raise NonFiniteLossError(f"loss component {name} became non-finite at iteration {row['iter']}")

@@ -681,7 +681,6 @@ def mixed_attention(q: Tensor, keys: Tensor, w_mix: Tensor, values: Tensor) -> T
             for h in range(k - 1, -1, -1):
                 np.multiply(mix[0, h], gs[0], out=gs[h])
             _softmax_grad(gs, hb, 2, out=gs, rows=max(1, hb.shape[1] // 8))
-            del hb
             gq[i : i + block] = np.transpose(gs @ rh.swapaxes(-1, -2), (1, 0, 2))
             return qh.swapaxes(-1, -2) @ gs, gvalues, gmix
 
@@ -859,16 +858,14 @@ def deconv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
     return _from_op(out, (x, w) if b is None else (x, w, b), back, "deconv2d")
 
 
-def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
+def instance_norm(x: Tensor) -> Tensor:
     """Zero-mean unit-variance per channel over the spatial extent."""
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
     if x.ndim != 3:
         raise ShapeError(f"instance_norm expects (C,H,W), got {x.shape}")
     n = x.shape[1] * x.shape[2]
     y = x.data - x.data.mean(axis=(1, 2), keepdims=True)
     var = np.einsum("ijk,ijk->i", y, y) / n
-    inv = (1.0 / np.sqrt(var + eps))[:, None, None]
+    inv = (1.0 / np.sqrt(var + NORM_EPS))[:, None, None]
     y *= inv
 
     def back(g):
@@ -989,6 +986,7 @@ def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
 ADAM_BETA1 = 0.5
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+NORM_EPS = 1e-5  # added to each channel's variance in `instance_norm`
 
 
 class AdamState:

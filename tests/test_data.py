@@ -21,6 +21,7 @@ from fatkit.data import (
     read_manifest,
     read_pgm,
     read_ppm,
+    save_sample,
     synth_face,
     write_all,
     write_landmarks,
@@ -486,6 +487,20 @@ def test_manifest_rejects_unknown_group(tmp_path):
     path.write_text("0000 plain 0000.ppm 0000.lm 0000.pgm\n\n0001 lipstick 0001.ppm 0001.lm 0001.pgm\n")
     with pytest.raises(FormatError, match=re.escape(f"{path}:3: group must be 'plain' or 'makeup', got 'lipstick'")):
         read_manifest(path)
+
+
+def test_save_sample_leaves_no_file_when_a_write_fails(tmp_path, rng, monkeypatch):
+    # the triple goes through write_all: a failed .pgm write moves neither
+    # the .ppm nor the .lm into place and leaves no temporary file
+    sample = synth_face(random_face_params(rng, "plain", seed=3), 16)
+
+    def mask_fails(path, mask):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(data, "write_pgm", mask_fails)
+    with pytest.raises(OSError, match="disk full"):
+        save_sample(tmp_path, "s", sample)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_sample_requires_matching_mask(tmp_path, rng):

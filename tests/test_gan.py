@@ -316,31 +316,38 @@ def after_first_step(spatial, size):
 
 @functools.cache
 def second_step_memory(spatial, size=64):
-    """(peak, live at the generator's update) of the second `train_step` on
-    the default config, 64 px unless `size` says otherwise, colour or
-    spatial, at seed 5, under tracemalloc: the step's peak, and the memory
-    the step has allocated and still holds when the generator's
-    `adam_step` starts. The set-up is deterministic, so each config is
-    measured once and every bound below reads that measurement."""
+    """(peak, live at the generator's update, live at each walk's start) of
+    the second `train_step` on the default config, 64 px unless `size` says
+    otherwise, colour or spatial, at seed 5, under tracemalloc: the step's
+    peak, the memory the step has allocated and still holds when the
+    generator's `adam_step` starts, and the same when each of the step's
+    two `Tensor.backward` walks (discriminator, then generator) starts. The
+    set-up is deterministic, so each config is measured once and every bound
+    below reads that measurement."""
     import tracemalloc
 
     state, pair = after_first_step(spatial, size)
-    update, live = gan.adam_step, []
+    update, walk, live, walks = gan.adam_step, Tensor.backward, [], []
 
     def recorded(adam, lr):
         if adam is state.adam_g:
             live.append(tracemalloc.get_traced_memory()[0])
         return update(adam, lr)
 
-    gan.adam_step = recorded
+    def recorded_walk(root):
+        walks.append(tracemalloc.get_traced_memory()[0])
+        return walk(root)
+
+    gan.adam_step, Tensor.backward = recorded, recorded_walk
     tracemalloc.start()
     try:
         train_step(state, pair, LossWeights(), lr=2e-4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        gan.adam_step = update
-    return peak, live[0]
+        gan.adam_step, Tensor.backward = update, walk
+    assert len(walks) == 2
+    return peak, live[0], tuple(walks)
 
 
 def second_step_peak(spatial, size=64):
@@ -444,13 +451,35 @@ def test_train_step_memory_peak_with_recipes_on_tensors(spatial, bound):
 
 @pytest.mark.parametrize("spatial, bound", [(False, 4.25e6), (True, 5.03e6)])
 def test_train_step_drops_its_tensors_before_the_generator_update(spatial, bound):
-    # the tensors train_step holds (the codes, the reference sides, the
-    # transfers and the G loss) keep their recipes' operands after the
-    # walk; the step drops them before the generator's adam_step. Live
-    # memory then was 5.50 MB (colour) and 6.27 MB (spatial) under
-    # tracemalloc while the step held them, and 3.01 and 3.79 MB since,
-    # mostly the generator's gradients; each bound is midway
+    # a tensor train_step holds (a code, a reference side, a transfer)
+    # keeps its recipe's operands after the walk; the step drops them
+    # before the generator's walk, so nothing of the G graph outlives it.
+    # Live memory at the generator's adam_step was 5.50 MB (colour) and
+    # 6.27 MB (spatial) under tracemalloc while the step held them through
+    # the update, and 3.01 and 3.79 MB since, mostly the generator's
+    # gradients; each bound is midway
     assert second_step_memory(spatial, 64)[1] < bound
+
+
+@pytest.mark.parametrize("spatial, size, bound", [(False, 64, 14.03e6), (True, 64, 17.69e6), (False, 128, 55.56e6)])
+def test_train_step_holds_no_tensor_through_the_generator_walk(spatial, size, bound):
+    # the step drops its codes, references and transfers before the
+    # generator's walk, not after it, so the graph is each value's only
+    # holder and frees it as the walk passes. Live memory when the walk
+    # started was 14.65 MB (64 px colour), 18.31 MB (64 px spatial) and
+    # 58.06 MB (128 px colour) under tracemalloc while the step held them
+    # through the walk, and 13.41, 17.07 and 53.07 MB since; each bound is
+    # midway
+    assert second_step_memory(spatial, size)[2][1] < bound
+
+
+@pytest.mark.parametrize("spatial, size, bound", [(False, 64, 17.07e6), (True, 64, 20.82e6), (False, 128, 66.39e6)])
+def test_train_step_memory_peak_with_tensors_dropped_before_the_walk(spatial, size, bound):
+    # the set-up above. The second step peaked at 17.70 MB (64 px colour),
+    # 21.45 MB (64 px spatial) and 67.99 MB (128 px colour) under
+    # tracemalloc while the step held its tensors through the generator's
+    # walk, and at 16.45, 20.20 and 64.79 MB since; each bound is midway
+    assert second_step_peak(spatial=spatial, size=size) < bound
 
 
 @pytest.mark.parametrize("spatial", [False, True])
