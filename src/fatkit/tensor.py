@@ -858,14 +858,16 @@ def deconv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
     return _from_op(out, (x, w) if b is None else (x, w, b), back, "deconv2d")
 
 
-def instance_norm(x: Tensor) -> Tensor:
+def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     """Zero-mean unit-variance per channel over the spatial extent."""
+    if eps <= 0:
+        raise ParameterError(f"eps must be positive, got {eps}")
     if x.ndim != 3:
         raise ShapeError(f"instance_norm expects (C,H,W), got {x.shape}")
     n = x.shape[1] * x.shape[2]
     y = x.data - x.data.mean(axis=(1, 2), keepdims=True)
     var = np.einsum("ijk,ijk->i", y, y) / n
-    inv = (1.0 / np.sqrt(var + NORM_EPS))[:, None, None]
+    inv = (1.0 / np.sqrt(var + eps))[:, None, None]
     y *= inv
 
     def back(g):
@@ -986,7 +988,6 @@ def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
 ADAM_BETA1 = 0.5
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-NORM_EPS = 1e-5  # added to each channel's variance in `instance_norm`
 
 
 class AdamState:
