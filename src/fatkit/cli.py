@@ -238,8 +238,8 @@ def _cmd_transfer(args) -> int:
     if args.highres is not None:
         from .pyramid import crop_and_resize, pyramid_reconstruct
 
-        frame = read_ppm(args.highres)
-        pair = crop_and_resize(frame, box, low_size=config.size)
+        # only the box is converted to float64, not the whole frame
+        pair = crop_and_resize(read_ppm(args.highres, box), (0, 0, box[2], box[3]), low_size=config.size)
         z = pyramid_reconstruct(pair, z)
     write_all([(args.out, lambda path: write_ppm(path, z))])
     print(args.out)

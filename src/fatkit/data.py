@@ -582,9 +582,29 @@ def write_ppm(path, image: np.ndarray):
     _write_netpbm(path, b"P6", data.transpose(1, 2, 0))
 
 
-def read_ppm(path) -> np.ndarray:
-    """(3,H,W) float64 in [0,1]; values quantized to the stored 8 bits."""
-    return _read_netpbm(path, b"P6", 3)[0].transpose(2, 0, 1).astype(np.float64) / 255.0
+def _check_box(box, frame_hw):
+    """The (x, y, w, h) box as ints; a ParameterError naming it unless its
+    extents are positive and it lies inside a frame of (H, W) pixels."""
+    x, y, w, h = (int(v) for v in box)
+    if w < 1 or h < 1:
+        raise ParameterError(f"box extents must be positive, got {w}x{h}")
+    if x < 0 or y < 0 or y + h > frame_hw[0] or x + w > frame_hw[1]:
+        raise ParameterError(f"box {box} exceeds frame {tuple(frame_hw)}")
+    return x, y, w, h
+
+
+def read_ppm(path, box=None) -> np.ndarray:
+    """(3,H,W) float64 in [0,1]; values quantized to the stored 8 bits.
+
+    With an (x, y, w, h) `box`, only that box of the 8-bit pixels is
+    converted, giving the (3,h,w) values of the whole frame's slice; a box
+    outside the frame is a ParameterError naming it and the frame size.
+    """
+    pixels = _read_netpbm(path, b"P6", 3)[0]
+    if box is not None:
+        x, y, w, h = _check_box(box, pixels.shape[:2])
+        pixels = pixels[y : y + h, x : x + w]
+    return pixels.transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
 def write_pgm(path, mask: np.ndarray):

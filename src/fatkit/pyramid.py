@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_box
 from .tensor import ParameterError, _axis_taps
 from .tps import _pixel_centers
 
@@ -47,11 +48,7 @@ class HighResPair:
 def crop_and_resize(frame: np.ndarray, box, low_size: int) -> HighResPair:
     """Cut a box out of the frame and produce its working-size resize."""
     frame = np.asarray(frame, dtype=np.float64)
-    x, y, w, h = (int(v) for v in box)
-    if w < 1 or h < 1:
-        raise ParameterError(f"box extents must be positive, got {w}x{h}")
-    if x < 0 or y < 0 or y + h > frame.shape[1] or x + w > frame.shape[2]:
-        raise ParameterError(f"box {box} exceeds frame {frame.shape[1:]}")
+    x, y, w, h = _check_box(box, frame.shape[1:])
     orig = frame[:, y : y + h, x : x + w].copy()
     low = orig if (h, w) == (low_size, low_size) else bilinear_resize(orig, low_size, low_size)
     return HighResPair(orig=orig, low=low)

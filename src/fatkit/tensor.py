@@ -100,9 +100,12 @@ class Tensor:
     backwards that read it through `_kept` hold it: when nothing reads the
     output, its operands are not pinned for its sake. A recipe pays when
     the op is cheap and its own backward holds its operands anyway: `relu`,
-    `concat`, `reshape`, `transpose`, `matmul`, the scalar `scale` and
-    `pairwise_sqdist` have one, so a backward that reads a ReLU output, a
-    projection or a flattened map keeps no second copy of it. A caller that
+    `concat`, `reshape`, `transpose`, `matmul`, `pairwise_sqdist`, `xlogx`,
+    `grid_sample` and a 1x1 `conv2d` whose weight needs a gradient have
+    one, so a backward that reads a ReLU output, a projection, a flattened
+    map, a TPS kernel or a warped map keeps no second copy of it. So do the
+    scalar `scale` and the scalar add, whose backwards hold nothing: their
+    recipe keeps one operand value of the output's size. A caller that
     keeps such a tensor keeps its recipe's operands too.
 
     `_parents`, `_backward` and `_op` read through to the node; a leaf reads
@@ -313,8 +316,11 @@ def _toposort(root):
 
 def _add(a: Tensor, other) -> Tensor:
     if not isinstance(other, Tensor):
+        # the recipe adds again to the operand's kept value, one array of
+        # the output's size, as `reshape` and `transpose` keep theirs
         s = float(other)
-        return _from_op(a.data + s, (a,), lambda g: (g,), "adds")
+        av = _kept(a)
+        return _from_op(a.data + s, (a,), lambda g: (g,), "adds", lambda: av() + s)
     if a.shape != other.shape:
         raise ShapeError(f"add needs matching shapes, got {a.shape} and {other.shape}")
     return _from_op(a.data + other.data, (a, other), lambda g: (g, g), "add")
@@ -384,24 +390,31 @@ def _xlogx_parts(d: np.ndarray):
     return pos, np.where(pos, d, 1.0)
 
 
+def _xlogx_body(d: np.ndarray) -> np.ndarray:
+    """d*log(d), 0 where d vanishes: the one body of `xlogx` and its recipe."""
+    safe = _xlogx_parts(d)[1]
+    y = np.log(safe)  # 0 wherever safe was set to 1
+    y *= safe
+    return y
+
+
 def xlogx(x: Tensor) -> Tensor:
     """Elementwise x*log(x) with the continuous extension 0 at x=0.
 
     Gradient is defined as 0 where x vanishes, matching the limit that
     arises when x is a squared distance of a point to itself. The backward
-    keeps x through `_kept` and forms its mask again: a `pairwise_sqdist`
-    output is rebuilt from the points its own backward holds.
+    keeps x through `_kept` and forms its mask again, and the output's
+    rebuild recipe runs the body on that kept x: a TPS kernel is rebuilt
+    from the points the `pairwise_sqdist` backward holds, so a `concat`
+    that reads it keeps no (N, M) array.
     """
-    pos, safe = _xlogx_parts(x.data)
-    y = np.log(safe)  # 0 wherever safe was set to 1
-    y *= safe
     xv = _kept(x)
 
     def back(g):
         pos, safe = _xlogx_parts(xv())
         return (g * np.where(pos, np.log(safe) + 1.0, 0.0),)
 
-    return _from_op(y, (x,), back, "xlogx")
+    return _from_op(_xlogx_body(x.data), (x,), back, "xlogx", lambda: _xlogx_body(xv()))
 
 
 def tensor_sum(x: Tensor) -> Tensor:
@@ -777,6 +790,20 @@ def _rotated(w: np.ndarray) -> np.ndarray:
     return w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * k * k)
 
 
+def _conv_body(x: np.ndarray, w: np.ndarray, b, stride: int) -> np.ndarray:
+    """The forward of `conv2d` on arrays, b None for no bias: the one body
+    of the op and of a 1x1 output's recipe."""
+    co, ci, k, _ = w.shape
+    if stride == 1 and co < ci:
+        out = _transposed(x, _rotated(w), (co,) + x.shape[1:], k, 1)
+    else:
+        cols, ho, wo = _im2col(x, k, stride)
+        out = (w.reshape(co, ci * k * k) @ cols).reshape(co, ho, wo)
+    if b is not None:
+        out += b[:, None, None]
+    return out
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
     """Cross-correlation with same padding; output is ceil(H/stride) per side.
 
@@ -796,20 +823,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
     not be written in place until the backward has run. The backward keeps
     `x` only when it builds the weight gradient, and then through `_kept`:
     a ReLU output is kept as its recipe and rebuilt from the ReLU's input.
+    A 1x1 convolution whose weight needs a gradient gives its output a
+    rebuild recipe, the same body on that kept `x`, so a conv that reads it
+    (`estimate_attributes`' 3x3 after its 1x1) keeps no copy of it.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     b = None if b is None else _as_tensor(b)
     _check_conv_args(x.data, w.data, b, stride)
     co, ci, k, _ = w.shape
     need_x, need_w, need_b = x.requires_grad, w.requires_grad, b is not None and b.requires_grad
-    xshape, wshape, wd = x.shape, w.shape, w.data
-    if stride == 1 and co < ci:
-        out = _transposed(x.data, _rotated(wd), (co,) + xshape[1:], k, 1)
-    else:
-        cols, ho, wo = _im2col(x.data, k, stride)
-        out = (wd.reshape(co, ci * k * k) @ cols).reshape(co, ho, wo)
-    if b is not None:
-        out += b.data[:, None, None]
+    xshape, wshape, wd, bd = x.shape, w.shape, w.data, None if b is None else b.data
+    out = _conv_body(x.data, wd, bd, stride)
     xv = _kept(x) if need_w else None
 
     def back(g):
@@ -824,7 +848,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
             gx = _col2im(wd.reshape(co, ci * k * k).T @ gmat, xshape, k, stride) if need_x else None
         return (gx, gw, gmat.sum(axis=1) if need_b else None)
 
-    return _from_op(out, (x, w) if b is None else (x, w, b), back, "conv2d")
+    rebuild = (lambda: _conv_body(xv(), wd, bd, stride)) if k == 1 and need_w else None
+    return _from_op(out, (x, w) if b is None else (x, w, b), back, "conv2d", rebuild)
 
 
 def deconv2d(x: Tensor, w: Tensor, b: Tensor = None, stride: int = 1) -> Tensor:
@@ -917,16 +942,24 @@ def _bilinear(image: np.ndarray, grid: np.ndarray):
     (top-left, top-right, bottom-left, bottom-right) and the fractional
     weights (fx, fy), which the backward of `grid_sample` reuses.
     """
-    c, h, w = image.shape
+    _, h, w = image.shape
     x0i, x1i, fx = _axis_taps(grid[..., 0], w)
     y0i, y1i, fy = _axis_taps(grid[..., 1], h)
     r0, r1 = y0i * w, y1i * w
     flat_idx = (r0 + x0i, r0 + x1i, r1 + x0i, r1 + x1i)
+    return _lerp_corners(image, flat_idx, fx, fy), flat_idx, fx, fy
+
+
+def _lerp_corners(image: np.ndarray, flat_idx, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """The (C,h',w') bilinear lerp of a (C,H,W) image's four gathered
+    corners: the tail of `_bilinear`, and the recipe of a `grid_sample`
+    output on its kept input."""
+    c, h, w = image.shape
     flat = image.reshape(c, h * w)
     v00, v01, v10, v11 = (np.take(flat, i, axis=1) for i in flat_idx)
     top = v00 * (1.0 - fx) + v01 * fx
     bot = v10 * (1.0 - fx) + v11 * fx
-    return top * (1.0 - fy) + bot * fy, flat_idx, fx, fy
+    return top * (1.0 - fy) + bot * fy
 
 
 def bilinear_sample(image: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -948,6 +981,10 @@ def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
     input through `_kept`, the four corner indices and the fractional
     weights, and gathers the four (C, h'*w') corner arrays again with the
     forward's `np.take`, so the node holds no copy of the input's values.
+    The output's rebuild recipe lerps those corners again from the same
+    kept arrays (Jaderberg et al., 2015: the sample is a fixed function of
+    the input, the indices and the weights), so a conv that reads the
+    warped map keeps no (C, h', w') copy of it.
     """
     x, grid = _as_tensor(x), _as_tensor(grid)
     if x.ndim != 3 or grid.ndim != 3 or grid.shape[-1] != 2:
@@ -979,7 +1016,7 @@ def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
         ggrid[..., 1] = dpy.sum(axis=0) * (h / 2.0)
         return (gimg, ggrid)
 
-    return _from_op(out, (x, grid), back, "grid_sample")
+    return _from_op(out, (x, grid), back, "grid_sample", lambda: _lerp_corners(xv(), flat_idx, fx, fy))
 
 
 # -- optimizer ----------------------------------------------------------------

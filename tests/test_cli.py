@@ -725,6 +725,43 @@ def test_transfer_box_without_highres_is_usage_error(corpus, model, tmp_path):
     assert not (tmp_path / "t.ppm").exists()
 
 
+@pytest.mark.parametrize("box, message", [
+    ("40,8,64,64", "box (40, 8, 64, 64) exceeds frame (96, 96)"),
+    ("-1,0,16,16", "box (-1, 0, 16, 16) exceeds frame (96, 96)"),
+    ("0,0,0,16", "box extents must be positive, got 0x16"),
+])
+def test_transfer_highres_box_outside_the_frame_is_one_line_data_error(corpus, model, tmp_path, box, message):
+    result = run_highres(corpus, model, tmp_path, f"--box={box}")
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [f"fatkit transfer: {message}"]
+    assert not (tmp_path / "hi.ppm").exists()
+
+
+def test_transfer_highres_converts_only_the_box(corpus, model, tmp_path):
+    # the frame's 8-bit pixels are cut to the box before they become
+    # float64, so a 1024 px frame costs the request its bytes, not 25 MB
+    # of floats. A request with a 256 px box peaked at 32.57 MB under
+    # tracemalloc while the whole frame was converted, and at 7.41 MB since;
+    # the bound is midway
+    import tracemalloc
+
+    from fatkit.cli import main
+    from fatkit.data import write_ppm
+
+    write_ppm(tmp_path / "frame.ppm", np.random.default_rng(0).uniform(size=(3, 1024, 1024)))
+    tracemalloc.start()
+    try:
+        code = main(["transfer", "--model", str(model / "m.fatw"), "--source", str(corpus / "0000.ppm"),
+                     "--ref", str(corpus / "0001.ppm"), "--out", str(tmp_path / "hi.ppm"),
+                     "--highres", str(tmp_path / "frame.ppm"), "--box", "300,200,256,256"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert read_ppm(tmp_path / "hi.ppm").shape == (3, 256, 256)
+    assert peak < 19.99e6, f"the request peaked at {peak / 1e6:.1f} MB"
+
+
 def saved_model(path, seed=0):
     """A fresh 48 px, width-4 generator checkpoint plus its `.cfg` sidecar."""
     from fatkit.gan import MODEL_KEYS, SETTINGS, config_text, configs_from_settings, init_train_state, save_state

@@ -295,6 +295,18 @@ def test_ppm_round_trip_bit_identical(tmp_path, rng):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_ppm_box_reads_the_slice_of_the_frame(tmp_path, rng):
+    # the box is cut from the 8-bit pixels before the float conversion, so
+    # its values are the whole frame's slice, bit for bit
+    path = tmp_path / "f.ppm"
+    write_ppm(path, rng.uniform(size=(3, 9, 7)))
+    got = read_ppm(path, (2, 3, 4, 5))
+    assert got.tobytes() == np.ascontiguousarray(read_ppm(path)[:, 3:8, 2:6]).tobytes()
+    assert read_ppm(path, (0, 0, 7, 9)).tobytes() == read_ppm(path).tobytes()
+    with pytest.raises(ParameterError, match=r"box \(4, 3, 4, 5\) exceeds frame \(9, 7\)"):
+        read_ppm(path, (4, 3, 4, 5))
+
+
 def test_ppm_bad_magic(tmp_path):
     path = tmp_path / "x.ppm"
     path.write_bytes(b"P3\n2 2\n255\n" + bytes(12))

@@ -482,13 +482,35 @@ def test_train_step_memory_peak_with_tensors_dropped_before_the_walk(spatial, si
     assert second_step_peak(spatial=spatial, size=size) < bound
 
 
+@pytest.mark.parametrize("spatial, size, peak, walk", [
+    (False, 64, 16.23e6, 13.18e6), (True, 64, 19.27e6, 15.99e6), (False, 128, 63.68e6, 52.16e6),
+    (True, 128, 73.7e6, 62.36e6),
+])
+def test_train_step_memory_with_kernel_warp_1x1_and_scalar_add_recipes(spatial, size, peak, walk):
+    # xlogx, grid_sample, a 1x1 conv whose weight needs a gradient and the
+    # scalar add rebuild their outputs from what their own backwards hold,
+    # or from the add's one operand: a TPS kernel from the points, a warped
+    # map from the map it samples, `estimate_attributes`' hidden map from
+    # the reference map, `tanh(feat) + 1` from the tanh output. The second
+    # step peaked at 16.45 MB (64 px colour), 20.20 MB (64 px spatial), 64.79
+    # MB (128 px colour) and 77.69 MB (128 px spatial) under tracemalloc
+    # before, with 13.41, 17.07, 53.07 and 66.49 MB live when the generator
+    # walk started; since, it peaks at 16.00, 18.33, 62.56 and 69.65 MB,
+    # with 12.95, 14.90, 51.24 and 58.23 MB live; each bound is midway
+    memory = second_step_memory(spatial, size)
+    assert memory[0] < peak
+    assert memory[2][1] < walk
+
+
 @pytest.mark.parametrize("spatial", [False, True])
 def test_every_backward_op_scratch_is_bounded_at_64px(spatial):
     # the largest transient that one node's backward adds above the live
     # graph, over both backwards of the second 64 px step. The attention
     # backward set it at 3.81 MB, colour and spatial, while it held gA and
-    # g * y beside its scores and their gradient, and at 3.15 MB since; the
-    # bound is midway
+    # g * y beside its scores and their gradient, and at 3.15 MB after; the
+    # bound is midway. It measures 3.28 MB, colour and spatial, since the
+    # backward rebuilds its query and key projections through their
+    # `matmul` recipes inside the node, so they count as its scratch
     state, pair = after_first_step(spatial, 64)
     with backward_scratch() as scratch:
         train_step(state, pair, LossWeights(), lr=2e-4)

@@ -948,6 +948,26 @@ def test_flattened_map_rebuilds_its_rows_from_the_map(rng):
         assert got.tobytes() == ref.tobytes()
 
 
+def test_conv_reading_a_warped_or_1x1_map_holds_the_map_it_came_from(rng):
+    # a 3x3 conv's weight gradient reads its input through `_kept`: a
+    # `grid_sample` output (the spatial warp's) is rebuilt from the sampled
+    # map, and a 1x1 conv output (`estimate_attributes`' hidden map, which
+    # its 3x3 conv reads) from the map the 1x1 conv read, so the reading
+    # conv holds that map and not the output, and its gradients are those
+    # of a kept copy of the output, bit for bit
+    img = leaf(rng, 4, 6, 6)
+    warped = grid_sample(img, leaf(rng, 6, 6, 2, scale=0.6))
+    hidden = conv2d(img, leaf(rng, 8, 4, 1, 1), leaf(rng, 8))
+    for x in (warped, hidden):
+        w, b = leaf(rng, 3, x.shape[0], 3, 3), leaf(rng, 3)
+        out, kept = conv2d(x, w, b), conv2d(Tensor(x.data.copy(), requires_grad=True), w, b)
+        held = node_held_arrays(out._node)
+        assert id(base_buffer(img.data)) in held and id(base_buffer(x.data)) not in held
+        g = rng.normal(size=out.shape)
+        for got, ref in zip(out._backward(g), kept._backward(g)):
+            assert got.tobytes() == ref.tobytes()
+
+
 RECIPES = {  # case -> (op, build from a ReLU output, a leaf and a no-grad tensor)
     "relu": ("relu", lambda a, b, c: relu(a)),
     "concat": ("concat", lambda a, b, c: concat([a, b, c], axis=1)),
@@ -958,6 +978,12 @@ RECIPES = {  # case -> (op, build from a ReLU output, a leaf and a no-grad tenso
     "scale": ("scale", lambda a, b, c: a * 0.3),
     "scale-by-division": ("scale", lambda a, b, c: a / 7.0),
     "sqdist": ("sqdist", lambda a, b, c: pairwise_sqdist(a, concat([b, b[:2]]))),
+    "xlogx": ("xlogx", lambda a, b, c: xlogx(pairwise_sqdist(a, concat([a, b])))),
+    "grid_sample": ("grid_sample", lambda a, b, c: grid_sample(reshape(a, (2, 5, 2)), reshape(b, (5, 2, 2)))),
+    "scalar-add": ("adds", lambda a, b, c: a + 1.5),
+    "scalar-subtraction": ("adds", lambda a, b, c: 0.5 - a),
+    "1x1-conv": ("conv2d", lambda a, b, c: conv2d(reshape(a, (4, 5, 1)), reshape(b, (5, 4, 1, 1)), c[:, 0])),
+    "narrowing-1x1-conv": ("conv2d", lambda a, b, c: conv2d(reshape(a, (4, 5, 1)), reshape(b[:2], (2, 4, 1, 1)))),
 }
 
 
@@ -1043,10 +1069,11 @@ def test_no_backward_closure_holds_a_tensor(rng):
     img, grid = leaf(rng, 4, 6, 6), leaf(rng, 5, 5, 2, scale=0.5)
     square = Tensor(rng.normal(size=(3, 3)) + 4.0 * np.eye(3), requires_grad=True)
 
-    def conv(co, ci, stride, bias=True):
-        w = leaf(rng, co, ci, 3, 3)
+    def conv(co, ci, stride, bias=True, k=3):
+        w = leaf(rng, co, ci, k, k)
         return conv2d(img if ci == 4 else concat([img, img]), w, leaf(rng, co) if bias else None, stride)
 
+    one_by_one, frozen_one_by_one = conv(6, 4, 1, k=1), conv2d(img, Tensor(rng.normal(size=(6, 4, 1, 1))))
     outs = [
         a + b, a + 1.0, -a, a * b, a * 2.0, a / 2.0, a[1:, :2], a.sum(), tensor_mean(a),
         relu(a), tanh(a), softplus(a), xlogx(a * a), l1_loss(a, b), mse_loss(a, b),
@@ -1055,14 +1082,20 @@ def test_no_backward_closure_holds_a_tensor(rng):
         mixed_attention(a, b, leaf(rng, 2), leaf(rng, 3, 5)),
         instance_norm(img), avg_pool2d(img, 2),
         conv(2, 4, 1), conv(6, 4, 1, bias=False), conv(6, 8, 2), deconv2d(img, leaf(rng, 4, 2, 3, 3), stride=2),
-        grid_sample(img, grid),
+        one_by_one, frozen_one_by_one, grid_sample(img, grid),
     ]
     for out in outs:
         fns = [fn for fn in (out._node._backward, out._rebuild) if fn is not None]
         assert not any(isinstance(v, Tensor) for fn in fns for v in closure_values(fn)), out._op
-    # the ops cheap to recompute whose own backward holds their operands
-    # (or that scale a parameter) carry a recipe; no other op does
+    # a recipe pays whenever the op's own backward holds its operands
+    # anyway: the ops cheap to recompute whose backward holds their
+    # operands, and those that scale or add to one operand, carry one. A
+    # conv carries one only with a 1x1 kernel whose weight needs a gradient
+    # (a frozen weight's backward keeps no x); no other op does
     assert {out._op for out in outs if out._rebuild is not None} == {op for op, _ in RECIPES.values()}
+    assert [out for out in outs if out._op == "conv2d" and out._rebuild is not None] == [one_by_one]
+    for op in ("deconv2d", "instance_norm", "attention", "tanh", "softplus", "getitem", "avg_pool", "mul", "add"):
+        assert all(out._rebuild is None for out in outs if out._op == op), op
 
 
 @pytest.mark.parametrize("operand", ["number", "tensor"])
